@@ -11,6 +11,14 @@ while another pass still fits in ``--seconds``.  After the timed passes every
 report is checked (``checks.py``) and the SHA-256 of each job's stdout is
 compared across passes and with earlier runs of the same seed.
 
+The machine this runs on is shared, and its speed drifts by up to 2x over
+minutes.  So a fixed task that uses no hyperpart code (``reference.py``) runs
+before the first job and after every job, and the pass's times are divided by
+how much slower than nominal that task ran over the pass, each job's time by
+how much slower it ran in the seconds around the job.  The end-to-end times
+are those divided times: seconds at the reference speed.  The measured times
+are printed too.
+
 With ``--trace 0`` the result line carries the end-to-end metrics, with
 ``--trace 1`` the per-layer metrics of ``tracer.py``.  The last stdout line is
 one JSON object with the keys ``correct``, ``attempted``, ``failed`` and
@@ -34,11 +42,22 @@ import sys
 import time
 from pathlib import Path
 
+import reference
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SCRATCH = ROOT / ".bench_build" / "perfbench"
 SETUP_REPEATS = 3
 SETUP_TIMEOUT_S = 150
+# Each reference block takes this share of the job before it, and at least
+# REFERENCE_MIN runs of the task.
+REFERENCE_SHARE = 0.10
+REFERENCE_MIN = 2
+# A job's own slowdown is taken from the reference runs this close to it.
+REFERENCE_WINDOW_S = 2.0
+# Run once, untimed, before the first pass: it imports and exercises the
+# command-line, enumeration and JSON paths every workload uses.
+WARM_UP = ["demo", "pentagon"]
 
 # (name, unit, better, bound) of every end-to-end metric, in report order.
 END_TO_END = (
@@ -82,14 +101,65 @@ def _cpu() -> float:
     return own.ru_utime + own.ru_stime + children.ru_utime + children.ru_stime
 
 
+def _reference_block(after: float) -> list[tuple[float, float, float]]:
+    """Time the reference task until it has taken ``REFERENCE_SHARE`` of
+    ``after`` seconds, and at least ``REFERENCE_MIN`` times.  Returns the
+    (midpoint, seconds, CPU seconds) of each run."""
+    runs: list[tuple[float, float, float]] = []
+    spent = 0.0
+    while len(runs) < REFERENCE_MIN or spent < REFERENCE_SHARE * after:
+        start, cpu = time.perf_counter(), time.process_time()
+        value = reference.task()
+        end = time.perf_counter()
+        runs.append(((start + end) / 2, end - start, time.process_time() - cpu))
+        spent += end - start
+        if value != reference.EXPECTED:
+            raise SystemExit(f"the reference task computed {value}, not {reference.EXPECTED}")
+    return runs
+
+
+def _slowdowns(spans: list[tuple[float, float]], runs: list[tuple[float, float, float]]) -> list[float]:
+    """Each job's own slowdown: the mean time of the reference runs within
+    ``REFERENCE_WINDOW_S`` of the job's (start, end), over the nominal time.
+
+    A single run of the task is either slowed by the host or not, so the few
+    runs right beside a job scatter widely, and only a mean over seconds of
+    them follows the machine's speed.  That speed also drifts within a pass,
+    so the pass's mean misjudges single short jobs by up to 30%."""
+    out = []
+    for start, end in spans:
+        near = [seconds for mid, seconds, _ in runs
+                if start - REFERENCE_WINDOW_S <= mid <= end + REFERENCE_WINDOW_S]
+        out.append(statistics.fmean(near) / reference.NOMINAL_S)
+    return out
+
+
 def _run_pass(cli, argvs: list[list[str]], tracer) -> dict:
-    jobs = []
-    cpu0, start = _cpu(), time.perf_counter()
+    """One pass of the job list, with a reference block before the first job
+    and after each job.
+
+    ``wall`` and ``cpu`` are the pass's measured job times and CPU times,
+    ``slowdown`` and ``cpu_slowdown`` the mean time and CPU time of the
+    reference runs over the nominal time.  The reference blocks take a fixed
+    share of the jobs' time, so those means weigh the machine's speed as the
+    jobs met it, and ``wall`` and ``cpu`` divided by them are what the pass
+    would have taken at the nominal speed.  The CPU time has its own divisor
+    because time the process spends waiting for the core counts in the
+    reference's time but not in the jobs' CPU time.  ``scaled`` holds each
+    job's time divided by its own slowdown (``_slowdowns``)."""
+    jobs, cpus, spans, runs = [], [], [], _reference_block(0.0)
     for index, argv in enumerate(argvs):
         if tracer is not None:
             tracer.job = index
+        cpu0, start = _cpu(), time.perf_counter()
         jobs.append(_run_job(cli, argv))
-    return {"wall": time.perf_counter() - start, "cpu": _cpu() - cpu0, "jobs": jobs}
+        spans.append((start, time.perf_counter()))
+        cpus.append(_cpu() - cpu0)
+        runs += _reference_block(jobs[-1][0])
+    return {"wall": sum(t for t, _, _ in jobs), "cpu": sum(cpus), "jobs": jobs,
+            "slowdown": statistics.fmean(seconds for _, seconds, _ in runs) / reference.NOMINAL_S,
+            "cpu_slowdown": statistics.fmean(cpu for _, _, cpu in runs) / reference.NOMINAL_S,
+            "scaled": [t / k for (t, _, _), k in zip(jobs, _slowdowns(spans, runs))]}
 
 
 def _source_digest(plan: dict) -> str:
@@ -127,8 +197,10 @@ def _measure(cli, argvs: list[list[str]], seconds: float, tracer, tracing, spans
     Returns the passes, the per-layer metrics of each traced pass and the
     spans of the first traced pass (both empty when untraced)."""
     passes, layer, first_spans = [], [], []
+    _run_job(cli, WARM_UP)
     start = time.perf_counter()
     while True:
+        pass_start = time.perf_counter()
         if tracer is not None:
             tracer.install()
         try:
@@ -143,7 +215,8 @@ def _measure(cli, argvs: list[list[str]], seconds: float, tracer, tracing, spans
                 first_spans = spans
                 tracing.write_spans(spans, spans_path)
             layer.append(tracing.layer_metrics(spans, done["wall"]))
-        if time.perf_counter() - start + done["wall"] > seconds:
+        now = time.perf_counter()
+        if now - start + (now - pass_start) > seconds:
             return passes, layer, first_spans
 
 
@@ -228,11 +301,16 @@ def main() -> int:
     attempted, failed, problems = _failures(
         plan, passes, first, flagged, lambda job, doc: checks.check(job, configs.get(job["input"]), doc))
 
+    slowdown = statistics.median(p["slowdown"] for p in passes)
+    measured = {
+        "wall_s": statistics.median(p["wall"] for p in passes),
+        "cpu_s": statistics.median(p["cpu"] for p in passes),
+    }
     if tracer is None:
         values = {
-            "wall_s": statistics.median(p["wall"] for p in passes),
-            "job_p50_s": statistics.median(t for p in passes for t, _, _ in p["jobs"]),
-            "cpu_s": statistics.median(p["cpu"] for p in passes),
+            "wall_s": statistics.median(p["wall"] / p["slowdown"] for p in passes),
+            "job_p50_s": statistics.median(t for p in passes for t in p["scaled"]),
+            "cpu_s": statistics.median(p["cpu"] / p["cpu_slowdown"] for p in passes),
             "setup_s": statistics.median(setup_times),
             "peak_rss_mb": peak_rss_mb,
         }
@@ -250,6 +328,12 @@ def main() -> int:
     if plan["kept_trials"]:
         print(f"non-partitionable trials kept: {json.dumps(plan['kept_trials'])}")
     print(f"stdout digests: {digest_note}")
+    print(f"reference task: mean {slowdown * reference.NOMINAL_S:.5f} s, "
+          f"{slowdown:.3f}x its nominal {reference.NOMINAL_S} s (median over passes)")
+    print("pass 1 job times at the reference speed (s): " + " ".join(
+        f"{seconds:.3f}" for seconds in passes[0]["scaled"]))
+    print("measured, not divided by the slowdown: " + " ".join(
+        f"{name} {value:.6g} s" for name, value in measured.items()))
     print("pass 1 job times (s): " + " ".join(
         f"{job['cmd']}:{job['input'] or '-'}={seconds:.3f}"
         for job, (seconds, _, _) in zip(plan["jobs"], passes[0]["jobs"])))

@@ -21,16 +21,20 @@ def test_other_seed_other_instances(workload):
     first, second = workloads.plan(workload, 5), workloads.plan(workload, 6)
     assert [job["cmd"] for job in first["jobs"]] == [job["cmd"] for job in second["jobs"]]
     shared = set(first["instances"].items()) & set(second["instances"].items())
-    # Only the seed-independent baseline instance is shared.
-    assert len(shared) == 1
-    assert next(iter(shared))[0].startswith(("phi-", "main-"))
+    # Only the seed-independent baseline instances are shared.
+    assert 1 <= len(shared) <= 2
+    assert all(name.startswith(("phi-", "main-", "kirchberger-")) for name, _ in shared)
 
 
 def test_campaign_jobs_carry_the_seed():
     plan = workloads.plan("campaign-small", 7)
-    seeded = [job for job in plan["jobs"] if job["cmd"] in ("verify", "bound-search")]
-    assert len(seeded) == 6
-    assert all(job["args"][job["args"].index("--seed") + 1] == "7" for job in seeded)
+    verify = [job for job in plan["jobs"] if job["cmd"] == "verify"]
+    search = [job for job in plan["jobs"] if job["cmd"] == "bound-search"]
+    assert len(verify) == 22 and len(search) == 1
+    seeds = [(job["args"][1], int(job["args"][job["args"].index("--seed") + 1])) for job in verify]
+    assert len(set(seeds)) == len(seeds)
+    assert all(700 <= seed < 800 for _, seed in seeds)
+    assert search[0]["args"][search[0]["args"].index("--seed") + 1] == "7"
 
 
 def test_witness_inputs_are_the_non_partitionable_trials():

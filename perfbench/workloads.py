@@ -7,10 +7,11 @@ one ``hyperpart`` command line over them.  The program under test only ever
 sees the written instance files.
 
 Why each workload exists is recorded in ``BENCHMARK.json`` and, at length, in
-``perfbench/README.md``.  One pass of a job list takes 15-25 s on a 2-core
-machine.  It holds many smaller instances rather than a few large ones,
-because the cost of a single exact instance varies by up to 2x from seed to
-seed and only a sum over many instances is steady.
+``perfbench/README.md``.  One pass of a job list takes about 7 s
+(``campaign-small``) or 16-19 s (the others) at the reference speed.  It
+holds many smaller instances rather than a few large ones, because the cost
+of a single exact instance varies by up to 2x from seed to seed and only a
+sum over many instances is steady.
 """
 
 from __future__ import annotations
@@ -101,29 +102,39 @@ class _Plan:
         }
 
 
+# Each job list puts one group of similar jobs in the middle, with as many
+# jobs below it as above it, so that the median job is always a job of that
+# group whatever the seed draws.
+
+
 def _enum_d3(p: _Plan) -> None:
+    # Above the middle: the n=10 baseline, one seeded n=9 in general position
+    # and two degenerate (the planted collinear triple).  The middle:
+    # twenty-four degenerate n=8, most of them within 15% of each other in
+    # cost; in general position n=8 and n=9 costs are bimodal.  Below: four
+    # n=7 in general position.
     p.job("enumerate", p.add("phi-gp10", generate_instance(_baseline("phi", 3, 10))))
-    # n=9 alternates general position and the planted collinear triple, so
-    # each subcommand meets both.
-    for i, cmd in enumerate(("enumerate", "transversals", "sep", "enumerate", "transversals") * 2):
-        name = f"{'dg' if i % 2 else 'gp'}9-{i}"
-        config = p.draw(name, 3, 9, degenerate=bool(i % 2))
+    shapes = [(9, False), (9, True), (9, True)] + [(8, True)] * 24 + [(7, False)] * 4
+    for i, (n, degenerate) in enumerate(shapes):
+        cmd = ("enumerate", "transversals", "sep")[i % 3]
+        name = f"{'dg' if degenerate else 'gp'}{n}-{i}"
+        config = p.draw(name, 3, n, degenerate=degenerate)
         p.job(cmd, name, *(p.pair(config) if cmd == "sep" else ()))
 
 
 def _enum_d2(p: _Plan) -> None:
     p.job("enumerate", p.add("phi-gp12", generate_instance(_baseline("phi", 2, 12))))
-    # (subcommand, n, colors, degenerate).  The constructions run at n=9-10:
-    # each recomputes the enumeration two or more times, and perturb retries
-    # 1-7 times, so at n=11 one perturb job ranges from 3 s to 12 s.
+    # (subcommand, n, colors, degenerate).  Below the middle: perturb at n=8,
+    # enumerate at n=10 and n=11 and shrink at n=10.  The middle: eight
+    # partitionable at n=11, k=3 and k=4, each 0.8-1.2 s.  Above: four flip
+    # at n=10 and the n=12 baseline.  The constructions run at n=8-10: each
+    # recomputes the enumeration two or more times, and perturb retries 1-7
+    # times, so at n=11 one perturb job ranges from 3 s to 12 s.
     shapes = [
-        ("enumerate", 12, 0, True), ("enumerate", 11, 0, False), ("enumerate", 11, 0, True),
-        ("enumerate", 11, 0, False), ("enumerate", 11, 0, True),
-        ("partitionable", 12, 3, False), ("partitionable", 11, 4, False),
-        ("partitionable", 11, 3, False), ("partitionable", 11, 4, False),
-        ("flip", 10, 0, False), ("flip", 10, 0, False),
-        ("shrink", 10, 0, False), ("shrink", 10, 0, False),
-        ("perturb", 9, 0, True), ("perturb", 9, 0, True),
+        ("perturb", 8, 0, True), ("enumerate", 10, 0, False), ("enumerate", 10, 0, True),
+        ("enumerate", 11, 0, True), ("shrink", 10, 0, False),
+        *[("partitionable", 11, 3, False), ("partitionable", 11, 4, False)] * 4,
+        *[("flip", 10, 0, False)] * 4,
     ]
     for i, (cmd, n, colors, degenerate) in enumerate(shapes):
         name = f"{cmd}{n}-{i}"
@@ -138,32 +149,40 @@ def _enum_d2(p: _Plan) -> None:
 
 def _colored_caps(p: _Plan) -> None:
     # One witness at the CLI caps from the baseline corpus: a single seeded
-    # one ranges from 1.2 s to 5 s.  The seeded witnesses sit below the caps.
+    # one ranges from 1.2 s to 5 s.  The seeded witnesses sit below the caps:
+    # four at d=3, n=10, k=4 above the middle and thirty-six at d=2, n=12,
+    # k=6 in it.  Kirchberger takes the n=14 baseline, above the middle and the
+    # largest job in memory (43 MiB; a seeded n=14 takes 26-37 MiB, so it
+    # would set peak_rss_mb by the seed), and six seeded n=12-13 below it.
     names = p.non_partitionable("main-d2n16k8", _baseline("main", 2, 16, 8), 1)
     names += p.non_partitionable("d3n10k4", _spec(p.workload, p.seed, 3, 10, 4), 4)
-    names += p.non_partitionable("d2n12k6", _spec(p.workload, p.seed, 2, 12, 6), 18)
+    names += p.non_partitionable("d2n12k6", _spec(p.workload, p.seed, 2, 12, 6), 36)
     for name in names:
         p.job("witness", name)
-    for i, n in enumerate((12, 13, 14) * 5):
+    p.job("kirchberger", p.add("kirchberger-d3n14", generate_instance(_baseline("kirchberger", 3, 14, 2))))
+    for i, n in enumerate((12,) * 5 + (13,)):
         p.draw(f"k{n}-{i}", 3, n, colors=2)
         p.job("kirchberger", f"k{n}-{i}")
 
 
 def _campaign_small(p: _Plan) -> None:
-    seed = str(p.seed)
+    # Many verify calls of about 0.3 s each, so that fixed costs per call
+    # count; call i of a suite uses campaign seed 100 * seed + i.
     suites = [
-        ("phi", "2", "8", None, "40"),
-        ("duality", "2", "7", None, "30"),
-        ("eta-bound", "3", "6", None, "20"),
-        ("kirchberger", "3", "7", "2", "30"),
-        ("main", "2", "6", "3", "20"),
+        # suite, dim, n, colors, trials per call, calls
+        ("phi", "2", "8", None, 5, 8),
+        ("duality", "2", "7", None, 4, 8),
+        ("eta-bound", "3", "6", None, 16, 2),
+        ("kirchberger", "3", "7", "2", 24, 2),
+        ("main", "2", "6", "3", 14, 2),
     ]
-    for suite, dim, n, colors, trials in suites:
+    for suite, dim, n, colors, trials, calls in suites:
         extra = ("--colors", colors) if colors else ()
-        p.job("verify", None, "--suite", suite, "--dim", dim, "--n", n, *extra,
-              "--trials", trials, "--seed", seed)
+        for call in range(calls):
+            p.job("verify", None, "--suite", suite, "--dim", dim, "--n", n, *extra,
+                  "--trials", str(trials), "--seed", str(100 * p.seed + call))
     p.job("bound-search", None, "--dim", "2", "--n", "8", "--colors", "3",
-          "--trials", "3", "--seed", seed)
+          "--trials", "3", "--seed", str(p.seed))
     p.job("formulas", None, "--dim", "3", "--colors", "8")
     p.job("demo", None, "pentagon")
 
