@@ -2,10 +2,11 @@
 
 Two colors: separation by a single hyperplane, its exact halfspace dual (whose
 nonempty intersection encodes separability of subsets through a designated
-point), and extraction of small inseparable subsets.  k colors: deciding
-whether a family of hyperplanes can split the classes pairwise without cutting
-any class, and — when it cannot — extracting a small subset that already
-cannot be split, whose size is controlled by the transversal bound.
+point), and extraction of small inseparable subsets by a decide-only scan.
+k colors: deciding whether a family of hyperplanes can split the classes
+pairwise without cutting any class, and — when it cannot — extracting a small
+subset that already cannot be split, whose size is controlled by the
+transversal bound.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional
+from typing import AbstractSet, Mapping, Optional
 
 from .counting import witness_size_bound
 from .errors import DomainError, VerificationError
@@ -23,10 +24,11 @@ from .geometry import (
     PointConfig,
     one_side_hyperplane,
     realize,
+    side_row,
     strict_separate,
 )
 from .hdivision import hyperplane_division
-from .linsolve import feasible_point
+from .linsolve import feasible_point, is_feasible
 from .partitions import (
     Partition,
     is_transversal,
@@ -115,15 +117,31 @@ def kirchberger_witness(config: PointConfig, base_id: int) -> Optional[tuple[int
     config.point(base_id)
     if color_separating_hyperplane(config) is not None:
         return None
-    others = [i for i in config.ids if i != base_id]
+    return _first_inseparable(config, dict(zip(config.ids, config.colors)), {base_id})
+
+
+def _first_inseparable(
+    config: PointConfig, labels: Mapping[int, int], required: AbstractSet[int]
+) -> tuple[int, ...]:
+    """The first subset, by size then lexicographic order, of at most dim+2
+    ids that meets ``required`` and whose two label classes (labels 0 and 1)
+    cannot be strictly separated.
+
+    Only decided, never solved: each point's two separation rows are built
+    once, and a candidate is one witness-free feasibility test.  A candidate
+    with a single label is skipped, since one class is always separable.  By
+    Kirchberger's theorem the search succeeds whenever such a subset of any
+    size exists, so a fruitless search is an internal error.
+    """
+    rows = {p.id: (side_row(p, True), side_row(p, False)) for p in config.points}
     for size in range(2, config.dim + 3):
-        for combo in combinations(others, size - 1):
-            ids = tuple(sorted((base_id,) + combo))
-            if color_separating_hyperplane(config.subset(ids)) is None:
-                return ids
+        for combo in combinations(config.ids, size):
+            if required.isdisjoint(combo) or len({labels[i] for i in combo}) == 1:
+                continue
+            if not is_feasible([rows[i][labels[i]] for i in combo], config.dim + 1):
+                return combo
     raise VerificationError(
-        f"inseparable configuration admits no inseparable subset of size "
-        f"<= {config.dim + 2} through {base_id}"
+        f"no inseparable subset of size <= {config.dim + 2} meets {sorted(required)}"
     )
 
 
@@ -332,11 +350,9 @@ def witness_nonpartitionable(config: PointConfig) -> WitnessReport:
     rep_set = set(reps)
     cores: dict[Partition, tuple[int, ...]] = {}
     for member in minimal:
-        extended = extensions[member]
-        side_labels = {
-            i: (0 if i in frozenset(extended.blocks[0]) else 1) for i in config.ids
-        }
-        cores[member] = _inseparable_core(config, side_labels, rep_set)
+        first = frozenset(extensions[member].blocks[0])
+        side_labels = {i: int(i not in first) for i in config.ids}
+        cores[member] = _first_inseparable(config, side_labels, rep_set)
 
     witness = tuple(sorted(rep_set.union(*cores.values())))
     bound = witness_size_bound(config.dim, config.k)
@@ -351,26 +367,6 @@ def witness_nonpartitionable(config: PointConfig) -> WitnessReport:
         transversal_pairs=pairs,
         per_member_sets=cores,
         size_bound=bound,
-    )
-
-
-def _inseparable_core(
-    config: PointConfig, side_labels: dict[int, int], rep_set: set[int]
-) -> tuple[int, ...]:
-    """Smallest-first subset meeting the representatives that cannot be split
-    according to the given two-sided labels."""
-    ids = config.ids
-    for size in range(2, config.dim + 3):
-        for combo in combinations(ids, size):
-            if rep_set.isdisjoint(combo):
-                continue
-            sub = config.subset(combo).with_colors(
-                tuple(side_labels[i] for i in sorted(combo))
-            )
-            if color_separating_hyperplane(sub) is None:
-                return combo
-    raise VerificationError(
-        f"no inseparable core of size <= {config.dim + 2} meets the representatives"
     )
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .errors import DomainError, InvalidConfig
 from .geometry import PointConfig, general_position, make_config
@@ -99,10 +98,3 @@ def generate_pair(spec: CampaignSpec, trial: int, config: PointConfig) -> tuple[
     rng = random.Random(f"{spec.suite}:pair:{spec.seed}:{trial}")
     a, b = rng.sample(config.ids, 2)
     return (a, b) if a < b else (b, a)
-
-
-def unique_colors(config: PointConfig) -> Optional[int]:
-    """Number of color classes, or None when uncolored."""
-    if config.colors is None:
-        return None
-    return len(set(config.colors))

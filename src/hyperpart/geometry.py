@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import DomainError, InvalidConfig
-from .linsolve import feasible_point
+from .linsolve import IntRow, feasible_point, scale_to_integers
 from .partitions import Partition
 
 Coords = tuple[Fraction, ...]
@@ -40,6 +40,12 @@ class Point:
     @property
     def dim(self) -> int:
         return len(self.coords)
+
+    @cached_property
+    def scaled(self) -> tuple[tuple[int, ...], int]:
+        """``(ints, den)`` with coords == ints / den: the point for integer
+        arithmetic."""
+        return scale_to_integers(self.coords)
 
 
 @dataclass(frozen=True)
@@ -184,9 +190,6 @@ class PointConfig:
     def with_colors(self, labels: Sequence[object]) -> "PointConfig":
         return PointConfig(self.dim, self.points, tuple(labels))  # type: ignore[arg-type]
 
-    def without_colors(self) -> "PointConfig":
-        return PointConfig(self.dim, self.points, None)
-
     def translate(self, vector: Sequence[Scalar]) -> "PointConfig":
         v = as_coords(vector)
         if len(v) != self.dim:
@@ -257,6 +260,20 @@ def general_position(config: PointConfig) -> bool:
     return all(orient(sub, d) != 0 for sub in combinations(config.points, d + 1))
 
 
+def side_row(point: Point, positive: bool) -> IntRow:
+    """The separation system's row putting ``point`` strictly on one side.
+
+    The unknowns are ``(normal, offset)``; the positive side reads
+    normal.p >= offset+1, the negative one normal.p <= offset-1, both written
+    as ``coeffs . x <= rhs`` over integers (scaled by the lcm of the point's
+    denominators, exactly as ``feasible_point`` would scale them).
+    """
+    ints, den = point.scaled
+    if positive:
+        return tuple(-v for v in ints) + (den,), -den, False
+    return ints + (-den,), -den, False
+
+
 def strict_separate(
     side_a: Iterable[Point], side_b: Iterable[Point], dim: int
 ) -> Optional[Hyperplane]:
@@ -275,11 +292,8 @@ def strict_separate(
             raise DomainError(f"point {p.id} has dimension {p.dim}, expected {dim}")
     if {p.coords for p in a_pts} & {p.coords for p in b_pts}:
         raise DomainError("sides share a coordinate vector")
-    constraints = []
-    for p in a_pts:  # -normal.a + offset <= -1
-        constraints.append((tuple(-x for x in p.coords) + (Fraction(1),), -1, False))
-    for p in b_pts:  # normal.b - offset <= -1
-        constraints.append((p.coords + (Fraction(-1),), -1, False))
+    constraints = [side_row(p, True) for p in a_pts]
+    constraints += [side_row(p, False) for p in b_pts]
     solution = feasible_point(constraints, dim + 1)
     if solution is None:
         return None

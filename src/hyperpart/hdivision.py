@@ -30,6 +30,7 @@ from .geometry import (
     PointConfig,
     general_position,
     one_side_hyperplane,
+    realize,
     strict_separate,
 )
 from .partitions import (
@@ -80,6 +81,7 @@ def hyperplane_division(config: PointConfig) -> HyperplaneDivision:
 
     All 2^(n-1) - 1 bipartitions are tested exactly; the trivial partition is
     always realizable (any hyperplane strictly to one side of the points).
+    Every witness is checked to realize its member, with no point on it.
     """
     ids = config.ids
     n = len(ids)
@@ -101,6 +103,13 @@ def hyperplane_division(config: PointConfig) -> HyperplaneDivision:
             )
             members.append(member)
             witnesses[member] = found
+    for member, plane in witnesses.items():
+        try:
+            induced = realize(plane, config)
+        except DomainError as err:
+            raise VerificationError(f"witness of {member!r} is invalid: {err}") from err
+        if induced != member:
+            raise VerificationError(f"witness of {member!r} realizes {induced!r}")
     return HyperplaneDivision(config, Division(frozenset(ids), tuple(members)), witnesses)
 
 

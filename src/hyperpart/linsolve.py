@@ -6,28 +6,38 @@ produced, so witnesses are deterministic functions of the input constraint
 order.  All arithmetic is over integers (rows are scaled to clear denominators
 and reduced by their gcd), with rational values appearing only in the
 back-substituted witness.
+
+Two entries share the elimination: ``feasible_point`` accepts rows with
+rational coefficients and back-substitutes a witness, while ``is_feasible``
+takes rows already in integer form and only decides, for callers that scan
+many small systems and would throw the witness away.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
+
+from .errors import VerificationError
+
+IntRow = tuple[tuple[int, ...], int, bool]
 
 _TRUE = 1    # row is trivially satisfied, drop it
 _FALSE = 0   # row is unsatisfiable
 _KEPT = 2
 
 
+def scale_to_integers(values: Sequence) -> tuple[tuple[int, ...], int]:
+    """``(ints, den)`` with values == ints / den, den > 0 the lcm of the
+    denominators of the values (ints or Fractions)."""
+    den = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
+
+
 def _to_int_row(coeffs: Sequence, rhs, strict: bool):
-    fracs = [Fraction(c) for c in coeffs]
-    r = Fraction(rhs)
-    den = 1
-    for f in fracs:
-        den = den * f.denominator // gcd(den, f.denominator)
-    den = den * r.denominator // gcd(den, r.denominator)
-    ints = [f.numerator * (den // f.denominator) for f in fracs]
-    return tuple(ints), r.numerator * (den // r.denominator), strict
+    ints, _ = scale_to_integers([Fraction(c) for c in (*coeffs, rhs)])
+    return ints[:-1], ints[-1], strict
 
 
 def _add_row(rows, index, coeffs, rhs, strict) -> int:
@@ -135,7 +145,42 @@ def _pick(lo, up) -> Fraction:
         return (lo[0] + up[0]) / 2
     if lo[0] == up[0] and not lo[1] and not up[1]:
         return lo[0]
-    raise AssertionError("empty interval after feasible elimination")
+    raise VerificationError("empty interval after feasible elimination")
+
+
+def _load(rows_in: Iterable[IntRow], nvars: int) -> Optional[list]:
+    """The deduplicated integer system, or None if a constant row fails."""
+    rows, index = [], {}
+    for coeffs, rhs, strict in rows_in:
+        if len(coeffs) != nvars:
+            raise ValueError(f"expected {nvars} coefficients, got {len(coeffs)}")
+        if _add_row(rows, index, coeffs, rhs, strict) == _FALSE:
+            return None
+    return rows
+
+
+def _elimination(rows: Optional[list], nvars: int) -> Optional[list]:
+    """The system before each elimination step, or None if infeasible."""
+    if rows is None:
+        return None
+    stages = []
+    for j in range(nvars):
+        stages.append(rows)
+        if j == nvars - 1:
+            return stages if _last_interval(rows, j) is not None else None
+        rows = _eliminate(rows, j)
+        if rows is None:
+            return None
+    return stages
+
+
+def is_feasible(rows: Iterable[IntRow], nvars: int) -> bool:
+    """Decide the system without building a witness.
+
+    Rows are ``(coeffs, rhs, strict)`` with integer coefficients and integer
+    right-hand side, read as in ``feasible_point``.
+    """
+    return _elimination(_load(rows, nvars), nvars) is not None
 
 
 def feasible_point(
@@ -146,25 +191,13 @@ def feasible_point(
     Each constraint is ``(coeffs, rhs, strict)`` read as ``coeffs . x <= rhs``
     (strictly when the flag is set).  Coefficients may be ints or Fractions.
     """
-    rows, index = [], {}
-    for coeffs, rhs, strict in constraints:
-        if len(coeffs) != nvars:
-            raise ValueError(f"expected {nvars} coefficients, got {len(coeffs)}")
-        ic, ir, s = _to_int_row(coeffs, rhs, strict)
-        if _add_row(rows, index, ic, ir, s) == _FALSE:
-            return None
-
-    stages = []
-    for j in range(nvars):
-        stages.append(rows)
-        if j == nvars - 1:
-            if _last_interval(rows, j) is None:
-                return None
-            break
-        rows = _eliminate(rows, j)
-        if rows is None:
-            return None
-
+    rows = _load(
+        (_to_int_row(coeffs, rhs, strict) for coeffs, rhs, strict in constraints),
+        nvars,
+    )
+    stages = _elimination(rows, nvars)
+    if stages is None:
+        return None
     values: list = [None] * nvars
     for j in range(nvars - 1, -1, -1):
         values[j] = _pick(*_bounds(stages[j], j, values))

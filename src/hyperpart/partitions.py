@@ -214,11 +214,3 @@ def minimal_transversals(division: Division) -> tuple[MinimalTransversal, ...]:
             )
     found.sort(key=lambda t: (t.size, t.pair))
     return tuple(found)
-
-
-def min_transversal_cardinality(division: Division) -> int:
-    return min(t.size for t in minimal_transversals(division))
-
-
-def max_transversal_cardinality(division: Division) -> int:
-    return max(t.size for t in minimal_transversals(division))

@@ -1,9 +1,13 @@
 """Independent slow oracles the test suite compares the package against.
 
-Nothing here imports the package's feasibility machinery: separability goes
-through sympy's exact linear solver on convex-combination systems, transversal
-checking enumerates full subfamilies outright, and the counting formulas are
-recomputed from a lattice recurrence.  Slow on purpose; keep inputs tiny.
+Separability goes through sympy's exact linear solver on convex-combination
+systems, transversal checking enumerates full subfamilies outright, and the
+counting formulas are recomputed from a lattice recurrence; none of these
+imports the package's feasibility machinery.  The two subset scans are the
+exception: they rebuild every candidate as a configuration and ask the
+package's witness-producing separation oracle, a different route through the
+solver than the decide-only scans they are compared with.  Slow on purpose;
+keep inputs tiny.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from typing import Iterable, Sequence
 
 from sympy import Matrix, Rational
 
-from hyperpart import Division, Partition
+from hyperpart import Division, Partition, PointConfig, color_separating_hyperplane
 
 
 def _rat(x) -> Rational:
@@ -53,6 +57,35 @@ def strictly_separable(side_a: Sequence[Sequence], side_b: Sequence[Sequence]) -
     lifted = [tuple(a) + (1,) for a in side_a]
     lifted += [tuple(-Fraction(x) for x in b) + (-1,) for b in side_b]
     return not origin_in_hull(lifted)
+
+
+def brute_kirchberger_witness(config: PointConfig, base_id: int):
+    """First inseparable subset through ``base_id``, smallest then
+    lexicographic, of at most dim+2 points; None when the whole configuration
+    is separable or no such subset turns up."""
+    if color_separating_hyperplane(config) is not None:
+        return None
+    others = [i for i in config.ids if i != base_id]
+    for size in range(2, config.dim + 3):
+        for combo in combinations(others, size - 1):
+            ids = tuple(sorted((base_id,) + combo))
+            if color_separating_hyperplane(config.subset(ids)) is None:
+                return ids
+    return None
+
+
+def brute_inseparable_core(config: PointConfig, side_labels: dict, required: set):
+    """First subset meeting ``required``, smallest then lexicographic, of at
+    most dim+2 points that cannot be split along ``side_labels``; None when
+    there is none."""
+    for size in range(2, config.dim + 3):
+        for combo in combinations(config.ids, size):
+            if required.isdisjoint(combo):
+                continue
+            sub = config.subset(combo).with_colors(tuple(side_labels[i] for i in combo))
+            if color_separating_hyperplane(sub) is None:
+                return combo
+    return None
 
 
 def hulls_disjoint_1d(side_a: Iterable, side_b: Iterable) -> bool:

@@ -6,7 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -125,6 +125,57 @@ def test_kirchberger_witness_properties():
 def test_kirchberger_witness_none_when_separable():
     cfg = make_config(1, [(0,), (3,)], colors=["x", "y"])
     assert kirchberger_witness(cfg, 0) is None
+
+
+@st.composite
+def _degenerate_colored(draw, colors):
+    """Points of a small integer grid, most of them on one flat: a line in R^2,
+    a plane (or, with parallel directions, a line) in R^3.  Inseparable
+    subsets then often need fewer than dim+2 points."""
+    dim = draw(st.sampled_from((2, 3)))
+    small = st.tuples(*[st.integers(-2, 2)] * dim)
+    base = draw(small)
+    nonzero = small.map(lambda u: u if any(u) else (1,) + u[1:])
+    directions = [draw(nonzero) for _ in range(dim - 1)]
+    params = draw(
+        st.lists(st.tuples(*[st.integers(-2, 2)] * (dim - 1)), min_size=3, max_size=6, unique=True)
+    )
+    points = {
+        tuple(b + sum(t * u[c] for t, u in zip(ts, directions)) for c, b in enumerate(base))
+        for ts in params
+    }
+    points |= set(draw(st.lists(small, max_size=3)))
+    assume(len(points) >= 3)
+    labels = draw(st.lists(st.integers(0, colors - 1), min_size=len(points), max_size=len(points)))
+    return make_config(dim, sorted(points), colors=labels)
+
+
+_COLLINEAR_IN_PLANE = make_config(2, [(0, 0), (1, 1), (2, 2), (3, 0)], colors=[0, 1, 0, 1])
+_COPLANAR_IN_SPACE = make_config(
+    3, [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 1)], colors=[0, 0, 1, 1, 0]
+)
+
+
+@settings(max_examples=40)
+@example(_COLLINEAR_IN_PLANE)
+@example(_COPLANAR_IN_SPACE)
+@given(_degenerate_colored(colors=2))
+def test_kirchberger_witness_matches_brute_scan(cfg):
+    for anchor in cfg.ids:
+        assert kirchberger_witness(cfg, anchor) == oracles.brute_kirchberger_witness(cfg, anchor)
+
+
+@settings(max_examples=40)
+@example(_COLLINEAR_IN_PLANE)
+@example(_COPLANAR_IN_SPACE)
+@given(_degenerate_colored(colors=3))
+def test_witness_cores_match_brute_scan(cfg):
+    assume(cfg.k >= 2 and is_partitionable(cfg) is None)
+    report = witness_nonpartitionable(cfg)
+    for member, core in report.per_member_sets.items():
+        first = frozenset(extend_partition(member, cfg).blocks[0])
+        labels = {i: int(i not in first) for i in cfg.ids}
+        assert core == oracles.brute_inseparable_core(cfg, labels, set(report.representatives))
 
 
 def test_extend_partition():

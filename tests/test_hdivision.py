@@ -9,9 +9,11 @@ from itertools import combinations
 import pytest
 from sympy import Matrix, Rational, cos, pi, sin
 
+import hyperpart.hdivision as hdivision
 from hyperpart import (
     CampaignSpec,
     DomainError,
+    Hyperplane,
     VerificationError,
     deletion_fiber_check,
     general_position,
@@ -21,6 +23,7 @@ from hyperpart import (
     max_transversal_size,
     min_transversal_size,
     minimal_transversals,
+    one_side_hyperplane,
     orient,
     partition_count,
     pentagon_config,
@@ -81,6 +84,18 @@ def test_every_witness_realizes_its_member(quad, pentagon):
                 continue
             assert realize(plane, cfg) == member
             assert all(abs(plane.value_at(p)) >= 1 for p in cfg.points)
+
+
+@pytest.mark.parametrize("wrong", ["all on one side", "through the first point"])
+def test_a_wrong_witness_is_a_verification_error(quad, monkeypatch, wrong):
+    def wrong_plane(side_a, side_b, dim):
+        if wrong == "all on one side":
+            return one_side_hyperplane(side_a + side_b, dim)
+        return Hyperplane((1, 0), side_a[0].coords[0])
+
+    monkeypatch.setattr(hdivision, "strict_separate", wrong_plane)
+    with pytest.raises(VerificationError):
+        hyperplane_division(quad)
 
 
 @pytest.mark.parametrize(

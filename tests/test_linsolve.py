@@ -4,10 +4,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hyperpart.linsolve import feasible_point
+from hyperpart import VerificationError
+from hyperpart.linsolve import _pick, _to_int_row, feasible_point, is_feasible
 
 
 def _satisfies(point, constraints) -> bool:
@@ -116,3 +118,11 @@ def test_returned_points_always_satisfy(constraints):
     point = feasible_point(constraints, 2)
     if point is not None:
         assert _satisfies(point, constraints)
+    assert is_feasible([_to_int_row(*c) for c in constraints], 2) == (point is not None)
+
+
+def test_pick_on_an_empty_interval_is_an_internal_fault():
+    with pytest.raises(VerificationError):
+        _pick((Fraction(1), False), (Fraction(0), False))
+    with pytest.raises(VerificationError):
+        _pick((Fraction(1), True), (Fraction(1), False))
