@@ -13,12 +13,10 @@ from itertools import combinations
 from typing import Callable, Optional
 
 from .colorful import (
-    color_separating_hyperplane,
-    helly_dual,
     is_partitionable,
     is_partitionable_by_enumeration,
-    kirchberger_witness,
-    witness_nonpartitionable,
+    kirchberger_routes,
+    verify_instance,
 )
 from .counting import max_transversal_size, partition_count, witness_size_bound
 from .errors import DomainError, VerificationError
@@ -42,17 +40,16 @@ def _trial_phi(spec: CampaignSpec, trial: int) -> dict:
 def _trial_kirchberger(spec: CampaignSpec, trial: int) -> dict:
     config = generate_instance(spec, trial)
     anchor = config.ids[0]
-    direct = color_separating_hyperplane(config)
-    dual = helly_dual(config, anchor).separating_hyperplane()
-    agree = (direct is None) == (dual is None)
+    routes = kirchberger_routes(config, anchor)
+    agree = routes.routes_agree
     record: dict = {
         "trial": trial,
         "anchor": anchor,
-        "separable": direct is not None,
+        "separable": routes.hyperplane is not None,
         "routes_agree": agree,
     }
-    if direct is None:
-        witness = kirchberger_witness(config, anchor)
+    if routes.hyperplane is None:
+        witness = routes.witness
         record["witness"] = list(witness) if witness else None
         record["ok"] = agree and witness is not None and len(witness) <= spec.dim + 2
     else:
@@ -62,17 +59,16 @@ def _trial_kirchberger(spec: CampaignSpec, trial: int) -> dict:
 
 def _trial_main(spec: CampaignSpec, trial: int) -> dict:
     config = generate_instance(spec, trial)
-    certificate = is_partitionable(config)
-    by_enumeration = is_partitionable_by_enumeration(config)
-    agree = (certificate is not None) == by_enumeration
+    instance = verify_instance(config)
+    agree = instance.partitionable == is_partitionable_by_enumeration(config)
     record: dict = {
         "trial": trial,
-        "partitionable": certificate is not None,
+        "partitionable": instance.partitionable,
         "routes_agree": agree,
         "ok": agree,
     }
-    if certificate is None and agree:
-        report = witness_nonpartitionable(config)
+    report = instance.witness
+    if report is not None and agree:
         record["witness_size"] = len(report.witness_ids)
         record["size_bound"] = report.size_bound
         record["ok"] = len(report.witness_ids) <= report.size_bound

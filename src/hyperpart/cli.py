@@ -16,11 +16,9 @@ from typing import Optional
 
 from .campaigns import SUITES, bound_search, run_suite
 from .colorful import (
-    color_separating_hyperplane,
-    helly_dual,
     is_partitionable,
     is_partitionable_by_enumeration,
-    kirchberger_witness,
+    kirchberger_routes,
     witness_nonpartitionable,
 )
 from .counting import counting_summary, min_transversal_size, partition_count
@@ -283,22 +281,18 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 def _cmd_kirchberger(args: argparse.Namespace) -> int:
     config = _load(args)
     anchor = args.p if args.p is not None else config.ids[0]
-    direct = color_separating_hyperplane(config)
-    dual = helly_dual(config, anchor).separating_hyperplane()
-    agree = (direct is None) == (dual is None)
+    routes = kirchberger_routes(config, anchor)
+    direct = routes.hyperplane
     doc = {
         "command": "kirchberger",
         "anchor": anchor,
         "separable": direct is not None,
-        "routes_agree": agree,
+        "routes_agree": routes.routes_agree,
         "hyperplane": hyperplane_doc(direct) if direct is not None else None,
-        "witness": None,
+        "witness": list(routes.witness) if routes.witness is not None else None,
     }
-    if direct is None and agree:
-        witness = kirchberger_witness(config, anchor)
-        doc["witness"] = list(witness) if witness is not None else None
     _emit(args, doc)
-    return 0 if agree else 2
+    return 0 if routes.routes_agree else 2
 
 
 def _cmd_formulas(args: argparse.Namespace) -> int:

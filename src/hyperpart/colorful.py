@@ -7,6 +7,17 @@ k colors: deciding whether a family of hyperplanes can split the classes
 pairwise without cutting any class, and — when it cannot — extracting a small
 subset that already cannot be split, whose size is controlled by the
 transversal bound.
+
+Both k-color questions reduce to two-sided color groupings: which bipartitions
+of the color classes a hyperplane can realize.  One grouping table per
+configuration answers them.  It keys a grouping by its canonical bipartition
+(the side holding the lowest color first), so a grouping and its mirror image
+are one entry, and decides each entry at most once, witness-free.  It decides
+the two-class separations first, because of a pruning rule: a grouping that
+puts two mutually inseparable classes on opposite sides is itself inseparable
+(a hyperplane realizing the grouping would separate those two classes), so it
+is marked inseparable without an LP.  Only the groupings that end up in a
+certificate are solved again for their hyperplanes.
 """
 
 from __future__ import annotations
@@ -28,7 +39,7 @@ from .geometry import (
     strict_separate,
 )
 from .hdivision import hyperplane_division
-from .linsolve import feasible_point, is_feasible
+from .linsolve import IntRow, feasible_point, is_feasible
 from .partitions import (
     Partition,
     is_transversal,
@@ -117,23 +128,57 @@ def kirchberger_witness(config: PointConfig, base_id: int) -> Optional[tuple[int
     config.point(base_id)
     if color_separating_hyperplane(config) is not None:
         return None
-    return _first_inseparable(config, dict(zip(config.ids, config.colors)), {base_id})
+    return _anchored_witness(config, base_id)
+
+
+@dataclass(frozen=True)
+class KirchbergerReport:
+    """The direct route's hyperplane, whether the Helly dual agrees, and the
+    anchored witness when both routes find no hyperplane."""
+
+    hyperplane: Optional[Hyperplane]
+    routes_agree: bool
+    witness: Optional[tuple[int, ...]]
+
+
+def kirchberger_routes(config: PointConfig, anchor: int) -> KirchbergerReport:
+    """Decide two-color separability by the direct route and by the Helly dual
+    through ``anchor``; when both say inseparable, add the anchored witness of
+    ``kirchberger_witness`` without deciding the whole configuration again."""
+    direct = color_separating_hyperplane(config)
+    dual = helly_dual(config, anchor).separating_hyperplane()
+    agree = (direct is None) == (dual is None)
+    witness = _anchored_witness(config, anchor) if direct is None and agree else None
+    return KirchbergerReport(direct, agree, witness)
+
+
+def _anchored_witness(config: PointConfig, anchor: int) -> tuple[int, ...]:
+    labels = dict(zip(config.ids, config.colors))
+    return _first_inseparable(config, _separation_rows(config), labels, {anchor})
+
+
+def _separation_rows(config: PointConfig) -> dict[int, tuple[IntRow, IntRow]]:
+    """Each point's two separation rows, indexed by label: label 0 puts the
+    point on the positive side, label 1 on the negative one."""
+    return {p.id: (side_row(p, True), side_row(p, False)) for p in config.points}
 
 
 def _first_inseparable(
-    config: PointConfig, labels: Mapping[int, int], required: AbstractSet[int]
+    config: PointConfig,
+    rows: Mapping[int, tuple[IntRow, IntRow]],
+    labels: Mapping[int, int],
+    required: AbstractSet[int],
 ) -> tuple[int, ...]:
     """The first subset, by size then lexicographic order, of at most dim+2
     ids that meets ``required`` and whose two label classes (labels 0 and 1)
     cannot be strictly separated.
 
-    Only decided, never solved: each point's two separation rows are built
-    once, and a candidate is one witness-free feasibility test.  A candidate
+    Only decided, never solved: ``rows`` holds each point's two separation
+    rows, and a candidate is one witness-free feasibility test.  A candidate
     with a single label is skipped, since one class is always separable.  By
     Kirchberger's theorem the search succeeds whenever such a subset of any
     size exists, so a fruitless search is an internal error.
     """
-    rows = {p.id: (side_row(p, True), side_row(p, False)) for p in config.points}
     for size in range(2, config.dim + 3):
         for combo in combinations(config.ids, size):
             if required.isdisjoint(combo) or len({labels[i] for i in combo}) == 1:
@@ -202,6 +247,92 @@ def validate_certificate(certificate: Certificate, config: PointConfig) -> None:
         raise VerificationError(f"color pairs never separated: {sorted(missing)}")
 
 
+class _Groupings:
+    """Which two-sided color groupings of one configuration a hyperplane can
+    realize, each decided at most once.
+
+    A grouping is a pair of disjoint color bitmasks (classes on one side,
+    classes on the other), keyed with the side holding the lowest color first.
+    The two-class separations are decided on construction; ``blocked`` holds
+    the bitmask of every pair of classes that cannot be separated, and a
+    grouping putting such a pair on opposite sides is inseparable with no LP.
+    """
+
+    def __init__(self, config: PointConfig) -> None:
+        self.config = config
+        self.rows = _separation_rows(config)
+        self._all = (1 << config.k) - 1
+        self._known: dict[tuple[int, int], bool] = {}
+        self.blocked: list[int] = []
+        for a, b in combinations(config.color_classes, 2):
+            if not self._separable(1 << a, 1 << b):
+                self.blocked.append(1 << a | 1 << b)
+
+    def realizable(self, plus: int) -> bool:
+        """Can a hyperplane put the colors of bitmask ``plus`` on one side and
+        every other color on the other?"""
+        return self._separable(plus, self._all ^ plus)
+
+    def _separable(self, plus: int, minus: int) -> bool:
+        low = (plus | minus) & -(plus | minus)
+        key = (plus, minus) if plus & low else (minus, plus)
+        if key not in self._known:
+            blocked = any(plus & pair and minus & pair for pair in self.blocked)
+            self._known[key] = not blocked and is_feasible(
+                (
+                    self.rows[i][side]
+                    for side, mask in enumerate(key)
+                    for c, ids in self.config.color_classes.items()
+                    if mask >> c & 1
+                    for i in ids
+                ),
+                self.config.dim + 1,
+            )
+        return self._known[key]
+
+
+def _certificate(groupings: _Groupings) -> Optional[Certificate]:
+    """The body of ``is_partitionable`` on a grouping table: per color pair
+    the first realizable grouping in mask order, then a greedy cover, and
+    hyperplanes solved only for the groupings the cover keeps."""
+    if groupings.blocked:
+        return None  # each grouping for a blocked pair splits it: none is realizable
+    config = groupings.config
+    classes = config.color_classes
+    pairs = list(combinations(sorted(classes), 2))
+    entries = []
+    for c1, c2 in pairs:
+        free = [c for c in classes if c not in (c1, c2)]
+        for mask in range(1 << len(free)):
+            plus = 1 << c1 | sum(1 << c for t, c in enumerate(free) if not mask >> t & 1)
+            if groupings.realizable(plus):
+                covered = frozenset((a, b) for a, b in pairs if (plus >> a ^ plus >> b) & 1)
+                entries.append((plus, covered))
+                break
+        else:
+            return None
+
+    # greedy cover: keep dropping to the entry that settles the most pairs
+    uncovered = set(pairs)
+    family = []
+    while uncovered:
+        plus, covered = max(entries, key=lambda e: len(e[1] & uncovered))
+        gain = covered & uncovered
+        if not gain:  # cannot happen: every pair got an entry covering it
+            raise VerificationError("greedy cover stalled")
+        side_a = [config.point(i) for c, ids in classes.items() if plus >> c & 1 for i in ids]
+        side_b = [config.point(i) for c, ids in classes.items() if not plus >> c & 1 for i in ids]
+        plane = strict_separate(side_a, side_b, config.dim)
+        if plane is None:
+            raise VerificationError("a grouping decided realizable has no hyperplane")
+        part = Partition((tuple(p.id for p in side_a), tuple(p.id for p in side_b)))
+        family.append((plane, part))
+        uncovered -= gain
+    certificate = Certificate(tuple(family))
+    validate_certificate(certificate, config)
+    return certificate
+
+
 def is_partitionable(config: PointConfig) -> Optional[Certificate]:
     """Decide partitionability by searching, per color pair, for a two-sided
     grouping of all classes that a hyperplane can realize.
@@ -210,58 +341,19 @@ def is_partitionable(config: PointConfig) -> Optional[Certificate]:
     to a side; conversely any such assignment realized by a hyperplane is a
     valid member.  Hence the configuration is partitionable exactly when every
     color pair admits a realizable grouping placing the two classes on opposite
-    sides.  The collected hyperplanes are thinned greedily before returning.
+    sides.  Each pair takes the first such grouping in a fixed mask order, and
+    the collected groupings are thinned greedily before returning.
+
+    The search only decides: every grouping is looked up in the grouping table
+    (at most one LP per bipartition, memoised under its canonical key).  Two
+    inseparable classes answer "not partitionable" outright: every grouping
+    for their pair puts them on opposite sides, and a hyperplane realizing it
+    would separate them.  Hyperplanes are solved afterwards, once per kept
+    grouping and with its points in color order, so a certificate does not
+    depend on which groupings the memo answered.
     """
     _require_colors(config)
-    classes = config.color_classes
-    colors = sorted(classes)
-    if len(colors) <= 1:
-        return Certificate(())
-    entries: list[tuple[Hyperplane, Partition, frozenset[tuple[int, int]]]] = []
-    for c1, c2 in combinations(colors, 2):
-        free = [c for c in colors if c not in (c1, c2)]
-        found = None
-        for mask in range(1 << len(free)):
-            plus = {c1} | {c for t, c in enumerate(free) if not mask >> t & 1}
-            side_a = [config.point(i) for c in sorted(plus) for i in classes[c]]
-            side_b = [
-                config.point(i)
-                for c in colors
-                if c not in plus
-                for i in classes[c]
-            ]
-            plane = strict_separate(side_a, side_b, config.dim)
-            if plane is not None:
-                part = Partition(
-                    (
-                        tuple(p.id for p in side_a),
-                        tuple(p.id for p in side_b),
-                    )
-                )
-                covered = frozenset(
-                    pair
-                    for pair in combinations(colors, 2)
-                    if (pair[0] in plus) != (pair[1] in plus)
-                )
-                found = (plane, part, covered)
-                break
-        if found is None:
-            return None
-        entries.append(found)
-
-    # greedy cover: keep dropping to the entry that settles the most pairs
-    uncovered = set(combinations(colors, 2))
-    family = []
-    while uncovered:
-        best = max(entries, key=lambda e: len(e[2] & uncovered))
-        gain = best[2] & uncovered
-        if not gain:  # cannot happen: every pair got an entry covering it
-            raise VerificationError("greedy cover stalled")
-        family.append((best[0], best[1]))
-        uncovered -= gain
-    certificate = Certificate(tuple(family))
-    validate_certificate(certificate, config)
-    return certificate
+    return _certificate(_Groupings(config))
 
 
 def is_partitionable_by_enumeration(config: PointConfig) -> bool:
@@ -305,34 +397,34 @@ def witness_nonpartitionable(config: PointConfig) -> WitnessReport:
     of the representatives whose color-class extension is NOT realizable on the
     whole configuration joins a blocking set, which must be a transversal of
     the representatives' division (otherwise the complementary members would
-    partition the configuration).  Minimalize it, then replace each remaining
-    member by a small inseparable core of its extension.  Every postcondition
-    is re-checked; failures are bugs, not inputs.
+    partition the configuration).  An extension is a color grouping, so the
+    grouping table that decided non-partitionability decides it too.
+    Minimalize the blocking set, then replace each remaining member by a small
+    inseparable core of its extension.  Every postcondition is re-checked;
+    failures are bugs, not inputs.
     """
     _require_colors(config)
     if config.k < 2:
         raise DomainError("need at least two colors")
-    if is_partitionable(config) is not None:
+    groupings = _Groupings(config)
+    if _certificate(groupings) is not None:
         raise DomainError("the configuration is partitionable; no witness exists")
+    return _witness_report(groupings)
+
+
+def _witness_report(groupings: _Groupings) -> WitnessReport:
+    """The body of ``witness_nonpartitionable`` for a configuration already
+    decided non-partitionable on the same grouping table."""
+    config = groupings.config
     classes = config.color_classes
     reps = tuple(min(ids) for _, ids in sorted(classes.items()))
     rep_div = hyperplane_division(config.subset(reps))
     blocking = []
-    extensions: dict[Partition, Partition] = {}
     for member in rep_div.members:
         if member.is_trivial:
             continue  # extends to the trivial partition, always realizable
-        extended = extend_partition(member, config)
-        extensions[member] = extended
-        one, other = extended.blocks
-        if (
-            strict_separate(
-                [config.point(i) for i in one],
-                [config.point(i) for i in other],
-                config.dim,
-            )
-            is None
-        ):
+        # the extension puts the colors of one block on one side: a grouping
+        if not groupings.realizable(sum(1 << config.color_of(i) for i in member.blocks[0])):
             blocking.append(member)
     if not is_transversal(rep_div.division, blocking):
         raise VerificationError(
@@ -350,9 +442,9 @@ def witness_nonpartitionable(config: PointConfig) -> WitnessReport:
     rep_set = set(reps)
     cores: dict[Partition, tuple[int, ...]] = {}
     for member in minimal:
-        first = frozenset(extensions[member].blocks[0])
+        first = frozenset(extend_partition(member, config).blocks[0])
         side_labels = {i: int(i not in first) for i in config.ids}
-        cores[member] = _first_inseparable(config, side_labels, rep_set)
+        cores[member] = _first_inseparable(config, groupings.rows, side_labels, rep_set)
 
     witness = tuple(sorted(rep_set.union(*cores.values())))
     bound = witness_size_bound(config.dim, config.k)
@@ -385,8 +477,8 @@ def verify_instance(config: PointConfig) -> InstanceReport:
     the size bound is produced and re-verified.  Any third outcome raises."""
     _require_colors(config)
     bound = witness_size_bound(config.dim, config.k) if config.k >= 2 else None
-    certificate = is_partitionable(config)
+    groupings = _Groupings(config)
+    certificate = _certificate(groupings)
     if certificate is not None:
         return InstanceReport(True, certificate, None, bound)
-    report = witness_nonpartitionable(config)
-    return InstanceReport(False, None, report, bound)
+    return InstanceReport(False, None, _witness_report(groupings), bound)

@@ -3,22 +3,33 @@
 Separability goes through sympy's exact linear solver on convex-combination
 systems, transversal checking enumerates full subfamilies outright, and the
 counting formulas are recomputed from a lattice recurrence; none of these
-imports the package's feasibility machinery.  The two subset scans are the
-exception: they rebuild every candidate as a configuration and ask the
-package's witness-producing separation oracle, a different route through the
-solver than the decide-only scans they are compared with.  Slow on purpose;
-keep inputs tiny.
+imports the package's feasibility machinery.  The two subset scans and the
+per-pair grouping search are the exception: they ask the package's
+witness-producing separation oracle about every candidate (the scans rebuild
+each one as a configuration), a different route through the solver than the
+decide-only scans and the grouping table they are compared with.  Slow on
+purpose; keep inputs tiny.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from sympy import Matrix, Rational
 
-from hyperpart import Division, Partition, PointConfig, color_separating_hyperplane
+from hyperpart import (
+    Certificate,
+    Division,
+    Hyperplane,
+    Partition,
+    PointConfig,
+    VerificationError,
+    color_separating_hyperplane,
+    strict_separate,
+    validate_certificate,
+)
 
 
 def _rat(x) -> Rational:
@@ -86,6 +97,62 @@ def brute_inseparable_core(config: PointConfig, side_labels: dict, required: set
             if color_separating_hyperplane(sub) is None:
                 return combo
     return None
+
+
+def brute_is_partitionable(config: PointConfig) -> Optional[Certificate]:
+    """The per-pair grouping search as it stood before the grouping table:
+    for each color pair in order, the first two-sided grouping (in mask order)
+    that the witness-producing separation oracle splits, then a greedy cover.
+    The certificate ``is_partitionable`` returns must equal this one exactly."""
+    classes = config.color_classes
+    colors = sorted(classes)
+    if len(colors) <= 1:
+        return Certificate(())
+    entries: list[tuple[Hyperplane, Partition, frozenset[tuple[int, int]]]] = []
+    for c1, c2 in combinations(colors, 2):
+        free = [c for c in colors if c not in (c1, c2)]
+        found = None
+        for mask in range(1 << len(free)):
+            plus = {c1} | {c for t, c in enumerate(free) if not mask >> t & 1}
+            side_a = [config.point(i) for c in sorted(plus) for i in classes[c]]
+            side_b = [
+                config.point(i)
+                for c in colors
+                if c not in plus
+                for i in classes[c]
+            ]
+            plane = strict_separate(side_a, side_b, config.dim)
+            if plane is not None:
+                part = Partition(
+                    (
+                        tuple(p.id for p in side_a),
+                        tuple(p.id for p in side_b),
+                    )
+                )
+                covered = frozenset(
+                    pair
+                    for pair in combinations(colors, 2)
+                    if (pair[0] in plus) != (pair[1] in plus)
+                )
+                found = (plane, part, covered)
+                break
+        if found is None:
+            return None
+        entries.append(found)
+
+    # greedy cover: keep dropping to the entry that settles the most pairs
+    uncovered = set(combinations(colors, 2))
+    family = []
+    while uncovered:
+        best = max(entries, key=lambda e: len(e[2] & uncovered))
+        gain = best[2] & uncovered
+        if not gain:  # cannot happen: every pair got an entry covering it
+            raise VerificationError("greedy cover stalled")
+        family.append((best[0], best[1]))
+        uncovered -= gain
+    certificate = Certificate(tuple(family))
+    validate_certificate(certificate, config)
+    return certificate
 
 
 def hulls_disjoint_1d(side_a: Iterable, side_b: Iterable) -> bool:

@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
-from hyperpart import VerificationError, emit_instance, make_config
+from hyperpart import (
+    CampaignSpec,
+    VerificationError,
+    emit_instance,
+    generate_instance,
+    make_config,
+)
 from hyperpart.cli import main
 
 
@@ -204,3 +211,60 @@ def test_no_color_is_a_no_op(monkeypatch, capsys, quad_file):
     monkeypatch.setenv("NO_COLOR", "1")
     _, under_no_color, _ = _run(capsys, ["enumerate", "--input", quad_file])
     assert plain == under_no_color
+
+
+# Four clusters, one per color: several planes in the certificate.
+_FOUR_CLUSTERS = make_config(
+    2,
+    [(0, 0), (1, 0), (10, 0), (11, 1), (0, 10), (1, 11), (10, 10), (11, 12)],
+    colors=["a", "a", "b", "b", "c", "c", "d", "d"],
+)
+# Two colors that cross on a square and straddle it in space: inseparable.
+_CROSSED_IN_SPACE = make_config(
+    3,
+    [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 1), (1, 1, -1), (3, 1, 2)],
+    colors=[0, 1, 1, 0, 0, 1, 1],
+)
+
+
+@pytest.mark.parametrize(
+    "config, argv, digest",
+    [
+        (
+            _FOUR_CLUSTERS,
+            ["partitionable"],
+            "f6b93952e7329d819366009abc127f7353c9cd87b96f041cffa999e0f3b9feb6",
+        ),
+        (
+            generate_instance(CampaignSpec(suite="main", dim=2, n=16, colors=8, seed=0), 0),
+            ["witness"],
+            "ce2b3926e75b7172e2b494dd17e12f31366639447f47b8c1a199a737dfa2f733",
+        ),
+        (
+            _CROSSED_IN_SPACE,
+            ["kirchberger", "--p", "4"],
+            "8ef57726d91cabf33c5f3b86e066a4593f4b7d81c9c9d089b042b4b700b68949",
+        ),
+        (
+            None,
+            ["verify", "--suite", "main"],
+            "6a343faa380c1d91b8504b6bbf34515f02c524bdababd69895536df86f191c96",
+        ),
+        (
+            None,
+            ["verify", "--suite", "kirchberger"],
+            "f36166379dcef7413724ef2724fefb9a5575920b4792b1e026edc8293dc0a783",
+        ),
+    ],
+    ids=["partitionable", "witness", "kirchberger", "verify-main", "verify-kirchberger"],
+)
+def test_golden_report_bytes(tmp_path, capsys, config, argv, digest):
+    """Reports pinned byte for byte, not only run against run: a faster
+    search must return the same certificates, witnesses and verdicts."""
+    if config is not None:
+        path = tmp_path / "instance.json"
+        path.write_text(emit_instance(config))
+        argv = argv + ["--input", str(path)]
+    code, out, err = _run(capsys, argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -3,12 +3,16 @@ bounded witnesses."""
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import hyperpart.colorful as colorful
+import hyperpart.geometry as geometry
+import hyperpart.linsolve as linsolve
 import oracles
 from hyperpart import (
     CampaignSpec,
@@ -297,3 +301,103 @@ def test_verify_instance_dichotomy():
     assert not report.partitionable
     assert report.witness is not None
     assert len(report.witness.witness_ids) <= report.size_bound
+
+
+@settings(max_examples=60)
+@example(_COLLINEAR_IN_PLANE)
+@example(_COPLANAR_IN_SPACE)
+@given(st.integers(3, 5).flatmap(lambda k: _degenerate_colored(colors=k)))
+def test_grouping_table_gives_the_per_pair_search_certificate(cfg):
+    # same hyperplanes, same partitions, same order; or None from both
+    assert is_partitionable(cfg) == oracles.brute_is_partitionable(cfg)
+
+
+def _counting(monkeypatch, module, name, counts):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_inseparable_pair_blocks_without_a_grouping_lp(monkeypatch):
+    # classes 0 and 1 interleave on the x-axis; class 2 sits far above
+    cfg = make_config(
+        2, [(0, 0), (1, 0), (2, 0), (3, 0), (0, 5), (1, 6)], colors=[0, 1, 0, 1, 2, 2]
+    )
+    counts = Counter()
+    _counting(monkeypatch, colorful, "strict_separate", counts)
+    _counting(monkeypatch, colorful, "is_feasible", counts)
+    _counting(monkeypatch, geometry, "feasible_point", counts)
+    _counting(monkeypatch, colorful, "feasible_point", counts)
+    assert is_partitionable(cfg) is None
+    # only the three two-class decisions: no grouping LP, no witness LP
+    assert counts == {"is_feasible": 3}
+
+    table = colorful._Groupings(cfg)
+    counts.clear()
+    assert not table.realizable(0b001)  # {0} | {1, 2} splits the blocked pair
+    assert not table.realizable(0b110)  # the same grouping, mirrored
+    assert counts == {}
+    assert table.realizable(0b011) and table.realizable(0b100)  # {0, 1} | {2}
+    assert counts == {"is_feasible": 1}
+
+
+def test_work_counts_at_the_cli_caps(monkeypatch):
+    """Deterministic LP counts on the main-suite baseline (d=2, n=16, k=8).
+
+    The per-pair search made 240 ``feasible_point`` calls in
+    ``is_partitionable``; ``witness_nonpartitionable`` made 604 (127 of them
+    in the representatives' division) and 3,875 ``is_feasible`` calls.
+    """
+    cfg = generate_instance(CampaignSpec(suite="main", dim=2, n=16, colors=8, seed=0), 0)
+    counts = Counter()
+    in_division = [False]
+    solve = linsolve.feasible_point
+    divide = colorful.hyperplane_division
+
+    def counted_solve(*args):
+        counts["in division" if in_division[0] else "elsewhere"] += 1
+        return solve(*args)
+
+    def flagged_divide(*args):
+        in_division[0] = True
+        try:
+            return divide(*args)
+        finally:
+            in_division[0] = False
+
+    monkeypatch.setattr(geometry, "feasible_point", counted_solve)
+    monkeypatch.setattr(colorful, "feasible_point", counted_solve)
+    monkeypatch.setattr(colorful, "hyperplane_division", flagged_divide)
+    assert is_partitionable(cfg) is None
+    assert counts == {}
+    report = witness_nonpartitionable(cfg)
+    assert set(counts) == {"in division"}
+    assert counts["in division"] <= 2 ** (cfg.k - 1) - 1 == 127
+    assert len(report.representatives) == cfg.k == 8
+
+
+def test_verify_instance_decides_once(monkeypatch):
+    cfg = make_config(
+        1, [(0,), (1,), (2,), (3,), (4,)], colors=["a", "b", "c", "b", "a"]
+    )
+    tables = []
+    build = colorful._Groupings
+    monkeypatch.setattr(colorful, "_Groupings", lambda config: tables.append(config) or build(config))
+    report = verify_instance(cfg)
+    # the configuration's own table, then the re-check of the extracted witness
+    assert tables == [cfg, cfg.subset(report.witness.witness_ids)]
+    assert report.witness.witness_ids == (0, 1, 2, 3)
+
+
+def test_kirchberger_routes_decide_the_configuration_once(monkeypatch):
+    cfg = _xor_square()
+    counts = Counter()
+    _counting(monkeypatch, colorful, "color_separating_hyperplane", counts)
+    routes = colorful.kirchberger_routes(cfg, 0)
+    assert counts == {"color_separating_hyperplane": 1}
+    assert routes.hyperplane is None and routes.routes_agree
+    assert routes.witness == kirchberger_witness(cfg, 0) == (0, 1, 2, 3)
