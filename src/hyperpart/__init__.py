@@ -7,7 +7,7 @@ inseparable witnesses, multi-color partitionability with certificates, and
 bounded non-partitionable witnesses).
 """
 
-from .campaigns import SUITES, bound_search, run_suite, smallest_blocked_subset_size
+from .campaigns import SUITES, bound_search, run_suite
 from .colorful import (
     Certificate,
     HalfspaceSystem,
@@ -19,6 +19,7 @@ from .colorful import (
     is_partitionable,
     is_partitionable_by_enumeration,
     kirchberger_witness,
+    smallest_blocked_subset_size,
     validate_certificate,
     verify_instance,
     witness_nonpartitionable,

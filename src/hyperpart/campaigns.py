@@ -9,13 +9,12 @@ still shows every result.
 from __future__ import annotations
 
 import dataclasses
-from itertools import combinations
-from typing import Callable, Optional
+from typing import Callable
 
 from .colorful import (
-    is_partitionable,
     is_partitionable_by_enumeration,
     kirchberger_routes,
+    smallest_blocked_subset_size,
     verify_instance,
 )
 from .counting import max_transversal_size, partition_count, witness_size_bound
@@ -79,8 +78,7 @@ def _trial_duality(spec: CampaignSpec, trial: int) -> dict:
     config = generate_instance(spec, trial)
     a, b = generate_pair(spec, trial, config)
     division = hyperplane_division(config)
-    base = division.separating(a, b)[0]
-    result = projective_flip(config, a, b, base)
+    result = projective_flip(division, a, b, division.separating(a, b)[0])
     expected = partition_count(spec.dim, spec.n)
     total = result.separating_before + result.separating_after
     return {
@@ -156,26 +154,6 @@ def run_suite(spec: CampaignSpec) -> dict:
         "failed": spec.trials - passed,
         "ok": passed == spec.trials,
     }
-
-
-def smallest_blocked_subset_size(config) -> Optional[int]:
-    """Size of the smallest subset that no hyperplane family splits along
-    colors, or None when the whole configuration is partitionable.
-
-    Partitionability is inherited by subsets, so scanning sizes upward and
-    stopping at the first hit is exhaustive.
-    """
-    if is_partitionable(config) is not None:
-        return None
-    ids = config.ids
-    for size in range(3, len(ids) + 1):
-        for chosen in combinations(ids, size):
-            if is_partitionable(config.subset(chosen)) is None:
-                return size
-    raise VerificationError(
-        "configuration reported non-partitionable but every proper scan "
-        "level was partitionable"
-    )  # pragma: no cover - contradiction guard
 
 
 def bound_search(spec: CampaignSpec) -> dict:

@@ -184,7 +184,7 @@ def _cmd_flip(args: argparse.Namespace) -> int:
             f"--base-index {args.base_index} out of range "
             f"(pair has {len(separating)} separating members)"
         )
-    result = projective_flip(config, args.a, args.b, separating[args.base_index])
+    result = projective_flip(hd, args.a, args.b, separating[args.base_index])
     doc = {
         "command": "flip",
         "pair": [args.a, args.b],
@@ -334,10 +334,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_bound_search(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args, "bound-search")
-    if spec.colors < 2:
-        raise DomainError("bound search needs --colors of at least 2")
-    report = bound_search(spec)
+    report = bound_search(_spec_from_args(args, "bound-search"))
     _emit(args, report)
     return 0 if report["ok"] else 2
 
@@ -355,8 +352,6 @@ _PENTAGON_EXPECTED = {
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    if args.name != "pentagon":  # argparse choices already guard this
-        raise DomainError(f"unknown demo {args.name!r}")
     config = pentagon_config()
     hd = hyperplane_division(config)
     found_transversals = minimal_transversals(hd.division)

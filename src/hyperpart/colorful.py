@@ -23,7 +23,6 @@ certificate are solved again for their hyperplanes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import AbstractSet, Mapping, Optional
 
@@ -34,11 +33,10 @@ from .geometry import (
     Hyperplane,
     PointConfig,
     one_side_hyperplane,
-    realize,
     side_row,
     strict_separate,
 )
-from .hdivision import hyperplane_division
+from .hdivision import check_witness, hyperplane_division
 from .linsolve import IntRow, feasible_point, is_feasible
 from .partitions import (
     Partition,
@@ -86,13 +84,10 @@ class HalfspaceSystem:
     base_id: int
     rows: tuple[tuple[Coords, int, bool], ...]
 
-    def common_point(self) -> Optional[tuple[Fraction, ...]]:
-        return feasible_point(self.rows, self.config.dim)
-
     def separating_hyperplane(self) -> Optional[Hyperplane]:
         """Translate a common point back into a hyperplane with color class 0
         positive, class 1 negative (same contract as the direct oracle)."""
-        lam = self.common_point()
+        lam = feasible_point(self.rows, self.config.dim)
         if lam is None:
             return None
         base = self.config.point(self.base_id)
@@ -219,9 +214,6 @@ class Certificate:
 
     family: tuple[tuple[Hyperplane, Partition], ...]
 
-    def __len__(self) -> int:
-        return len(self.family)
-
 
 def validate_certificate(certificate: Certificate, config: PointConfig) -> None:
     """Re-check the three defining conditions with exact arithmetic."""
@@ -229,12 +221,7 @@ def validate_certificate(certificate: Certificate, config: PointConfig) -> None:
     classes = config.color_classes
     separated: set[tuple[int, int]] = set()
     for plane, partition in certificate.family:
-        try:
-            induced = realize(plane, config)  # rejects points on the plane
-        except DomainError as err:
-            raise VerificationError(f"certificate hyperplane is invalid: {err}") from err
-        if induced != partition:
-            raise VerificationError("certificate partition does not match its hyperplane")
+        check_witness(plane, partition, config)
         for color, ids in classes.items():
             blocks = {partition.block_of(i) for i in ids}
             if len(blocks) > 1:
@@ -291,14 +278,12 @@ class _Groupings:
         return self._known[key]
 
 
-def _certificate(groupings: _Groupings) -> Optional[Certificate]:
-    """The body of ``is_partitionable`` on a grouping table: per color pair
-    the first realizable grouping in mask order, then a greedy cover, and
-    hyperplanes solved only for the groupings the cover keeps."""
+def _pair_groupings(groupings: _Groupings) -> Optional[list[tuple[int, frozenset]]]:
+    """Per color pair the first realizable grouping in mask order, as (bitmask
+    of its side, pairs it separates); None if a pair has none.  Decides only."""
     if groupings.blocked:
         return None  # each grouping for a blocked pair splits it: none is realizable
-    config = groupings.config
-    classes = config.color_classes
+    classes = groupings.config.color_classes
     pairs = list(combinations(sorted(classes), 2))
     entries = []
     for c1, c2 in pairs:
@@ -311,9 +296,20 @@ def _certificate(groupings: _Groupings) -> Optional[Certificate]:
                 break
         else:
             return None
+    return entries
+
+
+def _certificate(groupings: _Groupings) -> Optional[Certificate]:
+    """The body of ``is_partitionable`` on a grouping table: ``_pair_groupings``,
+    a greedy cover, and hyperplanes solved only for the groupings it keeps."""
+    entries = _pair_groupings(groupings)
+    if entries is None:
+        return None
+    config = groupings.config
+    classes = config.color_classes
 
     # greedy cover: keep dropping to the entry that settles the most pairs
-    uncovered = set(pairs)
+    uncovered = set(combinations(sorted(classes), 2))
     family = []
     while uncovered:
         plus, covered = max(entries, key=lambda e: len(e[1] & uncovered))
@@ -357,24 +353,49 @@ def is_partitionable(config: PointConfig) -> Optional[Certificate]:
 
 
 def is_partitionable_by_enumeration(config: PointConfig) -> bool:
-    """Independent route to the same decision: enumerate every realizable
-    partition, keep those that respect the coloring, and ask whether the kept
-    ones separate every color pair."""
+    """Independent route to the same decision: enumerate the realizable
+    partitions that keep every color class whole, and ask whether they
+    separate every color pair.  Such a partition is a two-sided color
+    grouping, so only the 2^(k-1)-1 nontrivial groupings with color 0 (the
+    lowest id's) on side A are tested: they are exactly the color-respecting
+    ones among the 2^(n-1)-1 bipartitions, with ``hyperplane_division``'s head
+    point on side A.  Each plane is checked; the grouping table is not used."""
     _require_colors(config)
     classes = config.color_classes
-    colors = sorted(classes)
-    if len(colors) <= 1:
-        return True
     respecting = []
-    for member in hyperplane_division(config).members:
-        if all(
-            len({member.block_of(i) for i in ids}) == 1 for ids in classes.values()
-        ):
+    for mask in range((1 << (config.k - 1)) - 1):
+        side_a, side_b = [], []
+        for p, color in zip(config.points, config.colors):
+            (side_a if color == 0 or mask >> (color - 1) & 1 else side_b).append(p)
+        plane = strict_separate(side_a, side_b, config.dim)
+        if plane is not None:
+            member = Partition((tuple(p.id for p in side_a), tuple(p.id for p in side_b)))
+            check_witness(plane, member, config)
             respecting.append(member)
     return all(
         any(m.separates(classes[c1][0], classes[c2][0]) for m in respecting)
-        for c1, c2 in combinations(colors, 2)
+        for c1, c2 in combinations(sorted(classes), 2)
     )
+
+
+def smallest_blocked_subset_size(config: PointConfig) -> Optional[int]:
+    """Size of the smallest subset that no hyperplane family splits along
+    colors, or None when the whole configuration is partitionable.
+
+    Partitionability is inherited by subsets, so scanning sizes upward and
+    stopping at the first hit is exhaustive; each subset is only decided.
+    """
+    if _pair_groupings(_Groupings(config)) is not None:
+        return None
+    ids = config.ids
+    for size in range(3, len(ids) + 1):
+        for chosen in combinations(ids, size):
+            if _pair_groupings(_Groupings(config.subset(chosen))) is None:
+                return size
+    raise VerificationError(
+        "configuration reported non-partitionable but every proper scan "
+        "level was partitionable"
+    )  # pragma: no cover - contradiction guard
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ facts, not hopes.
 
 * ``shrink_to_min``    — slide one point toward another until the pair's
   separating-member count drops to its minimum possible value.
-* ``projective_flip``  — send a realizing hyperplane to infinity, exchanging
-  the members that separate a pair with those that do not.
+* ``projective_flip``  — send a witness of the caller's division to infinity,
+  exchanging the members that separate a pair with those that do not.
 * ``perturb``          — jiggle a degenerate configuration into general
   position without losing any realizable partition.
 """
@@ -104,13 +104,18 @@ def hyperplane_division(config: PointConfig) -> HyperplaneDivision:
             members.append(member)
             witnesses[member] = found
     for member, plane in witnesses.items():
-        try:
-            induced = realize(plane, config)
-        except DomainError as err:
-            raise VerificationError(f"witness of {member!r} is invalid: {err}") from err
-        if induced != member:
-            raise VerificationError(f"witness of {member!r} realizes {induced!r}")
+        check_witness(plane, member, config)
     return HyperplaneDivision(config, Division(frozenset(ids), tuple(members)), witnesses)
+
+
+def check_witness(plane: Hyperplane, member: Partition, config: PointConfig) -> None:
+    """VerificationError unless ``plane`` realizes ``member``, no point on it."""
+    try:
+        induced = realize(plane, config)
+    except DomainError as err:
+        raise VerificationError(f"witness of {member!r} is invalid: {err}") from err
+    if induced != member:
+        raise VerificationError(f"witness of {member!r} realizes {induced!r}")
 
 
 @dataclass(frozen=True)
@@ -180,7 +185,7 @@ class FlipResult:
 
 
 def projective_flip(
-    config: PointConfig, a: int, b: int, base: Partition
+    hdiv: HyperplaneDivision, a: int, b: int, base: Partition
 ) -> FlipResult:
     """Send a witness of ``base`` (a member separating a and b) to infinity.
 
@@ -189,13 +194,13 @@ def projective_flip(
     through the origin).  A partition realized by a hyperplane on the original
     points maps to the partition whose two groups are XORed with ``base``'s
     sides, which exchanges the members separating the pair with those that do
-    not.  The image division is re-enumerated and the exchange — a bijection
-    making the two separating counts sum to the general-position total — is
-    checked exactly.
+    not.  ``hdiv`` is the caller's division; only the image is enumerated, and
+    the exchange — a bijection making the two separating counts sum to the
+    general-position total — is checked exactly.
     """
+    config = hdiv.config
     if not general_position(config):
         raise DomainError("the configuration must be in general position")
-    hdiv = hyperplane_division(config)
     before = hdiv.separating(a, b)
     if base not in set(before):
         raise DomainError("the chosen partition does not separate the pair")

@@ -36,7 +36,7 @@ def scale_to_integers(values: Sequence) -> tuple[tuple[int, ...], int]:
 
 
 def _to_int_row(coeffs: Sequence, rhs, strict: bool):
-    ints, _ = scale_to_integers([Fraction(c) for c in (*coeffs, rhs)])
+    ints, _ = scale_to_integers((*coeffs, rhs))
     return ints[:-1], ints[-1], strict
 
 

@@ -3,12 +3,14 @@
 Separability goes through sympy's exact linear solver on convex-combination
 systems, transversal checking enumerates full subfamilies outright, and the
 counting formulas are recomputed from a lattice recurrence; none of these
-imports the package's feasibility machinery.  The two subset scans and the
-per-pair grouping search are the exception: they ask the package's
-witness-producing separation oracle about every candidate (the scans rebuild
-each one as a configuration), a different route through the solver than the
-decide-only scans and the grouping table they are compared with.  Slow on
-purpose; keep inputs tiny.
+imports the package's feasibility machinery.  The two subset scans, the
+per-pair grouping search and the full-enumeration partitionability filter are
+the exception: they ask the package's witness-producing separation oracle
+about every candidate (the scans rebuild each one as a configuration, the
+filter tests every bipartition through ``hyperplane_division``), a different
+route through the solver than the decide-only scans, the grouping table and
+the grouping enumeration they are compared with.  Slow on purpose; keep
+inputs tiny.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from hyperpart import (
     PointConfig,
     VerificationError,
     color_separating_hyperplane,
+    hyperplane_division,
     strict_separate,
     validate_certificate,
 )
@@ -153,6 +156,26 @@ def brute_is_partitionable(config: PointConfig) -> Optional[Certificate]:
     certificate = Certificate(tuple(family))
     validate_certificate(certificate, config)
     return certificate
+
+
+def brute_partitionable_by_enumeration(config: PointConfig) -> bool:
+    """The enumeration route as it stood before it tested color groupings
+    only: enumerate every realizable partition, keep those that respect the
+    coloring, and ask whether the kept ones separate every color pair."""
+    classes = config.color_classes
+    colors = sorted(classes)
+    if len(colors) <= 1:
+        return True
+    respecting = []
+    for member in hyperplane_division(config).members:
+        if all(
+            len({member.block_of(i) for i in ids}) == 1 for ids in classes.values()
+        ):
+            respecting.append(member)
+    return all(
+        any(m.separates(classes[c1][0], classes[c2][0]) for m in respecting)
+        for c1, c2 in combinations(colors, 2)
+    )
 
 
 def hulls_disjoint_1d(side_a: Iterable, side_b: Iterable) -> bool:

@@ -172,7 +172,7 @@ def test_criterion_05_flip_duality():
         rng = random.Random(f"accept-flip:{trial}")
         a, b = sorted(rng.sample(cfg.ids, 2))
         base = hd.separating(a, b)[0]
-        result = projective_flip(cfg, a, b, base)
+        result = projective_flip(hd, a, b, base)
         total = result.separating_before + result.separating_after
         assert total == partition_count(dim, n), (trial, total)
     return "50 instances"

@@ -226,6 +226,11 @@ _CROSSED_IN_SPACE = make_config(
     colors=[0, 1, 1, 0, 0, 1, 1],
 )
 
+# d=2, n=11, k=4: not partitionable, so both routes answer "no"
+_BLOCKED_ELEVEN = generate_instance(
+    CampaignSpec(suite="main", dim=2, n=11, colors=4, seed=0), 0
+)
+
 
 @pytest.mark.parametrize(
     "config, argv, digest",
@@ -255,8 +260,38 @@ _CROSSED_IN_SPACE = make_config(
             ["verify", "--suite", "kirchberger"],
             "f36166379dcef7413724ef2724fefb9a5575920b4792b1e026edc8293dc0a783",
         ),
+        (
+            generate_instance(CampaignSpec(suite="duality", dim=2, n=8, seed=0), 0),
+            ["flip", "--a", "0", "--b", "1"],
+            "cc6c58df5140011597b847d01d10704ee2c7b17e856e7fb8c3719746a03ab66c",
+        ),
+        (
+            None,
+            ["verify", "--suite", "duality"],
+            "dee116d496b8281b27c8100aa3d9f739b8991681fbe24e5e2bf3b107efb08878",
+        ),
+        (
+            None,
+            ["bound-search", "--dim", "2", "--n", "8", "--colors", "3", "--trials", "3"],
+            "a398f92ce71a62cd9e51e3fd018c0528a667c2abf787d160c2f3bbc26c07fe8b",
+        ),
+        (
+            _BLOCKED_ELEVEN,
+            ["partitionable"],
+            "fd2c9fc6b35d969a0201b7246d0ef53da7304ca35f01b727ed37bd5483893b95",
+        ),
     ],
-    ids=["partitionable", "witness", "kirchberger", "verify-main", "verify-kirchberger"],
+    ids=[
+        "partitionable",
+        "witness",
+        "kirchberger",
+        "verify-main",
+        "verify-kirchberger",
+        "flip",
+        "verify-duality",
+        "bound-search",
+        "partitionable-blocked",
+    ],
 )
 def test_golden_report_bytes(tmp_path, capsys, config, argv, digest):
     """Reports pinned byte for byte, not only run against run: a faster

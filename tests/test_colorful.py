@@ -17,8 +17,10 @@ import oracles
 from hyperpart import (
     CampaignSpec,
     DomainError,
+    Hyperplane,
     Partition,
     VerificationError,
+    bound_search,
     color_separating_hyperplane,
     extend_partition,
     generate_instance,
@@ -312,6 +314,35 @@ def test_grouping_table_gives_the_per_pair_search_certificate(cfg):
     assert is_partitionable(cfg) == oracles.brute_is_partitionable(cfg)
 
 
+_THREE_COLOR_LINE = make_config(
+    1, [(0,), (1,), (2,), (3,), (4,)], colors=["a", "b", "c", "b", "a"]
+)
+# four clusters, one per color: partitionable, but no single plane does it
+_FOUR_CLUSTERS = make_config(
+    2,
+    [(0, 0), (1, 0), (10, 0), (11, 1), (0, 10), (1, 11), (10, 10), (11, 12)],
+    colors=["a", "a", "b", "b", "c", "c", "d", "d"],
+)
+
+
+@settings(max_examples=60)
+@example(_THREE_COLOR_LINE)
+@example(_FOUR_CLUSTERS)
+@given(st.integers(2, 5).flatmap(lambda k: _degenerate_colored(colors=k)))
+def test_grouping_enumeration_matches_the_full_enumeration(cfg):
+    assert is_partitionable_by_enumeration(cfg) == oracles.brute_partitionable_by_enumeration(cfg)
+
+
+@pytest.mark.parametrize("wrong", ["cuts a class", "through a point"])
+def test_enumeration_route_checks_every_plane(monkeypatch, wrong):
+    # x = 1/2 splits class a of the four clusters; x = 0 passes through (0, 0)
+    offset = Fraction(1, 2) if wrong == "cuts a class" else 0
+    plane = Hyperplane((1, 0), offset)
+    monkeypatch.setattr(colorful, "strict_separate", lambda side_a, side_b, dim: plane)
+    with pytest.raises(VerificationError):
+        is_partitionable_by_enumeration(_FOUR_CLUSTERS)
+
+
 def _counting(monkeypatch, module, name, counts):
     original = getattr(module, name)
 
@@ -378,6 +409,30 @@ def test_work_counts_at_the_cli_caps(monkeypatch):
     assert set(counts) == {"in division"}
     assert counts["in division"] <= 2 ** (cfg.k - 1) - 1 == 127
     assert len(report.representatives) == cfg.k == 8
+
+
+def test_enumeration_route_solves_one_lp_per_grouping(monkeypatch):
+    """On the main-suite baseline (d=2, n=16, k=8) the route solves the
+    2^(k-1)-1 = 127 nontrivial color groupings and enumerates nothing; testing
+    every bipartition through ``hyperplane_division`` took 32,767 LPs."""
+    cfg = generate_instance(CampaignSpec(suite="main", dim=2, n=16, colors=8, seed=0), 0)
+    counts = Counter()
+    _counting(monkeypatch, colorful, "strict_separate", counts)
+    _counting(monkeypatch, colorful, "hyperplane_division", counts)
+    assert not is_partitionable_by_enumeration(cfg)
+    assert counts == {"strict_separate": 127}
+
+
+def test_bound_search_solves_no_hyperplane(monkeypatch):
+    # with a certificate per partitionable subset this made 1,502 LPs
+    spec = CampaignSpec(suite="bound-search", dim=2, n=8, colors=3, trials=20)
+    counts = Counter()
+    _counting(monkeypatch, colorful, "strict_separate", counts)
+    _counting(monkeypatch, colorful, "is_feasible", counts)
+    _counting(monkeypatch, geometry, "feasible_point", counts)
+    report = bound_search(spec)
+    assert report["ok"] and report["max_threshold"] is not None
+    assert set(counts) == {"is_feasible"}
 
 
 def test_verify_instance_decides_once(monkeypatch):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -9,6 +10,8 @@ from itertools import combinations
 import pytest
 from sympy import Matrix, Rational, cos, pi, sin
 
+import hyperpart.campaigns as campaigns
+import hyperpart.cli as cli
 import hyperpart.hdivision as hdivision
 from hyperpart import (
     CampaignSpec,
@@ -16,6 +19,7 @@ from hyperpart import (
     Hyperplane,
     VerificationError,
     deletion_fiber_check,
+    emit_instance,
     general_position,
     generate_instance,
     hyperplane_division,
@@ -177,7 +181,7 @@ def test_flip_pentagon_sums(pentagon):
     hd = hyperplane_division(pentagon)
     for pair in (CENTER_VERTEX_PAIR, ADJACENT_VERTEX_PAIR, NONADJACENT_VERTEX_PAIR):
         base = hd.separating(*pair)[0]
-        result = projective_flip(pentagon, *pair, base)
+        result = projective_flip(hd, *pair, base)
         assert result.separating_before + result.separating_after == 16
         assert result.total == 16
 
@@ -185,7 +189,7 @@ def test_flip_pentagon_sums(pentagon):
 def test_flip_is_a_bijection_sending_base_to_trivial(quad):
     hd = hyperplane_division(quad)
     base = hd.separating(0, 1)[0]
-    result = projective_flip(quad, 0, 1, base)
+    result = projective_flip(hd, 0, 1, base)
     image = result.partition_map
     assert len(set(image.values())) == len(image) == 7
     assert image[base].is_trivial
@@ -198,7 +202,7 @@ def test_flip_requires_separating_base(quad):
     hd = hyperplane_division(quad)
     nonsep = hd.nonseparating(0, 1)[0]
     with pytest.raises(DomainError):
-        projective_flip(quad, 0, 1, nonsep)
+        projective_flip(hd, 0, 1, nonsep)
 
 
 @pytest.mark.parametrize("dim,n,seed", [(1, 6, 61), (2, 6, 62), (3, 5, 63)])
@@ -208,8 +212,40 @@ def test_flip_random_instances(dim, n, seed):
     rng = random.Random(f"flip-pick:{seed}")
     a, b = rng.sample(cfg.ids, 2)
     base = hd.separating(a, b)[-1]
-    result = projective_flip(cfg, a, b, base)
+    result = projective_flip(hd, a, b, base)
     assert result.separating_before + result.separating_after == partition_count(dim, n)
+
+
+def _count_divisions(monkeypatch, counts):
+    # the two callers' modules, and hdivision, where the image is enumerated
+    original = hdivision.hyperplane_division
+
+    def counted(config):
+        counts.append(len(config))
+        return original(config)
+
+    for module in (hdivision, cli, campaigns):
+        monkeypatch.setattr(module, "hyperplane_division", counted)
+
+
+def test_cli_flip_enumerates_input_and_image_once(monkeypatch, tmp_path, capsys):
+    # projective_flip used to enumerate its input again: three divisions
+    path = tmp_path / "instance.json"
+    path.write_text(emit_instance(_random_config(2, 6, 64)))
+    counts = []
+    _count_divisions(monkeypatch, counts)
+    assert cli.main(["flip", "--input", str(path), "--a", "0", "--b", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["total"] == partition_count(2, 6)
+    assert counts == [6, 6]
+
+
+def test_duality_trial_enumerates_input_and_image_once(monkeypatch):
+    # projective_flip used to enumerate its input again: three divisions
+    counts = []
+    _count_divisions(monkeypatch, counts)
+    record = campaigns._trial_duality(CampaignSpec(suite="duality", dim=2, n=7), 0)
+    assert record["ok"]
+    assert counts == [7, 7]
 
 
 def test_perturb_reaches_general_position():
