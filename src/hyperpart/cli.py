@@ -206,7 +206,7 @@ def _cmd_flip(args: argparse.Namespace) -> int:
 
 def _cmd_shrink(args: argparse.Namespace) -> int:
     config = _load(args)
-    result = shrink_to_min(config, args.a, args.b)
+    result = shrink_to_min(hyperplane_division(config), args.a, args.b)
     doc = {
         "command": "shrink",
         "moved": result.moved_id,
@@ -356,8 +356,8 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     hd = hyperplane_division(config)
     found_transversals = minimal_transversals(hd.division)
     sizes = [t.size for t in found_transversals]
-    shrunk = shrink_to_min(config, *CENTER_VERTEX_PAIR)
-    after = minimal_transversals(hyperplane_division(shrunk.config).division)
+    shrunk = shrink_to_min(hd, *CENTER_VERTEX_PAIR)
+    after = minimal_transversals(shrunk.division.division)
     got = {
         "count": len(hd),
         "center_vertex": len(hd.separating(*CENTER_VERTEX_PAIR)),

@@ -1,8 +1,10 @@
 """Exact geometric primitives.
 
 Points carry rational coordinates; all predicates (orientation, general
-position, strict separability) are decided with exact arithmetic, so there is
-no epsilon anywhere in this module.
+position, strict separability, sides of a hyperplane) are decided with exact
+arithmetic, so there is no epsilon anywhere in this module.  They run on the
+cached integer forms (``Point.scaled``, ``Hyperplane.scaled``): a rational is
+formed only for a value that is returned.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import DomainError, InvalidConfig
@@ -69,15 +72,25 @@ class Hyperplane:
     def dim(self) -> int:
         return len(self.normal)
 
+    @cached_property
+    def scaled(self) -> tuple[tuple[int, ...], int]:
+        """``(ints, den)`` with (*normal, offset) == ints / den."""
+        return scale_to_integers(self.normal + (self.offset,))
+
+    def _value(self, at: "Point | Sequence[Scalar]") -> tuple[int, int]:
+        """``(num, den)`` with normal . at - offset == num / den, den > 0."""
+        xs, den = at.scaled if isinstance(at, Point) else scale_to_integers(as_coords(at))
+        if len(xs) != self.dim:
+            raise DomainError(f"expected {self.dim} coordinates, got {len(xs)}")
+        ints, scale = self.scaled
+        return sum(map(mul, ints, xs)) - ints[-1] * den, scale * den
+
     def value_at(self, at: "Point | Sequence[Scalar]") -> Fraction:
-        coords = at.coords if isinstance(at, Point) else at
-        if len(coords) != self.dim:
-            raise DomainError(f"expected {self.dim} coordinates, got {len(coords)}")
-        return sum((n * Fraction(x) for n, x in zip(self.normal, coords)), -self.offset)
+        return Fraction(*self._value(at))
 
     def side_of(self, at: "Point | Sequence[Scalar]") -> int:
-        v = self.value_at(at)
-        return (v > 0) - (v < 0)
+        num = self._value(at)[0]
+        return (num > 0) - (num < 0)
 
 
 @dataclass(frozen=True)
@@ -111,13 +124,13 @@ class PointConfig:
         if len(set(ids)) != len(ids):
             dup = sorted({i for i in ids if ids.count(i) > 1})
             raise InvalidConfig(f"duplicate point ids: {dup}")
-        seen: dict[Coords, int] = {}
+        seen: dict[tuple[tuple[int, ...], int], int] = {}
         for p in pts:
-            if p.coords in seen:
+            if p.scaled in seen:
                 raise InvalidConfig(
-                    f"points {seen[p.coords]} and {p.id} share coordinates"
+                    f"points {seen[p.scaled]} and {p.id} share coordinates"
                 )
-            seen[p.coords] = p.id
+            seen[p.scaled] = p.id
         if self.colors is not None:
             cols = tuple(self.colors)
             if len(cols) != len(pts):
@@ -221,25 +234,24 @@ def make_config(
     return PointConfig(dim, pts, cols)  # type: ignore[arg-type]
 
 
-def _det_sign(rows: list[list[Fraction]]) -> int:
-    """Sign of the determinant of a square matrix, by fraction-exact elimination."""
+def _det_sign(rows: list[list[int]]) -> int:
+    """Sign of the determinant of a square integer matrix, by fraction-free
+    (Bareiss) elimination: every division is exact."""
     n = len(rows)
-    sign = 1
+    sign, prev = 1, 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
         if pivot is None:
             return 0
         if pivot != col:
             rows[col], rows[pivot] = rows[pivot], rows[col]
             sign = -sign
         lead = rows[col][col]
-        if lead < 0:
-            sign = -sign
         for r in range(col + 1, n):
-            factor = rows[r][col] / lead
-            if factor:
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return sign
+            c = rows[r][col]
+            rows[r] = [(lead * x - c * y) // prev for x, y in zip(rows[r], rows[col])]
+        prev = lead
+    return sign if prev > 0 else -sign
 
 
 def orient(points: Sequence[Point], dim: int) -> int:
@@ -249,8 +261,12 @@ def orient(points: Sequence[Point], dim: int) -> int:
     for p in points:
         if p.dim != dim:
             raise DomainError(f"point {p.id} has dimension {p.dim}, expected {dim}")
-    base = points[0].coords
-    rows = [[x - b for x, b in zip(p.coords, base)] for p in points[1:]]
+    # row p - base, scaled by the positive den_p * den_base
+    base, den_base = points[0].scaled
+    rows = [
+        [x * den_base - b * den for x, b in zip(ints, base)]
+        for ints, den in (p.scaled for p in points[1:])
+    ]
     return _det_sign(rows)
 
 
@@ -290,7 +306,7 @@ def strict_separate(
     for p in a_pts + b_pts:
         if p.dim != dim:
             raise DomainError(f"point {p.id} has dimension {p.dim}, expected {dim}")
-    if {p.coords for p in a_pts} & {p.coords for p in b_pts}:
+    if {p.scaled for p in a_pts} & {p.scaled for p in b_pts}:
         raise DomainError("sides share a coordinate vector")
     constraints = [side_row(p, True) for p in a_pts]
     constraints += [side_row(p, False) for p in b_pts]
@@ -323,7 +339,7 @@ def realize(hyperplane: Hyperplane, config: PointConfig) -> Partition:
         )
     plus, minus = [], []
     for p in config.points:
-        s = hyperplane.side_of(p.coords)
+        s = hyperplane.side_of(p)
         if s == 0:
             raise DomainError(f"point {p.id} lies on the hyperplane")
         (plus if s > 0 else minus).append(p.id)

@@ -126,9 +126,10 @@ class ShrinkResult:
     scale: Fraction
     separating_size: int
     attempts: int
+    division: HyperplaneDivision  # of ``config``, the shrunk configuration
 
 
-def shrink_to_min(config: PointConfig, a: int, b: int) -> ShrinkResult:
+def shrink_to_min(hdiv: HyperplaneDivision, a: int, b: int) -> ShrinkResult:
     """Replace point a by a point on the open segment toward b, chosen so that
     the number of members separating the pair hits its minimum.
 
@@ -137,16 +138,17 @@ def shrink_to_min(config: PointConfig, a: int, b: int) -> ShrinkResult:
     stored witness of every member separating a and b, and (3) the new
     configuration is in general position.  Those three conditions force the
     separating count of (c, b) to equal the closed-form minimum; that count is
-    recomputed and checked.
+    recomputed and checked.  ``hdiv`` is the caller's division; only the
+    shrunk configuration is enumerated, and its division is returned.
     """
+    config = hdiv.config
     if a == b:
         raise DomainError("choose two distinct ids")
     pa, pb = config.point(a), config.point(b)
     if not general_position(config):
         raise DomainError("the configuration must be in general position")
-    hdiv = hyperplane_division(config)
     watched = [
-        (hdiv.witnesses[m], hdiv.witnesses[m].side_of(pb.coords))
+        (hdiv.witnesses[m], hdiv.witnesses[m].side_of(pb))
         for m in hdiv.separating(a, b)
     ]
     keep = tuple(p for p in config.points if p.id != a)
@@ -160,13 +162,14 @@ def shrink_to_min(config: PointConfig, a: int, b: int) -> ShrinkResult:
             if not general_position(candidate):
                 candidate = None
         if candidate is not None:
-            size = len(hyperplane_division(candidate).separating(a, b))
+            shrunk = hyperplane_division(candidate)
+            size = len(shrunk.separating(a, b))
             expected = min_transversal_size(config.dim, len(config))
             if size != expected:
                 raise VerificationError(
                     f"moved-pair separating count is {size}, expected {expected}"
                 )
-            return ShrinkResult(candidate, a, b, scale, size, attempt)
+            return ShrinkResult(candidate, a, b, scale, size, attempt, shrunk)
         scale /= 2
     raise DomainError(
         f"no valid placement after {MAX_PLACEMENT_ATTEMPTS} halvings toward {b}"

@@ -3,9 +3,10 @@
 A constraint is ``coeffs . x <= rhs`` (or ``< rhs`` when strict).  Variables are
 eliminated in index order; derived constraints keep the order in which they are
 produced, so witnesses are deterministic functions of the input constraint
-order.  All arithmetic is over integers (rows are scaled to clear denominators
-and reduced by their gcd), with rational values appearing only in the
-back-substituted witness.
+order.  Arithmetic is over integers throughout: rows are scaled to clear
+denominators and reduced by their gcd, and back-substitution compares bounds
+by cross-multiplication over one common denominator of the values already
+fixed.  A rational is formed only for a chosen witness coordinate.
 
 Two entries share the elimination: ``feasible_point`` accepts rows with
 rational coefficients and back-substitutes a witness, while ``is_feasible``
@@ -17,15 +18,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import VerificationError
 
 IntRow = tuple[tuple[int, ...], int, bool]
-
-_TRUE = 1    # row is trivially satisfied, drop it
-_FALSE = 0   # row is unsatisfiable
-_KEPT = 2
 
 
 def scale_to_integers(values: Sequence) -> tuple[tuple[int, ...], int]:
@@ -40,138 +38,117 @@ def _to_int_row(coeffs: Sequence, rhs, strict: bool):
     return ints[:-1], ints[-1], strict
 
 
-def _add_row(rows, index, coeffs, rhs, strict) -> int:
-    """Insert a row with dominance dedup; returns _FALSE on a violated constant."""
-    if not any(coeffs):
-        if rhs < 0 or (rhs == 0 and strict):
-            return _FALSE
-        return _TRUE
-    g = gcd(*coeffs, rhs)
+def _add_row(rows, coeffs, rhs, strict) -> bool:
+    """Insert a row, keeping the tighter of two parallel ones; False on a
+    violated constant row."""
+    g = gcd(*coeffs)
+    if g == 0:
+        return rhs > 0 or (rhs == 0 and not strict)
+    g = gcd(g, rhs)
     if g > 1:
         coeffs = tuple(c // g for c in coeffs)
         rhs //= g
-    pos = index.get(coeffs)
-    if pos is None:
-        index[coeffs] = len(rows)
-        rows.append([coeffs, rhs, strict])
-    else:
-        old = rows[pos]
-        # keep the tighter of two parallel constraints
-        if rhs < old[1] or (rhs == old[1] and strict and not old[2]):
-            old[1] = rhs
-            old[2] = strict
-    return _KEPT
+    old = rows.get(coeffs)
+    if old is None or rhs < old[0] or (rhs == old[0] and strict and not old[1]):
+        rows[coeffs] = (rhs, strict)  # a parallel row keeps its place
+    return True
 
 
 def _eliminate(rows, j):
-    """Project out variable j; returns the new row list or None if infeasible."""
-    out, index = [], {}
+    """Project out variable j; returns the new rows or None if infeasible."""
+    out = {}
     pos, neg = [], []
-    for row in rows:
-        c = row[0][j]
+    for coeffs, (rhs, strict) in rows.items():
+        c = coeffs[j]
         if c > 0:
-            pos.append(row)
+            pos.append((coeffs, rhs, strict))
         elif c < 0:
-            neg.append(row)
-        else:
-            if _add_row(out, index, row[0], row[1], row[2]) == _FALSE:
-                return None
+            neg.append((coeffs, rhs, strict))
+        elif not _add_row(out, coeffs, rhs, strict):
+            return None
     for pc, pr, ps in pos:
         a = pc[j]
         for nc, nr, ns in neg:
             b = nc[j]  # b < 0
             coeffs = tuple(a * ni - b * pi for pi, ni in zip(pc, nc))
-            if _add_row(out, index, coeffs, a * nr - b * pr, ps or ns) == _FALSE:
+            if not _add_row(out, coeffs, a * nr - b * pr, ps or ns):
                 return None
     return out
 
 
-def _last_interval(rows, j):
-    """Feasibility of the single remaining variable, in pure integer arithmetic.
+def _interval(rows, j, values):
+    """Bounds on variable j once the variables after it take ``values``.
 
-    Returns (lo, up) as ((num, den, strict) | None) with den > 0, or None when
-    the interval is empty.
+    The fixed values are brought to one denominator, so every comparison is
+    cross-multiplied in integers.  Returns (lo, up), each (num, den, strict)
+    with den > 0, or None where unbounded; of two equal bounds the strict one
+    is kept.
     """
+    later, scale = scale_to_integers(values[j + 1:])
     lo = up = None
-    for coeffs, rhs, strict in rows:
-        c = coeffs[j]
-        if c > 0:
-            if up is None or rhs * up[1] < up[0] * c or (
-                rhs * up[1] == up[0] * c and strict
-            ):
-                up = (rhs, c, strict)
-        elif c < 0:
-            num, den = -rhs, -c
-            if lo is None or num * lo[1] > lo[0] * den or (
-                num * lo[1] == lo[0] * den and strict
-            ):
-                lo = (num, den, strict)
-    if lo is not None and up is not None:
-        left, right = lo[0] * up[1], up[0] * lo[1]
-        if left > right or (left == right and (lo[2] or up[2])):
-            return None
-    return lo, up
-
-
-def _bounds(rows, j, values):
-    """Lower/upper bounds on variable j once variables above j are fixed."""
-    lo = up = None  # (value, strict)
-    for coeffs, rhs, strict in rows:
-        c = coeffs[j]
+    for coeffs, (rhs, strict) in rows.items():
+        c = coeffs[j] * scale
         if c == 0:
             continue
-        rest = Fraction(rhs)
-        for i in range(j + 1, len(coeffs)):
-            if coeffs[i]:
-                rest -= coeffs[i] * values[i]
-        val = rest / c
+        num = rhs * scale - sum(map(mul, coeffs[j + 1:], later))
         if c > 0:
-            if up is None or val < up[0] or (val == up[0] and strict):
-                up = (val, strict)
+            if up is None or num * up[1] < up[0] * c or (
+                num * up[1] == up[0] * c and strict
+            ):
+                up = (num, c, strict)
         else:
-            if lo is None or val > lo[0] or (val == lo[0] and strict):
-                lo = (val, strict)
+            num, c = -num, -c
+            if lo is None or num * lo[1] > lo[0] * c or (
+                num * lo[1] == lo[0] * c and strict
+            ):
+                lo = (num, c, strict)
     return lo, up
+
+
+def _empty(lo, up) -> bool:
+    if lo is None or up is None:
+        return False
+    left, right = lo[0] * up[1], up[0] * lo[1]
+    return left > right or (left == right and (lo[2] or up[2]))
 
 
 def _pick(lo, up) -> Fraction:
+    """The chosen value: the midpoint, one past the single bound, or 0."""
+    if _empty(lo, up):
+        raise VerificationError("empty interval after feasible elimination")
     if lo is None and up is None:
         return Fraction(0)
     if lo is None:
-        return up[0] - 1
+        return Fraction(up[0] - up[1], up[1])
     if up is None:
-        return lo[0] + 1
-    if lo[0] < up[0]:
-        return (lo[0] + up[0]) / 2
-    if lo[0] == up[0] and not lo[1] and not up[1]:
-        return lo[0]
-    raise VerificationError("empty interval after feasible elimination")
+        return Fraction(lo[0] + lo[1], lo[1])
+    return Fraction(lo[0] * up[1] + up[0] * lo[1], 2 * lo[1] * up[1])
 
 
-def _load(rows_in: Iterable[IntRow], nvars: int) -> Optional[list]:
+def _load(rows_in: Iterable[IntRow], nvars: int) -> Optional[dict]:
     """The deduplicated integer system, or None if a constant row fails."""
-    rows, index = [], {}
+    rows: dict = {}
     for coeffs, rhs, strict in rows_in:
         if len(coeffs) != nvars:
             raise ValueError(f"expected {nvars} coefficients, got {len(coeffs)}")
-        if _add_row(rows, index, coeffs, rhs, strict) == _FALSE:
+        if not _add_row(rows, coeffs, rhs, strict):
             return None
     return rows
 
 
-def _elimination(rows: Optional[list], nvars: int) -> Optional[list]:
-    """The system before each elimination step, or None if infeasible."""
+def _elimination(rows: Optional[dict], nvars: int) -> Optional[tuple]:
+    """``(stages, bounds)``: the system before each elimination step but the
+    last, and the bounds on the last variable; None if infeasible."""
     if rows is None:
         return None
     stages = []
-    for j in range(nvars):
+    for j in range(nvars - 1):
         stages.append(rows)
-        if j == nvars - 1:
-            return stages if _last_interval(rows, j) is not None else None
         rows = _eliminate(rows, j)
         if rows is None:
             return None
-    return stages
+    bounds = _interval(rows, nvars - 1, ())
+    return None if _empty(*bounds) else (stages, bounds)
 
 
 def is_feasible(rows: Iterable[IntRow], nvars: int) -> bool:
@@ -195,10 +172,13 @@ def feasible_point(
         (_to_int_row(coeffs, rhs, strict) for coeffs, rhs, strict in constraints),
         nvars,
     )
-    stages = _elimination(rows, nvars)
-    if stages is None:
+    found = _elimination(rows, nvars)
+    if found is None:
         return None
+    stages, bounds = found
     values: list = [None] * nvars
     for j in range(nvars - 1, -1, -1):
-        values[j] = _pick(*_bounds(stages[j], j, values))
+        values[j] = _pick(*bounds)
+        if j:
+            bounds = _interval(stages[j - 1], j - 1, values)
     return tuple(values)

@@ -9,14 +9,17 @@ the exception: they ask the package's witness-producing separation oracle
 about every candidate (the scans rebuild each one as a configuration, the
 filter tests every bipartition through ``hyperplane_division``), a different
 route through the solver than the decide-only scans, the grouping table and
-the grouping enumeration they are compared with.  Slow on purpose; keep
-inputs tiny.
+the grouping enumeration they are compared with.  The Fraction kernel at the
+end is the package's own elimination, back-substitution, orientation and side
+value as they stood before they moved to integer arithmetic; the integer
+routines must return the same values.  Slow on purpose; keep inputs tiny.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from sympy import Matrix, Rational
@@ -26,6 +29,7 @@ from hyperpart import (
     Division,
     Hyperplane,
     Partition,
+    Point,
     PointConfig,
     VerificationError,
     color_separating_hyperplane,
@@ -219,3 +223,157 @@ def count_by_recurrence(dim: int, k: int) -> int:
     if dim == 0 or k == 1:
         return 1
     return count_by_recurrence(dim, k - 1) + count_by_recurrence(dim - 1, k - 1)
+
+
+# --- the exact kernel and predicates as they stood in Fraction arithmetic ---
+#
+# Fourier-Motzkin elimination over a row list with a parallel dedup index,
+# back-substitution with Fraction values, the fraction-exact determinant and
+# the Fraction side value, kept verbatim as the references that the integer
+# routines must match value for value.
+
+_TRUE = 1    # row is trivially satisfied, drop it
+_FALSE = 0   # row is unsatisfiable
+_KEPT = 2
+
+
+def _add_row(rows, index, coeffs, rhs, strict) -> int:
+    """Insert a row with dominance dedup; returns _FALSE on a violated constant."""
+    if not any(coeffs):
+        if rhs < 0 or (rhs == 0 and strict):
+            return _FALSE
+        return _TRUE
+    g = gcd(*coeffs, rhs)
+    if g > 1:
+        coeffs = tuple(c // g for c in coeffs)
+        rhs //= g
+    pos = index.get(coeffs)
+    if pos is None:
+        index[coeffs] = len(rows)
+        rows.append([coeffs, rhs, strict])
+    else:
+        old = rows[pos]
+        # keep the tighter of two parallel constraints
+        if rhs < old[1] or (rhs == old[1] and strict and not old[2]):
+            old[1] = rhs
+            old[2] = strict
+    return _KEPT
+
+
+def _eliminate(rows, j):
+    """Project out variable j; returns the new row list or None if infeasible."""
+    out, index = [], {}
+    pos, neg = [], []
+    for row in rows:
+        c = row[0][j]
+        if c > 0:
+            pos.append(row)
+        elif c < 0:
+            neg.append(row)
+        else:
+            if _add_row(out, index, row[0], row[1], row[2]) == _FALSE:
+                return None
+    for pc, pr, ps in pos:
+        a = pc[j]
+        for nc, nr, ns in neg:
+            b = nc[j]  # b < 0
+            coeffs = tuple(a * ni - b * pi for pi, ni in zip(pc, nc))
+            if _add_row(out, index, coeffs, a * nr - b * pr, ps or ns) == _FALSE:
+                return None
+    return out
+
+
+def _bounds(rows, j, values):
+    """Lower/upper bounds on variable j once variables above j are fixed."""
+    lo = up = None  # (value, strict)
+    for coeffs, rhs, strict in rows:
+        c = coeffs[j]
+        if c == 0:
+            continue
+        rest = Fraction(rhs)
+        for i in range(j + 1, len(coeffs)):
+            if coeffs[i]:
+                rest -= coeffs[i] * values[i]
+        val = rest / c
+        if c > 0:
+            if up is None or val < up[0] or (val == up[0] and strict):
+                up = (val, strict)
+        else:
+            if lo is None or val > lo[0] or (val == lo[0] and strict):
+                lo = (val, strict)
+    return lo, up
+
+
+def _pick(lo, up) -> Fraction:
+    if lo is None and up is None:
+        return Fraction(0)
+    if lo is None:
+        return up[0] - 1
+    if up is None:
+        return lo[0] + 1
+    if lo[0] < up[0]:
+        return (lo[0] + up[0]) / 2
+    if lo[0] == up[0] and not lo[1] and not up[1]:
+        return lo[0]
+    raise VerificationError("empty interval after feasible elimination")
+
+
+def fraction_feasible_point(constraints, nvars: int):
+    """The witness ``linsolve.feasible_point`` must return, or None when the
+    system is infeasible: the same elimination, bounds compared as Fractions."""
+    rows, index = [], {}
+    for coeffs, rhs, strict in constraints:
+        values = [Fraction(v) for v in (*coeffs, rhs)]
+        den = lcm(*(v.denominator for v in values))
+        ints = [int(v * den) for v in values]
+        if _add_row(rows, index, tuple(ints[:-1]), ints[-1], strict) == _FALSE:
+            return None
+    stages = []
+    for j in range(nvars):
+        stages.append(rows)
+        if j < nvars - 1:
+            rows = _eliminate(rows, j)
+            if rows is None:
+                return None
+    values: list = [None] * nvars
+    lo, up = _bounds(stages[-1], nvars - 1, values)
+    if lo is not None and up is not None and (
+        lo[0] > up[0] or (lo[0] == up[0] and (lo[1] or up[1]))
+    ):
+        return None
+    for j in range(nvars - 1, -1, -1):
+        values[j] = _pick(*_bounds(stages[j], j, values))
+    return tuple(values)
+
+
+def _det_sign(rows: list[list[Fraction]]) -> int:
+    """Sign of the determinant of a square matrix, by fraction-exact elimination."""
+    n = len(rows)
+    sign = 1
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            sign = -sign
+        lead = rows[col][col]
+        if lead < 0:
+            sign = -sign
+        for r in range(col + 1, n):
+            factor = rows[r][col] / lead
+            if factor:
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return sign
+
+
+def fraction_orient(points: Sequence[Point]) -> int:
+    """Orientation sign of dim+1 points from Fraction differences."""
+    base = points[0].coords
+    rows = [[x - b for x, b in zip(p.coords, base)] for p in points[1:]]
+    return _det_sign(rows)
+
+
+def fraction_value_at(plane: Hyperplane, coords: Sequence) -> Fraction:
+    """normal . coords - offset, summed in Fractions."""
+    return sum((n * Fraction(x) for n, x in zip(plane.normal, coords)), -plane.offset)

@@ -230,6 +230,12 @@ _CROSSED_IN_SPACE = make_config(
 _BLOCKED_ELEVEN = generate_instance(
     CampaignSpec(suite="main", dim=2, n=11, colors=4, seed=0), 0
 )
+# Reports that print back-substituted witness values and moved coordinates.
+_PHI_D3 = generate_instance(CampaignSpec(suite="phi", dim=3, n=8, seed=0), 0)
+_DEGENERATE_D2 = generate_instance(
+    CampaignSpec(suite="phi", dim=2, n=9, seed=0, degenerate=True), 0
+)
+_GENERAL_D2 = generate_instance(CampaignSpec(suite="phi", dim=2, n=8, seed=0), 0)
 
 
 @pytest.mark.parametrize(
@@ -280,6 +286,46 @@ _BLOCKED_ELEVEN = generate_instance(
             ["partitionable"],
             "fd2c9fc6b35d969a0201b7246d0ef53da7304ca35f01b727ed37bd5483893b95",
         ),
+        (
+            _PHI_D3,
+            ["enumerate"],
+            "2d6f7530babd7158c0e92da3b29aa112f6ea8eadfce3df767ec67f987c7e6291",
+        ),
+        (
+            _DEGENERATE_D2,
+            ["enumerate"],
+            "d97a7f21b7f6df7ea6a9d4724c490ff4aa892cba7b85bb63d77a0f06f8e2abbd",
+        ),
+        (
+            _PHI_D3,
+            ["sep", "--a", "0", "--b", "1"],
+            "2017888e7854e8d0b58ac8b89ced874277402fc4e0bffffccb0de5a5d5757e4a",
+        ),
+        (
+            _GENERAL_D2,
+            ["shrink", "--a", "0", "--b", "1"],
+            "ebfc4791b7184fa10892d40e859062d6d1d7c57cf75c955f2c64109274896852",
+        ),
+        (
+            _DEGENERATE_D2,
+            ["perturb", "--seed", "0"],
+            "b8a98dafd7633e2e841c3eb4e3ea711966044160cd3717d63eb4b52228bc2960",
+        ),
+        (
+            None,
+            ["demo", "pentagon"],
+            "d658830bcc3b9f17cd672eef2ddaa408a9a1932d379a23a0ef38f8f919f0d787",
+        ),
+        (
+            None,
+            ["verify", "--suite", "phi", "--dim", "2", "--n", "8", "--trials", "5"],
+            "572b708db316cd06a36f1ad006348cb3b81f0ee31225c08e7c58d18fd28eb9df",
+        ),
+        (
+            None,
+            ["verify", "--suite", "eta-bound", "--dim", "3", "--n", "6", "--trials", "4"],
+            "1d39ab3d37056af8c30a64e89bd7a11af6fc52fb3f1f7a121225613ffc6d4593",
+        ),
     ],
     ids=[
         "partitionable",
@@ -291,6 +337,14 @@ _BLOCKED_ELEVEN = generate_instance(
         "verify-duality",
         "bound-search",
         "partitionable-blocked",
+        "enumerate-d3",
+        "enumerate-degenerate",
+        "sep",
+        "shrink",
+        "perturb",
+        "demo",
+        "verify-phi",
+        "verify-eta-bound",
     ],
 )
 def test_golden_report_bytes(tmp_path, capsys, config, argv, digest):

@@ -166,3 +166,61 @@ def test_strict_separate_matches_hull_oracle(case):
     assert mine == oracles.strictly_separable(side_a, side_b)
     if dim == 1:
         assert mine == oracles.hulls_disjoint_1d(side_a, side_b)
+
+
+_rational = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+def _vectors(dim, count):
+    vector = st.lists(_rational, min_size=dim, max_size=dim).map(tuple)
+    return st.lists(vector, min_size=count, max_size=count)
+
+
+@given(
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda d: st.tuples(
+            st.just(d),
+            _vectors(d, d + 1),
+            st.none() | st.lists(_rational, min_size=d - 1, max_size=d - 1),
+        )
+    )
+)
+def test_orient_matches_the_fraction_determinant(case):
+    """Random rational simplices; with weights drawn, the last point is an
+    affine combination of the first dim points, so the sign must be 0."""
+    dim, coords, weights = case
+    if weights is not None:
+        weights.append(1 - sum(weights))
+        coords[-1] = tuple(
+            sum(w * c[i] for w, c in zip(weights, coords)) for i in range(dim)
+        )
+    points = [Point(i, c) for i, c in enumerate(coords)]
+    expected = oracles.fraction_orient(points)
+    assert orient(points, dim) == expected
+    if weights is not None:
+        assert expected == 0
+
+
+@given(
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda d: st.tuples(
+            _vectors(d, 2).filter(lambda v: any(v[0])), _rational, st.booleans()
+        )
+    )
+)
+def test_side_tests_match_the_fraction_value(case):
+    """value_at and side_of on random rationals, given as a Point, as
+    Fractions and as strings; on_plane moves the point onto the plane."""
+    (normal, coords), offset, on_plane = case
+    plane = Hyperplane(normal, offset)
+    if on_plane:
+        i = next(i for i, n in enumerate(normal) if n)
+        rest = sum(n * x for j, (n, x) in enumerate(zip(normal, coords)) if j != i)
+        coords = coords[:i] + ((offset - rest) / normal[i],) + coords[i + 1:]
+    expected = oracles.fraction_value_at(plane, coords)
+    sign = (expected > 0) - (expected < 0)
+    for at in (Point(0, coords), coords, [str(x) for x in coords]):
+        assert plane.value_at(at) == expected
+        assert plane.side_of(at) == sign
+    if on_plane:
+        assert sign == 0

@@ -149,7 +149,7 @@ def test_pentagon_division_numbers(pentagon):
 
 
 def test_shrink_pentagon_reaches_minimum(pentagon):
-    result = shrink_to_min(pentagon, *CENTER_VERTEX_PAIR)
+    result = shrink_to_min(hyperplane_division(pentagon), *CENTER_VERTEX_PAIR)
     assert result.separating_size == 5 == min_transversal_size(2, 6)
     assert 0 < result.scale < 1
     after = hyperplane_division(result.config)
@@ -161,7 +161,7 @@ def test_shrink_random_instances(dim, n, seed):
     cfg = _random_config(dim, n, seed)
     rng = random.Random(f"shrink-pick:{seed}")
     a, b = rng.sample(cfg.ids, 2)
-    result = shrink_to_min(cfg, a, b)
+    result = shrink_to_min(hyperplane_division(cfg), a, b)
     assert result.separating_size == min_transversal_size(dim, n)
     assert result.moved_id == a and result.toward_id == b
     # only the moved point changed
@@ -172,9 +172,9 @@ def test_shrink_random_instances(dim, n, seed):
 
 def test_shrink_domain_errors(pentagon):
     with pytest.raises(DomainError):
-        shrink_to_min(pentagon, 0, 0)
+        shrink_to_min(hyperplane_division(pentagon), 0, 0)
     with pytest.raises(DomainError):
-        shrink_to_min(pentagon, 0, 99)
+        shrink_to_min(hyperplane_division(pentagon), 0, 99)
 
 
 def test_flip_pentagon_sums(pentagon):
@@ -246,6 +246,22 @@ def test_duality_trial_enumerates_input_and_image_once(monkeypatch):
     record = campaigns._trial_duality(CampaignSpec(suite="duality", dim=2, n=7), 0)
     assert record["ok"]
     assert counts == [7, 7]
+
+
+def test_cli_demo_enumerates_pentagon_and_shrunk_once(monkeypatch, capsys):
+    # shrink_to_min used to enumerate its input again, and the demo the
+    # shrunk configuration again: four divisions
+    counts = []
+    _count_divisions(monkeypatch, counts)
+    assert cli.main(["demo", "pentagon"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"]
+    assert counts == [6, 6]
+
+
+def test_shrink_returns_the_shrunk_division(pentagon):
+    result = shrink_to_min(hyperplane_division(pentagon), *CENTER_VERTEX_PAIR)
+    assert result.division.config == result.config
+    assert result.division.members == hyperplane_division(result.config).members
 
 
 def test_perturb_reaches_general_position():

@@ -5,10 +5,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperpart import VerificationError
+import oracles
+from hyperpart import Point, VerificationError
+from hyperpart.geometry import side_row
 from hyperpart.linsolve import _pick, _to_int_row, feasible_point, is_feasible
 
 
@@ -123,6 +125,117 @@ def test_returned_points_always_satisfy(constraints):
 
 def test_pick_on_an_empty_interval_is_an_internal_fault():
     with pytest.raises(VerificationError):
-        _pick((Fraction(1), False), (Fraction(0), False))
+        _pick((1, 1, False), (0, 1, False))
     with pytest.raises(VerificationError):
-        _pick((Fraction(1), True), (Fraction(1), False))
+        _pick((1, 1, True), (1, 1, False))
+
+
+def _point_strategy(dim):
+    """Points of a small integer grid, many on one line (and in R^3 on one
+    plane), each coordinate vector divided by a small denominator."""
+    grid = st.integers(min_value=-3, max_value=3)
+    vector = st.tuples(*[grid] * dim)
+    coeff = st.integers(min_value=-2, max_value=2)
+    return st.tuples(
+        vector,
+        st.lists(vector, min_size=2, max_size=2),
+        st.lists(st.tuples(coeff, coeff), min_size=3, max_size=6),
+        st.lists(vector, max_size=3),
+        st.lists(st.integers(min_value=1, max_value=3), min_size=4, max_size=4),
+    ).map(lambda case: _flat_points(dim, *case))
+
+
+def _flat_points(dim, origin, spans, steps, free, dens):
+    # steps move along the first span only in R^2 (a line), along both in
+    # R^3 (a plane, with the line among its points); the flat points share one
+    # denominator, which keeps them on their flat, the free points take their own
+    flat = [
+        tuple(o + s * u + (t * v if dim == 3 else 0) for o, u, v in zip(origin, *spans))
+        for s, t in steps
+    ]
+    coords = {}
+    for vec, den in zip(flat + free, [dens[0]] * len(flat) + dens[1:]):
+        coords.setdefault(tuple(Fraction(x, den) for x in vec), None)
+    return [Point(i, c) for i, c in enumerate(coords)]
+
+
+@given(
+    st.sampled_from([2, 3]).flatmap(
+        lambda dim: st.tuples(
+            st.just(dim),
+            _point_strategy(dim),
+            st.lists(st.booleans(), min_size=9, max_size=9),
+        )
+    )
+)
+@settings(max_examples=300)
+def test_separation_systems_match_the_fraction_kernel(case):
+    """Strict separation of degenerate point sets: the same witness as the
+    Fraction back-substitution, value for value, and the same decision."""
+    dim, points, sides = case
+    rows = [side_row(p, positive) for p, positive in zip(points, sides)]
+    expected = oracles.fraction_feasible_point(rows, dim + 1)
+    assert feasible_point(rows, dim + 1) == expected
+    assert is_feasible(rows, dim + 1) == (expected is not None)
+
+
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@given(
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda nvars: st.tuples(
+            st.just(nvars),
+            st.lists(_small, min_size=nvars, max_size=nvars),
+            st.lists(
+                st.tuples(
+                    st.lists(_small, min_size=nvars, max_size=nvars),
+                    st.sampled_from([-1, 0, 0, 1, Fraction(1, 2)]),
+                    st.booleans(),
+                    st.lists(
+                        st.tuples(
+                            st.sampled_from([1, 2, 3, Fraction(1, 2)]),
+                            st.sampled_from([-1, 0, 0, 1]),
+                            st.booleans(),
+                        ),
+                        max_size=2,
+                    ),
+                ),
+                max_size=6,
+            ),
+        )
+    )
+)
+def test_mixed_systems_match_the_fraction_kernel(case):
+    """Rational rows near a planted point, both strictnesses, each with
+    positive multiples whose right-hand sides move by -1, 0 or 1 (parallel
+    rows for the dedup to merge): the same witness and decision as the
+    Fraction back-substitution."""
+    nvars, planted, raw = case
+    constraints = []
+    for coeffs, slack, strict, copies in raw:
+        rhs = sum(c * x for c, x in zip(coeffs, planted)) + slack
+        constraints.append((tuple(coeffs), rhs, strict))
+        for factor, shift, copy_strict in copies:
+            constraints.append(
+                (tuple(factor * c for c in coeffs), factor * rhs + shift, copy_strict)
+            )
+    expected = oracles.fraction_feasible_point(constraints, nvars)
+    assert feasible_point(constraints, nvars) == expected
+    rows = [_to_int_row(*c) for c in constraints]
+    assert is_feasible(rows, nvars) == (expected is not None)
+
+
+def test_parallel_dedup_trap_stays_infeasible():
+    """Positive side (-3,1), (-2,1), (1,1), negative side (-1,1): the
+    negative point lies between two positive ones on the line y = 1.
+
+    A pruning rule that drops derived rows by the size of their origin sets
+    must not rely on the keep-the-tighter merge of parallel rows: here the
+    row from points {0, 2} merges into the tighter parallel row from {1, 2},
+    so the size-3 contradiction {0, 2, 3} is never formed and the system
+    reads feasible."""
+    pos = [Point(i, xy) for i, xy in enumerate([(-3, 1), (-2, 1), (1, 1)])]
+    rows = [side_row(p, True) for p in pos] + [side_row(Point(3, (-1, 1)), False)]
+    assert feasible_point(rows, 3) is None
+    assert not is_feasible(rows, 3)
