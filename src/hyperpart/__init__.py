@@ -42,6 +42,7 @@ from .geometry import (
     make_config,
     one_side_hyperplane,
     orient,
+    radon_signs,
     realize,
     strict_separate,
 )
@@ -123,6 +124,7 @@ __all__ = [
     "pentagon_config",
     "perturb",
     "projective_flip",
+    "radon_signs",
     "realize",
     "restrict",
     "run_suite",

@@ -22,7 +22,7 @@ from .colorful import (
     witness_nonpartitionable,
 )
 from .counting import counting_summary, min_transversal_size, partition_count
-from .errors import DomainError, HyperpartError, VerificationError
+from .errors import DomainError, HyperpartError, InvalidConfig, VerificationError
 from .generator import CampaignSpec, generate_instance
 from .geometry import PointConfig, general_position
 from .hdivision import hyperplane_division, perturb, projective_flip, shrink_to_min
@@ -86,9 +86,11 @@ def _check_scale(
 def _load(args: argparse.Namespace) -> PointConfig:
     path = Path(args.input)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as err:
         raise DomainError(f"cannot read {path}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise InvalidConfig(f"{path} is not UTF-8 text: {err}") from err
     config = parse_instance(text)
     _check_scale(args.unsafe_large, n=len(config), dim=config.dim, colors=config.k or None)
     return config

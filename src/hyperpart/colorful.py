@@ -3,6 +3,21 @@
 Two colors: separation by a single hyperplane, its exact halfspace dual (whose
 nonempty intersection encodes separability of subsets through a designated
 point), and extraction of small inseparable subsets by a decide-only scan.
+
+The scan looks for the first inseparable subset of at most dim+2 points.  In
+general position it solves no LP: fewer than dim+2 points are affinely
+independent, hence separable, and dim+2 points are inseparable exactly when
+their labels are their unique Radon partition, whose sides are read from the
+configuration's orientation table (the t-th point's side is the sign of
+(-1)^t times the orientation of the other dim+1, ``geometry.radon_signs``).
+Degenerate configurations decide each candidate by one witness-free
+Fourier-Motzkin test.  By Kirchberger's theorem through an anchor (Helly on
+the halfspace dual), every inseparable configuration has an inseparable
+subset of at most dim+2 points through the anchor, so in general position
+the Kirchberger routes scan first and a hit decides "inseparable"; the
+direct LP runs only for the hyperplane of a separable configuration.  On
+degenerate input the direct LP decides first.
+
 k colors: deciding whether a family of hyperplanes can split the classes
 pairwise without cutting any class, and — when it cannot — extracting a small
 subset that already cannot be split, whose size is controlled by the
@@ -33,6 +48,7 @@ from .geometry import (
     Hyperplane,
     PointConfig,
     one_side_hyperplane,
+    radon_signs,
     side_row,
     strict_separate,
 )
@@ -118,12 +134,16 @@ def kirchberger_witness(config: PointConfig, base_id: int) -> Optional[tuple[int
     """None when the configuration is separable along its two colors; otherwise
     the first (smallest, then lexicographic) inseparable subset through the
     base point with at most dim+2 points.  Such a subset always exists for an
-    inseparable configuration, so a fruitless search is an internal error."""
+    inseparable configuration.  In general position the scan alone decides,
+    so a fruitless scan means separable; elsewhere the configuration is
+    decided first, and a fruitless scan is an internal error."""
     _require_colors(config, most=2)
     config.point(base_id)
+    if config.orientations is not None:
+        return _anchored_witness(config, base_id)
     if color_separating_hyperplane(config) is not None:
         return None
-    return _anchored_witness(config, base_id)
+    return _found(_anchored_witness(config, base_id), config, {base_id})
 
 
 @dataclass(frozen=True)
@@ -139,17 +159,37 @@ class KirchbergerReport:
 def kirchberger_routes(config: PointConfig, anchor: int) -> KirchbergerReport:
     """Decide two-color separability by the direct route and by the Helly dual
     through ``anchor``; when both say inseparable, add the anchored witness of
-    ``kirchberger_witness`` without deciding the whole configuration again."""
-    direct = color_separating_hyperplane(config)
+    ``kirchberger_witness``.
+
+    In general position the direct route is the anchored scan, and its LP
+    runs only to produce the hyperplane when the scan finds no witness.
+    Elsewhere the LP decides and the scan runs only after it finds none.
+    """
+    _require_colors(config, most=2)
+    config.point(anchor)
+    witness = _anchored_witness(config, anchor) if config.orientations is not None else None
+    direct = None if witness is not None else color_separating_hyperplane(config)
     dual = helly_dual(config, anchor).separating_hyperplane()
     agree = (direct is None) == (dual is None)
-    witness = _anchored_witness(config, anchor) if direct is None and agree else None
-    return KirchbergerReport(direct, agree, witness)
+    if direct is None and agree and witness is None:
+        witness = _found(_anchored_witness(config, anchor), config, {anchor})
+    return KirchbergerReport(direct, agree, witness if agree else None)
 
 
-def _anchored_witness(config: PointConfig, anchor: int) -> tuple[int, ...]:
+def _anchored_witness(config: PointConfig, anchor: int) -> Optional[tuple[int, ...]]:
     labels = dict(zip(config.ids, config.colors))
     return _first_inseparable(config, _separation_rows(config), labels, {anchor})
+
+
+def _found(subset: Optional[tuple[int, ...]], config: PointConfig,
+           required: AbstractSet[int]) -> tuple[int, ...]:
+    """The subset of a scan that must succeed: by Kirchberger's theorem an
+    inseparable labelling always has one."""
+    if subset is None:
+        raise VerificationError(
+            f"no inseparable subset of size <= {config.dim + 2} meets {sorted(required)}"
+        )
+    return subset
 
 
 def _separation_rows(config: PointConfig) -> dict[int, tuple[IntRow, IntRow]]:
@@ -163,26 +203,32 @@ def _first_inseparable(
     rows: Mapping[int, tuple[IntRow, IntRow]],
     labels: Mapping[int, int],
     required: AbstractSet[int],
-) -> tuple[int, ...]:
+) -> Optional[tuple[int, ...]]:
     """The first subset, by size then lexicographic order, of at most dim+2
     ids that meets ``required`` and whose two label classes (labels 0 and 1)
-    cannot be strictly separated.
+    cannot be strictly separated; None when there is none.
 
-    Only decided, never solved: ``rows`` holds each point's two separation
-    rows, and a candidate is one witness-free feasibility test.  A candidate
-    with a single label is skipped, since one class is always separable.  By
-    Kirchberger's theorem the search succeeds whenever such a subset of any
-    size exists, so a fruitless search is an internal error.
+    Only decided, never solved.  A candidate with a single label is skipped,
+    since one class is always separable.  In general position smaller
+    candidates are all separable and are skipped too, and a candidate of
+    dim+2 points is inseparable exactly when its labels split it as its Radon
+    signs do.  Otherwise ``rows`` holds each point's two separation rows,
+    and a candidate is one witness-free feasibility test.  By Kirchberger's
+    theorem the search succeeds whenever such a subset of any size exists.
     """
-    for size in range(2, config.dim + 3):
+    general = config.orientations is not None
+    for size in range(config.dim + 2 if general else 2, config.dim + 3):
         for combo in combinations(config.ids, size):
             if required.isdisjoint(combo) or len({labels[i] for i in combo}) == 1:
                 continue
-            if not is_feasible([rows[i][labels[i]] for i in combo], config.dim + 1):
+            if general:
+                signs = radon_signs(config, combo)
+                first = labels[combo[0]]
+                if all((labels[i] == first) == (s == signs[0]) for i, s in zip(combo, signs)):
+                    return combo
+            elif not is_feasible([rows[i][labels[i]] for i in combo], config.dim + 1):
                 return combo
-    raise VerificationError(
-        f"no inseparable subset of size <= {config.dim + 2} meets {sorted(required)}"
-    )
+    return None
 
 
 def extend_partition(partition: Partition, config: PointConfig) -> Partition:
@@ -465,7 +511,9 @@ def _witness_report(groupings: _Groupings) -> WitnessReport:
     for member in minimal:
         first = frozenset(extend_partition(member, config).blocks[0])
         side_labels = {i: int(i not in first) for i in config.ids}
-        cores[member] = _first_inseparable(config, groupings.rows, side_labels, rep_set)
+        cores[member] = _found(
+            _first_inseparable(config, groupings.rows, side_labels, rep_set), config, rep_set
+        )
 
     witness = tuple(sorted(rep_set.union(*cores.values())))
     bound = witness_size_bound(config.dim, config.k)

@@ -5,6 +5,13 @@ position, strict separability, sides of a hyperplane) are decided with exact
 arithmetic, so there is no epsilon anywhere in this module.  They run on the
 cached integer forms (``Point.scaled``, ``Hyperplane.scaled``): a rational is
 formed only for a value that is returned.
+
+A configuration computes the orientation sign of each of its dim+1-point
+subsets once, on first use, and keeps them (``PointConfig.orientations``).  The
+table is None when the configuration is not in general position, so
+``general_position`` is a lookup, and on general-position input the table
+also decides every labelled dim+2-point subset without an LP: its labels must
+be its unique Radon partition, whose sides are the signs of ``radon_signs``.
 """
 
 from __future__ import annotations
@@ -186,6 +193,29 @@ class PointConfig:
             classes.setdefault(c, []).append(p.id)
         return {c: tuple(ids) for c, ids in sorted(classes.items())}
 
+    @cached_property
+    def orientations(self) -> Optional[dict[tuple[int, ...], int]]:
+        """The orientation sign of every dim+1 points, keyed by their ids in
+        increasing order; None when the configuration is not in general
+        position.
+
+        Fewer than dim+1 points have no orientation to record: they are in
+        general position when they are affinely independent, that is when
+        the Gram determinant of their differences is nonzero.
+        """
+        if len(self.points) <= self.dim:
+            rows = _difference_rows(self.points)
+            gram = [[sum(map(mul, u, v)) for v in rows] for u in rows]
+            return {} if _det_sign(gram) else None
+        table = {}
+        size = self.dim + 1
+        for ids, sub in zip(combinations(self.ids, size), combinations(self.points, size)):
+            sign = _det_sign(_difference_rows(sub))  # orient, its checks already met
+            if not sign:
+                return None
+            table[ids] = sign
+        return table
+
     def subset(self, ids: Iterable[int]) -> "PointConfig":
         """Restriction to the given ids (colors relabeled canonically)."""
         wanted = set(ids)
@@ -261,19 +291,41 @@ def orient(points: Sequence[Point], dim: int) -> int:
     for p in points:
         if p.dim != dim:
             raise DomainError(f"point {p.id} has dimension {p.dim}, expected {dim}")
-    # row p - base, scaled by the positive den_p * den_base
+    return _det_sign(_difference_rows(points))
+
+
+def _difference_rows(points: Sequence[Point]) -> list[list[int]]:
+    """The rows p - points[0] for the other points, each scaled by the
+    positive den_p * den_base."""
     base, den_base = points[0].scaled
-    rows = [
+    return [
         [x * den_base - b * den for x, b in zip(ints, base)]
         for ints, den in (p.scaled for p in points[1:])
     ]
-    return _det_sign(rows)
 
 
 def general_position(config: PointConfig) -> bool:
-    """True iff no dim+1 points lie on a common hyperplane."""
-    d = config.dim
-    return all(orient(sub, d) != 0 for sub in combinations(config.points, d + 1))
+    """True iff no dim+1 points lie on a common hyperplane and, with fewer
+    than dim+1 points, the points are affinely independent."""
+    return config.orientations is not None
+
+
+def radon_signs(config: PointConfig, ids: tuple[int, ...]) -> tuple[int, ...]:
+    """The sign of each point's coefficient in the affine dependence of dim+2
+    points of a configuration in general position, ids increasing.
+
+    By Cramer's rule the coefficient of the t-th point is proportional to
+    (-1)^t times the orientation of the other dim+1, and in general position
+    none is zero.  The points of either sign are the two sides of the unique
+    Radon partition, whose convex hulls meet; every other labelling of the
+    points with two labels is strictly separable.
+    """
+    table = config.orientations
+    if table is None:
+        raise DomainError("Radon signs need a configuration in general position")
+    if len(ids) != config.dim + 2:
+        raise DomainError(f"Radon signs in dimension {config.dim} need {config.dim + 2} points")
+    return tuple((-1) ** t * table[ids[:t] + ids[t + 1:]] for t in range(len(ids)))
 
 
 def side_row(point: Point, positive: bool) -> IntRow:

@@ -12,14 +12,17 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from typing import Any, Optional
 
-from .errors import InvalidConfig
+from .errors import DomainError, InvalidConfig
 from .geometry import Hyperplane, Point, PointConfig
 from .partitions import Partition
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?\Z")
+# Python refuses to convert longer integers to and from decimal text.
+_TOO_LONG = f"an integer has more than {sys.get_int_max_str_digits()} digits"
 
 
 def parse_rational(text: Any, where: str = "value") -> Fraction:
@@ -29,14 +32,20 @@ def parse_rational(text: Any, where: str = "value") -> Fraction:
         raise InvalidConfig(
             f"{where}: {text!r} is not an exact rational (use 'p' or 'p/q')"
         )
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError as err:
+        raise InvalidConfig(f"{where}: {_TOO_LONG}") from err
 
 
 def rational_str(value: Fraction) -> str:
     value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError as err:
+        raise DomainError(f"cannot print a result: {_TOO_LONG}") from err
 
 
 def parse_instance(text: str) -> PointConfig:
@@ -44,6 +53,10 @@ def parse_instance(text: str) -> PointConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise InvalidConfig(f"not valid JSON: {err}") from err
+    except ValueError as err:
+        raise InvalidConfig(_TOO_LONG) from err
+    except RecursionError as err:
+        raise InvalidConfig("JSON nested too deeply") from err
     if not isinstance(doc, dict):
         raise InvalidConfig("top level must be an object with 'dim' and 'points'")
     unknown = set(doc) - {"dim", "points"}

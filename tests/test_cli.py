@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -177,6 +178,61 @@ def test_domain_errors_exit_1(tmp_path, capsys):
     assert code == 1
 
 
+_HUGE = "1" + "0" * 5000  # more digits than Python converts from text
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"dim": 1, "points": [{"id": 0, "coords": [%s]}]}' % _HUGE,
+        '{"dim": 1, "points": [{"id": 0, "coords": ["1/%s"]}]}' % _HUGE,
+        '{"dim": 1, "points": [{"id": %s, "coords": ["0"]}]}' % _HUGE,
+    ],
+    ids=["json-number", "rational-string", "id"],
+)
+def test_overlong_integers_exit_1(tmp_path, capsys, text):
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    code, out, err = _run(capsys, ["enumerate", "--input", str(path)])
+    assert code == 1 and out == ""
+    assert "more than" in err and "digits" in err
+
+
+def test_overlong_results_exit_1(tmp_path, capsys):
+    # 4,000-digit coordinates parse, but the witness planes are longer
+    cfg = make_config(2, [(7 * 10**3999, 0), (1, 3 * 10**3999), (3, Fraction(1, 9 * 10**3999))])
+    path = tmp_path / "long.json"
+    path.write_text(emit_instance(cfg))
+    code, out, err = _run(capsys, ["enumerate", "--input", str(path)])
+    assert code == 1 and out == ""
+    assert "cannot print a result" in err
+
+
+def test_non_utf8_input_exits_1(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"dim": 1, "points": [{"id": 0, "coords": ["0"], "color": "\xff"}]}')
+    code, out, err = _run(capsys, ["enumerate", "--input", str(path)])
+    assert code == 1 and out == ""
+    assert "not UTF-8" in err
+
+
+def test_deeply_nested_json_exits_1(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"dim": 1, "points": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    code, out, err = _run(capsys, ["enumerate", "--input", str(path)])
+    assert code == 1 and out == ""
+    assert "nested too deeply" in err
+
+
+def test_enumerate_reports_dependent_points_out_of_general_position(tmp_path, capsys):
+    # three collinear points in space used to read as in general position
+    path = tmp_path / "line.json"
+    path.write_text(emit_instance(make_config(3, [(0, 0, 0), (1, 1, 1), (2, 2, 2)])))
+    doc = _run_json(capsys, ["enumerate", "--input", str(path)])
+    assert doc["general_position"] is False
+    assert doc["count"] == 3 and doc["formula_count"] == 4
+
+
 def test_desk_scale_caps(tmp_path, capsys):
     big = make_config(1, [(i,) for i in range(17)])
     path = tmp_path / "big.json"
@@ -236,6 +292,18 @@ _DEGENERATE_D2 = generate_instance(
     CampaignSpec(suite="phi", dim=2, n=9, seed=0, degenerate=True), 0
 )
 _GENERAL_D2 = generate_instance(CampaignSpec(suite="phi", dim=2, n=8, seed=0), 0)
+# Two-color instances for both Kirchberger routes: inseparable in general
+# position (a five-point witness), separable, and inseparable on a planted
+# collinear triple.
+_KIRCHBERGER_D3 = generate_instance(
+    CampaignSpec(suite="kirchberger", dim=3, n=12, colors=2, seed=0), 0
+)
+_SEPARABLE_D2 = generate_instance(
+    CampaignSpec(suite="kirchberger", dim=2, n=8, colors=2, seed=0), 8
+)
+_DEGENERATE_TWO_COLOR = generate_instance(
+    CampaignSpec(suite="kirchberger", dim=2, n=9, colors=2, seed=0, degenerate=True), 0
+)
 
 
 @pytest.mark.parametrize(
@@ -326,6 +394,26 @@ _GENERAL_D2 = generate_instance(CampaignSpec(suite="phi", dim=2, n=8, seed=0), 0
             ["verify", "--suite", "eta-bound", "--dim", "3", "--n", "6", "--trials", "4"],
             "1d39ab3d37056af8c30a64e89bd7a11af6fc52fb3f1f7a121225613ffc6d4593",
         ),
+        (
+            _KIRCHBERGER_D3,
+            ["kirchberger"],
+            "e0d026a3d94cc55ffd3c295e13cba46acf3d06488fc8495d254c6e3682e86052",
+        ),
+        (
+            _SEPARABLE_D2,
+            ["kirchberger"],
+            "30a14b5fcab60e504e9b4a658b6adf9256abf59ffd9ff5d33d4ab18365ffa855",
+        ),
+        (
+            _DEGENERATE_TWO_COLOR,
+            ["kirchberger"],
+            "2f854e3ffe65f8190dfb6d09367cf3147c5fede2c28f320012f0e894e151bdb0",
+        ),
+        (
+            generate_instance(CampaignSpec(suite="main", dim=3, n=10, colors=4, seed=0), 0),
+            ["witness"],
+            "8b30ee605998509dfe168549a238fe6319feb79e01db5cc8d6ec87213f32e9d5",
+        ),
     ],
     ids=[
         "partitionable",
@@ -345,6 +433,10 @@ _GENERAL_D2 = generate_instance(CampaignSpec(suite="phi", dim=2, n=8, seed=0), 0
         "demo",
         "verify-phi",
         "verify-eta-bound",
+        "kirchberger-d3",
+        "kirchberger-separable",
+        "kirchberger-degenerate",
+        "witness-d3",
     ],
 )
 def test_golden_report_bytes(tmp_path, capsys, config, argv, digest):

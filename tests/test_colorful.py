@@ -23,6 +23,7 @@ from hyperpart import (
     bound_search,
     color_separating_hyperplane,
     extend_partition,
+    general_position,
     generate_instance,
     helly_dual,
     is_partitionable,
@@ -176,6 +177,51 @@ def test_kirchberger_witness_matches_brute_scan(cfg):
 @example(_COPLANAR_IN_SPACE)
 @given(_degenerate_colored(colors=3))
 def test_witness_cores_match_brute_scan(cfg):
+    assume(cfg.k >= 2 and is_partitionable(cfg) is None)
+    report = witness_nonpartitionable(cfg)
+    for member, core in report.per_member_sets.items():
+        first = frozenset(extend_partition(member, cfg).blocks[0])
+        labels = {i: int(i not in first) for i in cfg.ids}
+        assert core == oracles.brute_inseparable_core(cfg, labels, set(report.representatives))
+
+
+@st.composite
+def _general_colored(draw, colors):
+    """Integer grid points kept while they stay in general position, d = 2 or
+    3 and n = d+2 to 9, with random labels: the inputs on which the scans
+    decide by Radon signs instead of LPs."""
+    dim = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(dim + 2, 9))
+    candidates = draw(
+        st.lists(st.tuples(*[st.integers(-6, 6)] * dim), min_size=n, max_size=2 * n, unique=True)
+    )
+    kept: list = []
+    for point in candidates:
+        if len(kept) < n and general_position(make_config(dim, kept + [point])):
+            kept.append(point)
+    assume(len(kept) >= dim + 2)
+    labels = draw(st.lists(st.integers(0, colors - 1), min_size=len(kept), max_size=len(kept)))
+    return make_config(dim, kept, colors=labels)
+
+
+@settings(max_examples=40)
+@example(_xor_square(), 0)
+@given(_general_colored(colors=2), st.integers(0, 8))
+def test_kirchberger_routes_match_brute_scan_in_general_position(cfg, slot):
+    assert general_position(cfg)
+    anchor = cfg.ids[slot % len(cfg)]
+    expected = oracles.brute_kirchberger_witness(cfg, anchor)
+    assert kirchberger_witness(cfg, anchor) == expected
+    routes = colorful.kirchberger_routes(cfg, anchor)
+    assert routes.routes_agree and routes.witness == expected
+    assert routes.hyperplane == (color_separating_hyperplane(cfg) if expected is None else None)
+    if expected is not None:
+        assert len(expected) == cfg.dim + 2  # smaller subsets are affinely independent
+
+
+@settings(max_examples=30)
+@given(_general_colored(colors=3))
+def test_witness_cores_match_brute_scan_in_general_position(cfg):
     assume(cfg.k >= 2 and is_partitionable(cfg) is None)
     report = witness_nonpartitionable(cfg)
     for member, core in report.per_member_sets.items():
@@ -449,10 +495,43 @@ def test_verify_instance_decides_once(monkeypatch):
 
 
 def test_kirchberger_routes_decide_the_configuration_once(monkeypatch):
+    # in general position the Radon subset decides: no direct LP at all
     cfg = _xor_square()
     counts = Counter()
     _counting(monkeypatch, colorful, "color_separating_hyperplane", counts)
     routes = colorful.kirchberger_routes(cfg, 0)
-    assert counts == {"color_separating_hyperplane": 1}
+    assert counts == {}
     assert routes.hyperplane is None and routes.routes_agree
     assert routes.witness == kirchberger_witness(cfg, 0) == (0, 1, 2, 3)
+    # on degenerate input the direct LP decides, once
+    routes = colorful.kirchberger_routes(_COLLINEAR_IN_PLANE, 0)
+    assert counts == {"color_separating_hyperplane": 1}
+    assert routes.hyperplane is None and routes.routes_agree
+    assert routes.witness == (0, 1, 2)
+
+
+def test_witness_cores_solve_no_lp_in_general_position(monkeypatch):
+    """On the main-suite baseline (d=2, n=16, k=8) the core scans decide by
+    Radon signs; deciding each candidate by an LP made 3,937 ``is_feasible``
+    calls in all."""
+    cfg = generate_instance(CampaignSpec(suite="main", dim=2, n=16, colors=8, seed=0), 0)
+    counts = Counter()
+    _counting(monkeypatch, colorful, "is_feasible", counts)
+    report = witness_nonpartitionable(cfg)
+    assert counts["is_feasible"] <= 62
+    assert report.witness_ids == (0, 1, 2, 3, 4, 5, 6, 8, 9, 12, 13, 14)
+
+
+def test_kirchberger_routes_at_the_caps_solve_no_direct_lp(monkeypatch):
+    """On the kirchberger baseline (d=3, n=14) the anchored scan decides:
+    the direct LP and the 383 scan LPs it used to take are gone, and only
+    the Helly dual's elimination remains."""
+    cfg = generate_instance(CampaignSpec(suite="kirchberger", dim=3, n=14, colors=2, seed=0), 0)
+    counts = Counter()
+    _counting(monkeypatch, colorful, "color_separating_hyperplane", counts)
+    _counting(monkeypatch, colorful, "is_feasible", counts)
+    _counting(monkeypatch, colorful, "feasible_point", counts)
+    routes = colorful.kirchberger_routes(cfg, cfg.ids[0])
+    assert counts == {"feasible_point": 1}
+    assert routes.hyperplane is None and routes.routes_agree
+    assert routes.witness == (0, 1, 2, 9, 11)

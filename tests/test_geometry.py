@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -18,6 +19,7 @@ from hyperpart import (
     make_config,
     one_side_hyperplane,
     orient,
+    radon_signs,
     realize,
     strict_separate,
 )
@@ -59,8 +61,54 @@ def test_orient_collinear_is_zero():
 def test_general_position():
     assert general_position(make_config(2, [(0, 0), (1, 0), (0, 1), (2, 3)]))
     assert not general_position(make_config(2, [(0, 0), (1, 0), (2, 0), (0, 1)]))
-    # fewer than d+1 points: vacuously in general position
+    # fewer than d+1 points: in general position when affinely independent
     assert general_position(make_config(3, [(0, 0, 0), (1, 1, 1)]))
+    assert general_position(make_config(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0)]))
+    assert not general_position(make_config(3, [(0, 0, 0), (1, 1, 1), (2, 2, 2)]))
+    assert not general_position(make_config(3, [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0)]))
+    assert general_position(make_config(3, [(5, 1, 2)]))
+
+
+def test_orientation_table_holds_every_sign():
+    cfg = make_config(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 2)])
+    assert cfg.orientations == {
+        ids: orient([cfg.point(i) for i in ids], 3)
+        for ids in combinations(cfg.ids, 4)
+    }
+    assert len(cfg.orientations) == 5 and 0 not in cfg.orientations.values()
+    assert make_config(2, [(0, 0), (1, 0), (2, 0), (0, 1)]).orientations is None
+
+
+def test_radon_signs_of_the_square():
+    # the diagonals {0, 1} and {2, 3} cross
+    cfg = make_config(2, [(0, 0), (1, 1), (1, 0), (0, 1)])
+    signs = radon_signs(cfg, (0, 1, 2, 3))
+    assert signs in ((1, 1, -1, -1), (-1, -1, 1, 1))
+    with pytest.raises(DomainError):
+        radon_signs(cfg, (0, 1, 2))
+    with pytest.raises(DomainError):
+        radon_signs(make_config(2, [(0, 0), (1, 1), (2, 2), (0, 1)]), (0, 1, 2, 3))
+
+
+@settings(max_examples=30)
+@given(
+    st.integers(min_value=1, max_value=2).flatmap(
+        lambda d: st.tuples(
+            st.just(d),
+            st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=d + 2, max_size=d + 2, unique=True),
+        )
+    )
+)
+def test_radon_signs_give_the_only_inseparable_labelling(case):
+    dim, coords = case
+    cfg = make_config(dim, coords)
+    assume(general_position(cfg))
+    signs = radon_signs(cfg, cfg.ids)
+    for mask in range(1, 2 ** (dim + 1)):  # every two-sided labelling, up to a swap
+        plus = [c for t, c in enumerate(coords) if mask >> t & 1]
+        minus = [c for t, c in enumerate(coords) if not mask >> t & 1]
+        radon = all((mask >> t & 1 == mask & 1) == (s == signs[0]) for t, s in enumerate(signs))
+        assert oracles.strictly_separable(plus, minus) != radon
 
 
 def test_config_rejects_duplicates():

@@ -2,19 +2,27 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperpart import (
     CampaignSpec,
     InvalidConfig,
+    PointConfig,
     emit_instance,
     generate_instance,
     make_config,
     parse_instance,
 )
+from hyperpart.cli import main
 from hyperpart.instances import parse_rational, rational_str
 
 
@@ -114,3 +122,89 @@ def test_emit_is_deterministic_and_readable():
     assert text == emit_instance(cfg)
     doc = json.loads(text)
     assert doc["points"][1] == {"id": 1, "coords": ["1/3"], "color": "c1"}
+
+
+# --- fuzzing ---------------------------------------------------------------
+
+_SCALARS = (
+    st.none() | st.booleans() | st.integers(-10, 10) | st.integers()
+    | st.floats() | st.text(max_size=6)
+)
+_ANY_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=12,
+)
+_COORD = st.integers(-9, 9) | st.builds("{}/{}".format, st.integers(-9, 9), st.integers(1, 4))
+
+
+@st.composite
+def _documents(draw, max_points=4):
+    """Instance documents: a valid one, left alone half the time and
+    otherwise hit by up to three edits.  An edit puts any JSON value, or a
+    string that is nearly a rational, in place of a field or a coordinate,
+    adds a field or drops one."""
+    dim = draw(st.integers(1, 3))
+    colored = draw(st.booleans())
+    points = []
+    for _ in range(draw(st.integers(1, max_points))):
+        entry = {"id": draw(st.integers(0, 5)), "coords": draw(st.lists(_COORD, min_size=dim, max_size=dim))}
+        if colored:
+            entry["color"] = draw(st.sampled_from(["r", "g", "b"]))
+        points.append(entry)
+    doc = {"dim": dim, "points": points}
+    junk = _ANY_JSON | st.sampled_from(["1/0", "0.5", "-", "1e3", " 2", "3/02", "+1"])
+    for _ in range(draw(st.integers(1, 3)) if draw(st.booleans()) else 0):
+        target = draw(st.sampled_from([doc, *points]))
+        coords = target.get("coords")
+        if isinstance(coords, list) and coords and draw(st.booleans()):
+            target = coords
+        if isinstance(target, list):
+            target[draw(st.integers(0, len(target) - 1))] = draw(junk)
+        elif draw(st.booleans()) and target:
+            del target[draw(st.sampled_from(sorted(target)))]
+        else:
+            keys = ["dim", "points", "extra"] if target is doc else ["id", "coords", "color", "note"]
+            target[draw(st.sampled_from(keys))] = draw(junk)
+    return json.dumps(doc)
+
+
+def _parses_or_rejects(text):
+    try:
+        cfg = parse_instance(text)
+    except InvalidConfig:
+        return None
+    assert isinstance(cfg, PointConfig)
+    return cfg
+
+
+@settings(max_examples=300)
+@given(st.text(max_size=40) | _ANY_JSON.map(json.dumps))
+def test_parse_instance_fuzz_arbitrary_text(text):
+    _parses_or_rejects(text)
+
+
+@settings(max_examples=300)
+@given(_documents())
+def test_parse_instance_fuzz_documents(text):
+    cfg = _parses_or_rejects(text)
+    if cfg is not None:
+        assert parse_instance(emit_instance(cfg)) == cfg
+
+
+@settings(max_examples=60)
+@given(_documents(max_points=4) | st.text(max_size=20))
+def test_cli_enumerate_fuzz_exits_0_or_1(text):
+    """Drawn files through the whole command: a report or a diagnostic,
+    never a traceback and never a verification failure."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "instance.json"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["enumerate", "--input", str(path)])
+    assert code in (0, 1)
+    if code == 0:
+        assert json.loads(out.getvalue())["command"] == "enumerate"
+    else:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
