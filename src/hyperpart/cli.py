@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 from typing import Optional
 
@@ -436,20 +437,17 @@ def build_parser() -> _Parser:
         help="plant a collinear triple instead of requiring general position",
     )
 
-    p = sub.add_parser(
+    sub.add_parser(
         "enumerate", parents=[reading], help="all hyperplane-realizable partitions"
     )
-    p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser(
+    sub.add_parser(
         "sep", parents=[reading, pair], help="members separating a point pair"
     )
-    p.set_defaults(func=_cmd_sep)
 
-    p = sub.add_parser(
+    sub.add_parser(
         "transversals", parents=[reading], help="all minimal transversals"
     )
-    p.set_defaults(func=_cmd_transversals)
 
     p = sub.add_parser(
         "flip",
@@ -462,34 +460,29 @@ def build_parser() -> _Parser:
         default=0,
         help="index into the pair's separating members (canonical order)",
     )
-    p.set_defaults(func=_cmd_flip)
 
-    p = sub.add_parser(
+    sub.add_parser(
         "shrink",
         parents=[reading, pair],
         help="move --a toward --b until the pair's separating count is minimal",
     )
-    p.set_defaults(func=_cmd_shrink)
 
     p = sub.add_parser(
         "perturb", parents=[reading], help="nudge into general position, exactly"
     )
     p.add_argument("--seed", type=int, default=0, help="perturbation seed")
-    p.set_defaults(func=_cmd_perturb)
 
-    p = sub.add_parser(
+    sub.add_parser(
         "partitionable",
         parents=[reading],
         help="decide hyperplane partitionability along colors (both routes)",
     )
-    p.set_defaults(func=_cmd_partitionable)
 
-    p = sub.add_parser(
+    sub.add_parser(
         "witness",
         parents=[reading],
         help="small non-partitionable subset of a non-partitionable instance",
     )
-    p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser(
         "kirchberger",
@@ -499,40 +492,41 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--p", type=int, default=None, help="anchor point id (default: lowest id)"
     )
-    p.set_defaults(func=_cmd_kirchberger)
 
     p = sub.add_parser(
         "formulas", parents=[common], help="the closed-form counts for (dim, colors)"
     )
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--colors", type=int, required=True)
-    p.set_defaults(func=_cmd_formulas)
 
     p = sub.add_parser(
         "verify", parents=[generating], help="run a seeded verification suite"
     )
     p.add_argument("--suite", required=True, choices=SUITES)
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser(
+    sub.add_parser(
         "bound-search",
         parents=[generating],
         help="exhaustive smallest non-partitionable subset per trial",
     )
-    p.set_defaults(func=_cmd_bound_search)
 
     p = sub.add_parser("demo", parents=[common], help="built-in worked example")
     p.add_argument("name", choices=["pentagon"])
-    p.set_defaults(func=_cmd_demo)
 
     return parser
 
 
+@cache
+def _shared_parser() -> _Parser:
+    """``build_parser`` once per process: building it takes milliseconds."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = _shared_parser().parse_args(argv)
+        # looked up per call, so the subcommand bodies can be replaced
+        return globals()[f"_cmd_{args.command.replace('-', '_')}"](args)
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1

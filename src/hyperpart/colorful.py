@@ -11,12 +11,12 @@ their labels are their unique Radon partition, whose sides are read from the
 configuration's orientation table (the t-th point's side is the sign of
 (-1)^t times the orientation of the other dim+1, ``geometry.radon_signs``).
 Degenerate configurations decide each candidate by one witness-free
-Fourier-Motzkin test.  By Kirchberger's theorem through an anchor (Helly on
-the halfspace dual), every inseparable configuration has an inseparable
-subset of at most dim+2 points through the anchor, so in general position
-the Kirchberger routes scan first and a hit decides "inseparable"; the
-direct LP runs only for the hyperplane of a separable configuration.  On
-degenerate input the direct LP decides first.
+Fourier-Motzkin test (``linsolve.infeasible_core``).  By Kirchberger's theorem
+through an anchor (Helly on the halfspace dual), every inseparable
+configuration has an inseparable subset of at most dim+2 points through the
+anchor, so in general position the Kirchberger routes scan first and a hit
+decides "inseparable"; the direct LP runs only for the hyperplane of a
+separable configuration.  On degenerate input the direct LP decides first.
 
 k colors: deciding whether a family of hyperplanes can split the classes
 pairwise without cutting any class, and — when it cannot — extracting a small
@@ -27,12 +27,17 @@ Both k-color questions reduce to two-sided color groupings: which bipartitions
 of the color classes a hyperplane can realize.  One grouping table per
 configuration answers them.  It keys a grouping by its canonical bipartition
 (the side holding the lowest color first), so a grouping and its mirror image
-are one entry, and decides each entry at most once, witness-free.  It decides
-the two-class separations first, because of a pruning rule: a grouping that
-puts two mutually inseparable classes on opposite sides is itself inseparable
-(a hyperplane realizing the grouping would separate those two classes), so it
-is marked inseparable without an LP.  Only the groupings that end up in a
-certificate are solved again for their hyperplanes.
+are one entry, and decides each entry at most once, witness-free.  A failed
+decision returns a Farkas core, at most dim+2 of the grouping's points that
+are already inseparable, and the table records the colors of the core's
+points on each side.  That gives one pruning rule: a grouping whose sides
+contain a recorded core's sides, in either orientation, is inseparable
+without an LP, since a hyperplane realizing it would separate the core.  It
+replaces the blocked pairs of classes that the table used to keep: the
+two-class separations are decided first, and a failed one leaves a core of
+one class per side, a pair for which no grouping is realizable.  Only the
+groupings that end up in a certificate are solved again for their
+hyperplanes.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from .geometry import (
     strict_separate,
 )
 from .hdivision import check_witness, hyperplane_division
-from .linsolve import IntRow, feasible_point, is_feasible
+from .linsolve import IntRow, feasible_point, infeasible_core
 from .partitions import (
     Partition,
     is_transversal,
@@ -226,7 +231,7 @@ def _first_inseparable(
                 first = labels[combo[0]]
                 if all((labels[i] == first) == (s == signs[0]) for i, s in zip(combo, signs)):
                     return combo
-            elif not is_feasible([rows[i][labels[i]] for i in combo], config.dim + 1):
+            elif infeasible_core([rows[i][labels[i]] for i in combo], config.dim + 1) is not None:
                 return combo
     return None
 
@@ -286,9 +291,10 @@ class _Groupings:
 
     A grouping is a pair of disjoint color bitmasks (classes on one side,
     classes on the other), keyed with the side holding the lowest color first.
-    The two-class separations are decided on construction; ``blocked`` holds
-    the bitmask of every pair of classes that cannot be separated, and a
-    grouping putting such a pair on opposite sides is inseparable with no LP.
+    The two-class separations are decided on construction.  ``cores`` holds,
+    for each failed decision, the color bitmasks of its core's points on each
+    side; a grouping whose sides contain both, in either orientation, is
+    inseparable with no LP.
     """
 
     def __init__(self, config: PointConfig) -> None:
@@ -296,10 +302,9 @@ class _Groupings:
         self.rows = _separation_rows(config)
         self._all = (1 << config.k) - 1
         self._known: dict[tuple[int, int], bool] = {}
-        self.blocked: list[int] = []
+        self.cores: set[tuple[int, int]] = set()
         for a, b in combinations(config.color_classes, 2):
-            if not self._separable(1 << a, 1 << b):
-                self.blocked.append(1 << a | 1 << b)
+            self._separable(1 << a, 1 << b)
 
     def realizable(self, plus: int) -> bool:
         """Can a hyperplane put the colors of bitmask ``plus`` on one side and
@@ -310,25 +315,37 @@ class _Groupings:
         low = (plus | minus) & -(plus | minus)
         key = (plus, minus) if plus & low else (minus, plus)
         if key not in self._known:
-            blocked = any(plus & pair and minus & pair for pair in self.blocked)
-            self._known[key] = not blocked and is_feasible(
-                (
-                    self.rows[i][side]
-                    for side, mask in enumerate(key)
-                    for c, ids in self.config.color_classes.items()
-                    if mask >> c & 1
-                    for i in ids
-                ),
-                self.config.dim + 1,
-            )
+            self._known[key] = not any(
+                not (a & ~plus or b & ~minus) or not (a & ~minus or b & ~plus)
+                for a, b in self.cores
+            ) and self._decide(*key)
         return self._known[key]
+
+    def _decide(self, plus: int, minus: int) -> bool:
+        """One LP; on failure the core's colors per side join ``cores``."""
+        points = [
+            (i, side)
+            for side, mask in enumerate((plus, minus))
+            for c, ids in self.config.color_classes.items()
+            if mask >> c & 1
+            for i in ids
+        ]
+        core = infeasible_core([self.rows[i][side] for i, side in points], self.config.dim + 1)
+        if core is None:
+            return True
+        sides = [0, 0]
+        for q in core:
+            i, side = points[q]
+            sides[side] |= 1 << self.config.color_of(i)
+        self.cores.add((sides[0], sides[1]))
+        return False
 
 
 def _pair_groupings(groupings: _Groupings) -> Optional[list[tuple[int, frozenset]]]:
     """Per color pair the first realizable grouping in mask order, as (bitmask
     of its side, pairs it separates); None if a pair has none.  Decides only."""
-    if groupings.blocked:
-        return None  # each grouping for a blocked pair splits it: none is realizable
+    if any(not (a & (a - 1) or b & (b - 1)) for a, b in groupings.cores):
+        return None  # a core of one class per side is in every grouping for that pair
     classes = groupings.config.color_classes
     pairs = list(combinations(sorted(classes), 2))
     entries = []
@@ -387,7 +404,8 @@ def is_partitionable(config: PointConfig) -> Optional[Certificate]:
     the collected groupings are thinned greedily before returning.
 
     The search only decides: every grouping is looked up in the grouping table
-    (at most one LP per bipartition, memoised under its canonical key).  Two
+    (at most one LP per bipartition, memoised under its canonical key), and a
+    grouping that contains a recorded core is inseparable with no LP.  Two
     inseparable classes answer "not partitionable" outright: every grouping
     for their pair puts them on opposite sides, and a hyperplane realizing it
     would separate them.  Hyperplanes are solved afterwards, once per kept

@@ -231,7 +231,12 @@ class PointConfig:
         return PointConfig(self.dim, pts, cols)
 
     def with_colors(self, labels: Sequence[object]) -> "PointConfig":
-        return PointConfig(self.dim, self.points, tuple(labels))  # type: ignore[arg-type]
+        """The same points under new labels.  An orientation table already
+        computed is shared: the signs depend on the points alone."""
+        config = PointConfig(self.dim, self.points, tuple(labels))  # type: ignore[arg-type]
+        if "orientations" in self.__dict__:
+            config.__dict__["orientations"] = self.orientations
+        return config
 
     def translate(self, vector: Sequence[Scalar]) -> "PointConfig":
         v = as_coords(vector)

@@ -8,10 +8,28 @@ denominators and reduced by their gcd, and back-substitution compares bounds
 by cross-multiplication over one common denominator of the values already
 fixed.  A rational is formed only for a chosen witness coordinate.
 
-Two entries share the elimination: ``feasible_point`` accepts rows with
-rational coefficients and back-substitutes a witness, while ``is_feasible``
-takes rows already in integer form and only decides, for callers that scan
-many small systems and would throw the witness away.
+Two entries, two eliminations.  ``feasible_point`` accepts rows with rational
+coefficients and back-substitutes a witness from the full elimination, which
+keeps every derived row but the looser of two parallel ones.
+``infeasible_core`` (and ``is_feasible``, which asks whether it is None) only
+decides, for callers that scan many small systems and would throw a witness
+away.  Each of its rows carries its origin set, the bitmask of the input rows
+it was combined from, and after k eliminations a derived row with more than
+k+1 origins is dropped (Chernikov's rule): it is implied by rows with fewer
+origins, so the projection does not change.  A parallel row is dropped only
+when a row at least as tight comes from a subset of its origins; keeping just
+the tighter one would lose the rows that a pruned contradiction is built
+from.  On a contradiction the origin set is a Farkas core: at most nvars+1
+input rows that are infeasible alone, which for separation rows is an
+inseparable subset of at most dim+2 points (Kirchberger).  Systems of mixed
+strictness are decided without pruning and their core is shrunk to a minimal
+infeasible subsystem, which Helly's theorem bounds by the same nvars+1.
+
+Only the decide path prunes.  The pruned stages have the same projections,
+so back-substitution through them would pick the same values, but moving the
+witness path (every enumeration) onto them waits on the benchmark harness: a
+faster enumeration runs more passes in its fixed time and keeps each pass's
+output, which reads as a memory regression.
 """
 
 from __future__ import annotations
@@ -34,6 +52,9 @@ def scale_to_integers(values: Sequence) -> tuple[tuple[int, ...], int]:
 
 
 def _to_int_row(coeffs: Sequence, rhs, strict: bool):
+    """The row over integers; a row already in integers is passed through."""
+    if type(rhs) is int and all(type(c) is int for c in coeffs):
+        return tuple(coeffs), rhs, strict
     ints, _ = scale_to_integers((*coeffs, rhs))
     return ints[:-1], ints[-1], strict
 
@@ -151,13 +172,114 @@ def _elimination(rows: Optional[dict], nvars: int) -> Optional[tuple]:
     return None if _empty(*bounds) else (stages, bounds)
 
 
-def is_feasible(rows: Iterable[IntRow], nvars: int) -> bool:
-    """Decide the system without building a witness.
+class _Contradiction(Exception):
+    """A violated constant row, raised with the origin set it came from."""
+
+    def __init__(self, origins: int) -> None:
+        super().__init__(origins)
+        self.origins = origins
+
+
+def _add_traced(rows, coeffs, rhs, strict, origins) -> None:
+    """Insert a row with its origin set into ``coeffs -> [(rhs, strict,
+    origins)]``.  The row is dropped when a parallel row at least as tight
+    comes from a subset of its origins, and it drops the parallel rows it
+    dominates in the same way; a violated constant row raises."""
+    reduced: dict = {}
+    if not _add_row(reduced, coeffs, rhs, strict):  # the witness path's normalisation
+        raise _Contradiction(origins)
+    if not reduced:
+        return  # a constant row that holds
+    [(coeffs, (rhs, strict))] = reduced.items()
+    kept = rows.get(coeffs)
+    if kept is None:
+        rows[coeffs] = [(rhs, strict, origins)]
+        return
+    for r, s, o in kept:
+        if not o & ~origins and (r < rhs or (r == rhs and (s or not strict))):
+            return
+    kept[:] = [
+        (r, s, o) for r, s, o in kept
+        if origins & ~o or r < rhs or (r == rhs and s and not strict)
+    ]
+    kept.append((rhs, strict, origins))
+
+
+def _eliminate_traced(rows, j, limit):
+    """Project out variable j, dropping derived rows with more than ``limit``
+    origins; raises ``_Contradiction`` on a violated constant row."""
+    out = {}
+    pos, neg = [], []
+    for coeffs, kept in rows.items():
+        c = coeffs[j]
+        if c == 0:
+            out[coeffs] = list(kept)
+        else:
+            (pos if c > 0 else neg).extend((coeffs, *row) for row in kept)
+    for pc, pr, ps, po in pos:
+        a = pc[j]
+        for nc, nr, ns, no in neg:
+            origins = po | no
+            if origins.bit_count() > limit:
+                continue
+            b = nc[j]  # b < 0
+            coeffs = tuple(a * ni - b * pi for pi, ni in zip(pc, nc))
+            _add_traced(out, coeffs, a * nr - b * pr, ps or ns, origins)
+    return out
+
+
+def _traced_core(rows: list, nvars: int, prune: bool) -> Optional[int]:
+    """The origin set of a contradiction, or None when the system is
+    feasible.  Without ``prune`` no row is dropped for its origin count."""
+    stage: dict = {}
+    try:
+        for i, (coeffs, rhs, strict) in enumerate(rows):
+            _add_traced(stage, coeffs, rhs, strict, 1 << i)
+        for j in range(nvars - 1):
+            stage = _eliminate_traced(stage, j, j + 2 if prune else len(rows))
+        tightest: dict = {}
+        for coeffs, kept in stage.items():
+            for rhs, strict, _ in kept:
+                _add_row(tightest, coeffs, rhs, strict)
+        if not _empty(*_interval(tightest, nvars - 1, ())):
+            return None
+        _eliminate_traced(stage, nvars - 1, nvars + 1 if prune else len(rows))
+    except _Contradiction as found:
+        return found.origins
+    raise VerificationError("empty last interval but no contradiction within the origin limit")
+
+
+def infeasible_core(rows: Iterable[IntRow], nvars: int) -> Optional[tuple[int, ...]]:
+    """Decide the system without building a witness: None when it is
+    feasible, otherwise the increasing positions of at most nvars+1 input
+    rows that are infeasible on their own.
 
     Rows are ``(coeffs, rhs, strict)`` with integer coefficients and integer
     right-hand side, read as in ``feasible_point``.
     """
-    return _elimination(_load(rows, nvars), nvars) is not None
+    rows = list(rows)
+    for coeffs, _, _ in rows:
+        if len(coeffs) != nvars:
+            raise ValueError(f"expected {nvars} coefficients, got {len(coeffs)}")
+    uniform = len({strict for _, _, strict in rows}) < 2
+    origins = _traced_core(rows, nvars, uniform)
+    if origins is None:
+        return None
+    core = tuple(i for i in range(len(rows)) if origins >> i & 1)
+    if uniform:
+        return core
+    # unpruned origin sets can be large: shrink to a minimal infeasible subsystem
+    for i in core:
+        rest = [p for p in core if p != i]
+        smaller = infeasible_core([rows[p] for p in rest], nvars)
+        if smaller is not None:
+            return tuple(rest[q] for q in smaller)
+    return core
+
+
+def is_feasible(rows: Iterable[IntRow], nvars: int) -> bool:
+    """Decide the system without building a witness (``infeasible_core``)."""
+    return infeasible_core(rows, nvars) is None
 
 
 def feasible_point(

@@ -262,6 +262,24 @@ def test_verification_failures_exit_2(monkeypatch, capsys, quad_file):
     assert "verification failure" in err
 
 
+def test_parser_is_built_once_per_process(monkeypatch, capsys, quad_file):
+    from hyperpart import cli
+
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._shared_parser.cache_clear()
+    try:
+        first = _run(capsys, ["enumerate", "--input", quad_file])
+        assert _run(capsys, ["formulas", "--dim", "2", "--colors", "3"])[0] == 0
+        assert _run(capsys, ["enumerate", "--input", quad_file]) == first
+        assert _run(capsys, ["enumerate"])[0] == 1  # a usage error leaves it usable
+        assert _run(capsys, ["enumerate", "--input", quad_file]) == first
+    finally:
+        cli._shared_parser.cache_clear()
+    assert built == [1]
+
+
 def test_no_color_is_a_no_op(monkeypatch, capsys, quad_file):
     _, plain, _ = _run(capsys, ["enumerate", "--input", quad_file])
     monkeypatch.setenv("NO_COLOR", "1")
@@ -414,6 +432,11 @@ _DEGENERATE_TWO_COLOR = generate_instance(
             ["witness"],
             "8b30ee605998509dfe168549a238fe6319feb79e01db5cc8d6ec87213f32e9d5",
         ),
+        (
+            generate_instance(CampaignSpec(suite="main", dim=3, n=16, colors=8, seed=0), 0),
+            ["witness"],
+            "4f8b4db8db6311c6e2974beeb695bf1b611e11c289fb206ea89c4765394ebaa4",
+        ),
     ],
     ids=[
         "partitionable",
@@ -437,6 +460,7 @@ _DEGENERATE_TWO_COLOR = generate_instance(
         "kirchberger-separable",
         "kirchberger-degenerate",
         "witness-d3",
+        "witness-d3-cap",
     ],
 )
 def test_golden_report_bytes(tmp_path, capsys, config, argv, digest):

@@ -31,6 +31,7 @@ from hyperpart import (
     kirchberger_witness,
     make_config,
     smallest_blocked_subset_size,
+    strict_separate,
     validate_certificate,
     verify_instance,
     witness_nonpartitionable,
@@ -406,12 +407,12 @@ def test_inseparable_pair_blocks_without_a_grouping_lp(monkeypatch):
     )
     counts = Counter()
     _counting(monkeypatch, colorful, "strict_separate", counts)
-    _counting(monkeypatch, colorful, "is_feasible", counts)
+    _counting(monkeypatch, colorful, "infeasible_core", counts)
     _counting(monkeypatch, geometry, "feasible_point", counts)
     _counting(monkeypatch, colorful, "feasible_point", counts)
     assert is_partitionable(cfg) is None
     # only the three two-class decisions: no grouping LP, no witness LP
-    assert counts == {"is_feasible": 3}
+    assert counts == {"infeasible_core": 3}
 
     table = colorful._Groupings(cfg)
     counts.clear()
@@ -419,7 +420,7 @@ def test_inseparable_pair_blocks_without_a_grouping_lp(monkeypatch):
     assert not table.realizable(0b110)  # the same grouping, mirrored
     assert counts == {}
     assert table.realizable(0b011) and table.realizable(0b100)  # {0, 1} | {2}
-    assert counts == {"is_feasible": 1}
+    assert counts == {"infeasible_core": 1}
 
 
 def test_work_counts_at_the_cli_caps(monkeypatch):
@@ -474,11 +475,11 @@ def test_bound_search_solves_no_hyperplane(monkeypatch):
     spec = CampaignSpec(suite="bound-search", dim=2, n=8, colors=3, trials=20)
     counts = Counter()
     _counting(monkeypatch, colorful, "strict_separate", counts)
-    _counting(monkeypatch, colorful, "is_feasible", counts)
+    _counting(monkeypatch, colorful, "infeasible_core", counts)
     _counting(monkeypatch, geometry, "feasible_point", counts)
     report = bound_search(spec)
     assert report["ok"] and report["max_threshold"] is not None
-    assert set(counts) == {"is_feasible"}
+    assert set(counts) == {"infeasible_core"}
 
 
 def test_verify_instance_decides_once(monkeypatch):
@@ -516,9 +517,9 @@ def test_witness_cores_solve_no_lp_in_general_position(monkeypatch):
     calls in all."""
     cfg = generate_instance(CampaignSpec(suite="main", dim=2, n=16, colors=8, seed=0), 0)
     counts = Counter()
-    _counting(monkeypatch, colorful, "is_feasible", counts)
+    _counting(monkeypatch, colorful, "infeasible_core", counts)
     report = witness_nonpartitionable(cfg)
-    assert counts["is_feasible"] <= 62
+    assert counts["infeasible_core"] <= 62
     assert report.witness_ids == (0, 1, 2, 3, 4, 5, 6, 8, 9, 12, 13, 14)
 
 
@@ -529,9 +530,73 @@ def test_kirchberger_routes_at_the_caps_solve_no_direct_lp(monkeypatch):
     cfg = generate_instance(CampaignSpec(suite="kirchberger", dim=3, n=14, colors=2, seed=0), 0)
     counts = Counter()
     _counting(monkeypatch, colorful, "color_separating_hyperplane", counts)
-    _counting(monkeypatch, colorful, "is_feasible", counts)
+    _counting(monkeypatch, colorful, "infeasible_core", counts)
     _counting(monkeypatch, colorful, "feasible_point", counts)
     routes = colorful.kirchberger_routes(cfg, cfg.ids[0])
     assert counts == {"feasible_point": 1}
     assert routes.hyperplane is None and routes.routes_agree
     assert routes.witness == (0, 1, 2, 9, 11)
+
+
+def test_a_core_answers_a_larger_grouping_without_an_lp(monkeypatch):
+    # one point per color; color 2 lies between colors 0 and 1, color 3 above
+    cfg = make_config(2, [(0, 0), (2, 0), (1, 0), (1, 5)], colors=[0, 1, 2, 3])
+    counts = Counter()
+    _counting(monkeypatch, colorful, "infeasible_core", counts)
+    table = colorful._Groupings(cfg)
+    assert counts == {"infeasible_core": 6} and table.cores == set()
+    assert not table.realizable(0b0011)  # {0, 1} | {2, 3}
+    assert table.cores == {(0b0011, 0b0100)}  # the three points on the line
+    assert not table.realizable(0b1011)  # {0, 1, 3} | {2} contains the core
+    assert not table.realizable(0b0100)  # the same, mirrored
+    assert counts == {"infeasible_core": 7}
+
+
+def test_a_core_answers_a_grouping_that_holds_it_mirrored(monkeypatch):
+    # color 3 lies between colors 1 and 2, color 0 above: grouping keys put
+    # color 0 first, so the second grouping holds the first one's core the
+    # other way round
+    cfg = make_config(2, [(1, 5), (0, 0), (2, 0), (1, 0)], colors=[0, 1, 2, 3])
+    counts = Counter()
+    _counting(monkeypatch, colorful, "infeasible_core", counts)
+    table = colorful._Groupings(cfg)
+    assert not table.realizable(0b0111)  # {0, 1, 2} | {3}
+    assert table.cores == {(0b0110, 0b1000)}
+    assert not table.realizable(0b1001)  # {0, 3} | {1, 2}
+    assert counts == {"infeasible_core": 7}
+
+
+def _class_points(cfg, mask):
+    return [cfg.point(i) for c, ids in cfg.color_classes.items() if mask >> c & 1 for i in ids]
+
+
+@settings(max_examples=60)
+@example(_FOUR_CLUSTERS)
+@given(st.integers(3, 5).flatmap(lambda k: _degenerate_colored(colors=k)))
+def test_grouping_table_and_its_cores_match_the_witness_route(cfg):
+    """Every grouping, asked in mask order so that recorded cores answer
+    later ones, gets the answer of the unpruned witness-producing route;
+    every core is two disjoint nonempty sets of at most dim+2 colors whose
+    classes that route cannot separate."""
+    table = colorful._Groupings(cfg)
+    full = (1 << cfg.k) - 1
+    for plus in range(1, full):
+        expected = strict_separate(_class_points(cfg, plus), _class_points(cfg, full ^ plus), cfg.dim)
+        assert table.realizable(plus) == (expected is not None)
+    for a, b in table.cores:
+        assert a and b and not a & b
+        assert a.bit_count() + b.bit_count() <= cfg.dim + 2
+        assert strict_separate(_class_points(cfg, a), _class_points(cfg, b), cfg.dim) is None
+
+
+def test_verify_instance_at_the_d3_cap(monkeypatch):
+    """Main suite at the CLI caps (d=3, n=16, k=8): the same all-points
+    witness as the unpruned decisions, which took 297 of them and about a
+    minute; cores and pruning bring it under a second."""
+    cfg = generate_instance(CampaignSpec(suite="main", dim=3, n=16, colors=8, seed=0), 0)
+    counts = Counter()
+    _counting(monkeypatch, colorful, "infeasible_core", counts)
+    report = verify_instance(cfg)
+    assert not report.partitionable
+    assert report.witness.witness_ids == tuple(range(16))
+    assert counts["infeasible_core"] <= 297

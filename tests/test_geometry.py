@@ -9,8 +9,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import hyperpart.geometry as geometry
 import oracles
 from hyperpart import (
+    CampaignSpec,
     DomainError,
     Hyperplane,
     InvalidConfig,
@@ -21,6 +23,7 @@ from hyperpart import (
     orient,
     radon_signs,
     realize,
+    run_suite,
     strict_separate,
 )
 
@@ -272,3 +275,28 @@ def test_side_tests_match_the_fraction_value(case):
         assert plane.side_of(at) == sign
     if on_plane:
         assert sign == 0
+
+
+def test_with_colors_shares_a_computed_orientation_table(quad):
+    fresh = quad.with_colors(["a", "b", "a", "b"])
+    assert "orientations" not in fresh.__dict__  # nothing computed, nothing shared
+    table = quad.orientations
+    assert quad.with_colors(["a", "b", "a", "b"]).orientations is table
+
+
+def test_kirchberger_campaign_computes_each_orientation_once(monkeypatch):
+    """Each trial's draw is checked for general position before it is
+    colored; the colored copy reuses that table, so a trial at d=3, n=7
+    evaluates the C(7, 4) = 35 determinants once (recomputing them for the
+    colored copy made 1,680 calls)."""
+    calls = [0]
+    sign = geometry._det_sign
+
+    def counted(rows):
+        calls[0] += 1
+        return sign(rows)
+
+    monkeypatch.setattr(geometry, "_det_sign", counted)
+    report = run_suite(CampaignSpec(suite="kirchberger", dim=3, n=7, colors=2, trials=24))
+    assert report["ok"]
+    assert calls[0] <= 840

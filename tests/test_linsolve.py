@@ -11,7 +11,15 @@ from hypothesis import strategies as st
 import oracles
 from hyperpart import Point, VerificationError
 from hyperpart.geometry import side_row
-from hyperpart.linsolve import _pick, _to_int_row, feasible_point, is_feasible
+from hyperpart.linsolve import (
+    _elimination,
+    _load,
+    _pick,
+    _to_int_row,
+    feasible_point,
+    infeasible_core,
+    is_feasible,
+)
 
 
 def _satisfies(point, constraints) -> bool:
@@ -239,3 +247,93 @@ def test_parallel_dedup_trap_stays_infeasible():
     rows = [side_row(p, True) for p in pos] + [side_row(Point(3, (-1, 1)), False)]
     assert feasible_point(rows, 3) is None
     assert not is_feasible(rows, 3)
+    assert infeasible_core(rows, 3) == (0, 2, 3)
+
+
+def _unpruned_feasible(rows, nvars) -> bool:
+    return _elimination(_load(rows, nvars), nvars) is not None
+
+
+def _check_core(rows, nvars, core) -> None:
+    """A core is at most nvars+1 increasing positions whose rows alone are
+    infeasible under the unpruned elimination."""
+    assert len(core) <= nvars + 1
+    assert list(core) == sorted(set(core)) and all(0 <= i < len(rows) for i in core)
+    assert not _unpruned_feasible([rows[i] for i in core], nvars)
+
+
+@given(
+    st.sampled_from([2, 3]).flatmap(
+        lambda dim: st.tuples(
+            st.just(dim),
+            _point_strategy(dim),
+            st.lists(st.booleans(), min_size=9, max_size=9),
+        )
+    )
+)
+@settings(max_examples=120)
+def test_pruned_decisions_match_on_degenerate_separation_systems(case):
+    """Separation rows of point sets with many points on a line or a plane:
+    the pruned decision agrees with the unpruned elimination and with the
+    sympy hull oracle, and a core is a Kirchberger subset of at most dim+2
+    points whose two sides are inseparable."""
+    dim, points, sides = case
+    rows = [side_row(p, positive) for p, positive in zip(points, sides)]
+    core = infeasible_core(rows, dim + 1)
+    plus = [p.coords for p, positive in zip(points, sides) if positive]
+    minus = [p.coords for p, positive in zip(points, sides) if not positive]
+    separable = not plus or not minus or oracles.strictly_separable(plus, minus)
+    assert (core is None) == separable == _unpruned_feasible(rows, dim + 1)
+    if core is not None:
+        _check_core(rows, dim + 1, core)
+        picked = [(points[i].coords, sides[i]) for i in core]
+        assert not oracles.strictly_separable(
+            [c for c, positive in picked if positive],
+            [c for c, positive in picked if not positive],
+        )
+
+
+@given(
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda nvars: st.tuples(
+            st.just(nvars),
+            st.lists(st.integers(min_value=-2, max_value=2), min_size=nvars, max_size=nvars),
+            st.lists(
+                st.tuples(
+                    st.lists(st.integers(min_value=-3, max_value=3), min_size=nvars, max_size=nvars),
+                    st.sampled_from([-2, -1, 0, 0, 1]),
+                    st.booleans(),
+                ),
+                max_size=9,
+            ),
+        )
+    )
+)
+@settings(max_examples=300)
+def test_cores_of_mixed_and_uniform_systems(case):
+    """Integer rows near a planted point, with either strictness: the
+    decision agrees with the unpruned elimination, and a core of a mixed
+    system (shrunk from the unpruned origin set) obeys the same bound as a
+    pruned one."""
+    nvars, planted, raw = case
+    rows = [
+        (tuple(coeffs), sum(c * x for c, x in zip(coeffs, planted)) + slack, strict)
+        for coeffs, slack, strict in raw
+    ]
+    core = infeasible_core(rows, nvars)
+    assert (core is None) == _unpruned_feasible(rows, nvars)
+    if core is not None:
+        _check_core(rows, nvars, core)
+
+
+def test_core_of_a_violated_constant_row_is_that_row():
+    rows = [((1, 0), 5, False), ((0, 0), -1, False), ((0, 1), 5, True)]
+    assert infeasible_core(rows, 2) == (1,)
+    assert infeasible_core([((1,), 1, True), ((-1,), -1, True)], 1) == (0, 1)
+    assert infeasible_core([], 2) is None
+
+
+def test_integer_rows_are_not_rescaled():
+    row = ((2, -4), 6, True)
+    assert _to_int_row(*row) == row
+    assert _to_int_row((Fraction(1, 2), 1), Fraction(3, 4), False) == ((2, 4), 3, False)
