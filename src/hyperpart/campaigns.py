@@ -125,6 +125,11 @@ def _check_suite_shape(spec: CampaignSpec) -> CampaignSpec:
         raise DomainError("suite 'main' needs at least 2 colors")
     if spec.suite == "duality" and spec.n < 2:
         raise DomainError("suite 'duality' needs at least 2 points")
+    if spec.suite == "duality" and spec.degenerate:
+        raise DomainError(
+            "suite 'duality' flips through a witness and needs general position, "
+            "but degenerate mode plants a collinear triple"
+        )
     if spec.suite == "eta-bound" and not spec.degenerate:
         spec = dataclasses.replace(spec, degenerate=True)
     return spec

@@ -299,6 +299,8 @@ def _cmd_kirchberger(args: argparse.Namespace) -> int:
 
 
 def _cmd_formulas(args: argparse.Namespace) -> int:
+    if args.colors < 2:
+        raise DomainError(f"formulas need at least 2 colors, got {args.colors}")
     _check_scale(args.unsafe_large, dim=args.dim, colors=args.colors)
     summary = counting_summary(args.dim, args.colors)
     doc = {

@@ -54,11 +54,10 @@ from .geometry import (
     PointConfig,
     one_side_hyperplane,
     radon_signs,
-    side_row,
     strict_separate,
 )
 from .hdivision import check_witness, hyperplane_division
-from .linsolve import IntRow, feasible_point, infeasible_core
+from .linsolve import feasible_point, infeasible_core
 from .partitions import (
     Partition,
     is_transversal,
@@ -183,7 +182,7 @@ def kirchberger_routes(config: PointConfig, anchor: int) -> KirchbergerReport:
 
 def _anchored_witness(config: PointConfig, anchor: int) -> Optional[tuple[int, ...]]:
     labels = dict(zip(config.ids, config.colors))
-    return _first_inseparable(config, _separation_rows(config), labels, {anchor})
+    return _first_inseparable(config, labels, {anchor})
 
 
 def _found(subset: Optional[tuple[int, ...]], config: PointConfig,
@@ -197,17 +196,8 @@ def _found(subset: Optional[tuple[int, ...]], config: PointConfig,
     return subset
 
 
-def _separation_rows(config: PointConfig) -> dict[int, tuple[IntRow, IntRow]]:
-    """Each point's two separation rows, indexed by label: label 0 puts the
-    point on the positive side, label 1 on the negative one."""
-    return {p.id: (side_row(p, True), side_row(p, False)) for p in config.points}
-
-
 def _first_inseparable(
-    config: PointConfig,
-    rows: Mapping[int, tuple[IntRow, IntRow]],
-    labels: Mapping[int, int],
-    required: AbstractSet[int],
+    config: PointConfig, labels: Mapping[int, int], required: AbstractSet[int]
 ) -> Optional[tuple[int, ...]]:
     """The first subset, by size then lexicographic order, of at most dim+2
     ids that meets ``required`` and whose two label classes (labels 0 and 1)
@@ -217,9 +207,10 @@ def _first_inseparable(
     since one class is always separable.  In general position smaller
     candidates are all separable and are skipped too, and a candidate of
     dim+2 points is inseparable exactly when its labels split it as its Radon
-    signs do.  Otherwise ``rows`` holds each point's two separation rows,
-    and a candidate is one witness-free feasibility test.  By Kirchberger's
-    theorem the search succeeds whenever such a subset of any size exists.
+    signs do.  Otherwise a candidate is one witness-free feasibility test on
+    its points' separation rows, label 0 on the positive side.  By
+    Kirchberger's theorem the search succeeds whenever such a subset of any
+    size exists.
     """
     general = config.orientations is not None
     for size in range(config.dim + 2 if general else 2, config.dim + 3):
@@ -231,7 +222,9 @@ def _first_inseparable(
                 first = labels[combo[0]]
                 if all((labels[i] == first) == (s == signs[0]) for i, s in zip(combo, signs)):
                     return combo
-            elif infeasible_core([rows[i][labels[i]] for i in combo], config.dim + 1) is not None:
+            elif infeasible_core(
+                [config.point(i).separation_rows[labels[i]] for i in combo], config.dim + 1
+            ) is not None:
                 return combo
     return None
 
@@ -299,7 +292,9 @@ class _Groupings:
 
     def __init__(self, config: PointConfig) -> None:
         self.config = config
-        self.rows = _separation_rows(config)
+        self._classes = {
+            c: [config.point(i) for i in ids] for c, ids in config.color_classes.items()
+        }
         self._all = (1 << config.k) - 1
         self._known: dict[tuple[int, int], bool] = {}
         self.cores: set[tuple[int, int]] = set()
@@ -324,19 +319,21 @@ class _Groupings:
     def _decide(self, plus: int, minus: int) -> bool:
         """One LP; on failure the core's colors per side join ``cores``."""
         points = [
-            (i, side)
+            (p, side, c)
             for side, mask in enumerate((plus, minus))
-            for c, ids in self.config.color_classes.items()
+            for c, members in self._classes.items()
             if mask >> c & 1
-            for i in ids
+            for p in members
         ]
-        core = infeasible_core([self.rows[i][side] for i, side in points], self.config.dim + 1)
+        core = infeasible_core(
+            [p.separation_rows[side] for p, side, _ in points], self.config.dim + 1
+        )
         if core is None:
             return True
         sides = [0, 0]
         for q in core:
-            i, side = points[q]
-            sides[side] |= 1 << self.config.color_of(i)
+            _, side, c = points[q]
+            sides[side] |= 1 << c
         self.cores.add((sides[0], sides[1]))
         return False
 
@@ -530,7 +527,7 @@ def _witness_report(groupings: _Groupings) -> WitnessReport:
         first = frozenset(extend_partition(member, config).blocks[0])
         side_labels = {i: int(i not in first) for i in config.ids}
         cores[member] = _found(
-            _first_inseparable(config, groupings.rows, side_labels, rep_set), config, rep_set
+            _first_inseparable(config, side_labels, rep_set), config, rep_set
         )
 
     witness = tuple(sorted(rep_set.union(*cores.values())))

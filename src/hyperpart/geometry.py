@@ -57,6 +57,20 @@ class Point:
         arithmetic."""
         return scale_to_integers(self.coords)
 
+    @cached_property
+    def separation_rows(self) -> tuple[IntRow, IntRow]:
+        """The point's two rows of the strict separation system, the positive
+        side's first.
+
+        The unknowns are ``(normal, offset)``; the positive side reads
+        normal.p >= offset+1, the negative one normal.p <= offset-1, both
+        written as ``coeffs . x <= rhs`` over integers (scaled by the lcm of
+        the point's denominators, exactly as ``feasible_point`` would scale
+        them).
+        """
+        ints, den = self.scaled
+        return (tuple(-v for v in ints) + (den,), -den, False), (ints + (-den,), -den, False)
+
 
 @dataclass(frozen=True)
 class Hyperplane:
@@ -334,17 +348,9 @@ def radon_signs(config: PointConfig, ids: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def side_row(point: Point, positive: bool) -> IntRow:
-    """The separation system's row putting ``point`` strictly on one side.
-
-    The unknowns are ``(normal, offset)``; the positive side reads
-    normal.p >= offset+1, the negative one normal.p <= offset-1, both written
-    as ``coeffs . x <= rhs`` over integers (scaled by the lcm of the point's
-    denominators, exactly as ``feasible_point`` would scale them).
-    """
-    ints, den = point.scaled
-    if positive:
-        return tuple(-v for v in ints) + (den,), -den, False
-    return ints + (-den,), -den, False
+    """The separation row putting ``point`` strictly on one side
+    (``Point.separation_rows``)."""
+    return point.separation_rows[0 if positive else 1]
 
 
 def strict_separate(
@@ -365,8 +371,8 @@ def strict_separate(
             raise DomainError(f"point {p.id} has dimension {p.dim}, expected {dim}")
     if {p.scaled for p in a_pts} & {p.scaled for p in b_pts}:
         raise DomainError("sides share a coordinate vector")
-    constraints = [side_row(p, True) for p in a_pts]
-    constraints += [side_row(p, False) for p in b_pts]
+    constraints = [p.separation_rows[0] for p in a_pts]
+    constraints += [p.separation_rows[1] for p in b_pts]
     solution = feasible_point(constraints, dim + 1)
     if solution is None:
         return None

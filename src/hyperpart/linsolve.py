@@ -25,6 +25,18 @@ inseparable subset of at most dim+2 points (Kirchberger).  Systems of mixed
 strictness are decided without pruning and their core is shrunk to a minimal
 infeasible subsystem, which Helly's theorem bounds by the same nvars+1.
 
+Both eliminations step the same way.  At variable j every row's first j
+coefficients are zero.  A row whose coefficient at j is zero too is carried
+over as it is: it is reduced already, and distinct from the other rows.  Each
+row with a positive coefficient at j is combined with each row with a
+negative one over the variables after j only, since the combination's first
+j+1 coefficients are zero by construction.  The combined rows, and the input
+rows of either entry, pass in bulk through one reduction (``_reduced``: each
+row divided by the gcd of its entries, a constant row settled) into the
+path's merge of parallel rows: the witness path keeps the tighter
+(``_keep_tighter``), the decide path goes by origin sets
+(``_keep_by_origins``).
+
 Only the decide path prunes.  The pruned stages have the same projections,
 so back-substitution through them would pick the same values, but moving the
 witness path (every enumeration) onto them waits on the benchmark harness: a
@@ -59,41 +71,78 @@ def _to_int_row(coeffs: Sequence, rhs, strict: bool):
     return ints[:-1], ints[-1], strict
 
 
-def _add_row(rows, coeffs, rhs, strict) -> bool:
-    """Insert a row, keeping the tighter of two parallel ones; False on a
-    violated constant row."""
-    g = gcd(*coeffs)
-    if g == 0:
-        return rhs > 0 or (rhs == 0 and not strict)
-    g = gcd(g, rhs)
-    if g > 1:
-        coeffs = tuple(c // g for c in coeffs)
-        rhs //= g
-    old = rows.get(coeffs)
-    if old is None or rhs < old[0] or (rhs == old[0] and strict and not old[1]):
-        rows[coeffs] = (rhs, strict)  # a parallel row keeps its place
-    return True
+def _reduced(rows, zeros=()):
+    """Each ``(tail, rhs, strict, origins)`` of ``rows`` as the row ``zeros +
+    tail`` divided by the gcd of its entries.  A constant row that holds is
+    dropped; one that fails raises ``_Contradiction``."""
+    for tail, rhs, strict, origins in rows:
+        g = gcd(*tail)
+        if not g:
+            if rhs < 0 or (rhs == 0 and strict):
+                raise _Contradiction(origins)
+            continue
+        g = gcd(g, rhs)
+        if g > 1:
+            yield zeros + tuple([c // g for c in tail]), rhs // g, strict, origins
+        else:
+            yield zeros + tuple(tail), rhs, strict, origins
+
+
+def _keep_tighter(rows, new) -> None:
+    """Add the reduced rows of ``new`` to ``coeffs -> (rhs, strict)``; of two
+    parallel rows the tighter one is kept, in the place of the first."""
+    for coeffs, rhs, strict, _ in new:
+        old = rows.get(coeffs)
+        if old is None or rhs < old[0] or (rhs == old[0] and strict and not old[1]):
+            rows[coeffs] = (rhs, strict)
+
+
+def _keep_by_origins(rows, new) -> None:
+    """Add the reduced rows of ``new`` to ``coeffs -> [(rhs, strict,
+    origins)]``.  A row is dropped when a parallel row at least as tight
+    comes from a subset of its origins, and it drops the parallel rows it
+    dominates in the same way."""
+    for coeffs, rhs, strict, origins in new:
+        kept = rows.get(coeffs)
+        if kept is None:
+            rows[coeffs] = [(rhs, strict, origins)]
+        elif not any(
+            not o & ~origins and (r < rhs or (r == rhs and (s or not strict)))
+            for r, s, o in kept
+        ):
+            kept[:] = [
+                (r, s, o) for r, s, o in kept
+                if origins & ~o or r < rhs or (r == rhs and s and not strict)
+            ]
+            kept.append((rhs, strict, origins))
+
+
+class _Contradiction(Exception):
+    """A violated constant row, raised with the origin set it came from."""
+
+    def __init__(self, origins: Optional[int]) -> None:
+        super().__init__(origins)
+        self.origins = origins
 
 
 def _eliminate(rows, j):
-    """Project out variable j; returns the new rows or None if infeasible."""
+    """Project out variable j, carrying over the rows without it; raises
+    ``_Contradiction`` when infeasible."""
     out = {}
     pos, neg = [], []
     for coeffs, (rhs, strict) in rows.items():
         c = coeffs[j]
         if c > 0:
-            pos.append((coeffs, rhs, strict))
+            pos.append((c, coeffs[j + 1:], rhs, strict))
         elif c < 0:
-            neg.append((coeffs, rhs, strict))
-        elif not _add_row(out, coeffs, rhs, strict):
-            return None
-    for pc, pr, ps in pos:
-        a = pc[j]
-        for nc, nr, ns in neg:
-            b = nc[j]  # b < 0
-            coeffs = tuple(a * ni - b * pi for pi, ni in zip(pc, nc))
-            if not _add_row(out, coeffs, a * nr - b * pr, ps or ns):
-                return None
+            neg.append((-c, coeffs[j + 1:], rhs, strict))
+        else:
+            out[coeffs] = rhs, strict
+    _keep_tighter(out, _reduced((
+        ([a * n + b * p for p, n in zip(pt, nt)], a * nr + b * pr, ps or ns, None)
+        for a, pt, pr, ps in pos
+        for b, nt, nr, ns in neg
+    ), (0,) * (j + 1)))
     return out
 
 
@@ -146,14 +195,22 @@ def _pick(lo, up) -> Fraction:
     return Fraction(lo[0] * up[1] + up[0] * lo[1], 2 * lo[1] * up[1])
 
 
+def _checked(rows_in: Iterable[IntRow], nvars: int) -> list[IntRow]:
+    """The rows as a list, each checked to have ``nvars`` coefficients."""
+    rows = list(rows_in)
+    for coeffs, _, _ in rows:
+        if len(coeffs) != nvars:
+            raise ValueError(f"expected {nvars} coefficients, got {len(coeffs)}")
+    return rows
+
+
 def _load(rows_in: Iterable[IntRow], nvars: int) -> Optional[dict]:
     """The deduplicated integer system, or None if a constant row fails."""
     rows: dict = {}
-    for coeffs, rhs, strict in rows_in:
-        if len(coeffs) != nvars:
-            raise ValueError(f"expected {nvars} coefficients, got {len(coeffs)}")
-        if not _add_row(rows, coeffs, rhs, strict):
-            return None
+    try:
+        _keep_tighter(rows, _reduced((*row, None) for row in _checked(rows_in, nvars)))
+    except _Contradiction:
+        return None
     return rows
 
 
@@ -163,46 +220,14 @@ def _elimination(rows: Optional[dict], nvars: int) -> Optional[tuple]:
     if rows is None:
         return None
     stages = []
-    for j in range(nvars - 1):
-        stages.append(rows)
-        rows = _eliminate(rows, j)
-        if rows is None:
-            return None
+    try:
+        for j in range(nvars - 1):
+            stages.append(rows)
+            rows = _eliminate(rows, j)
+    except _Contradiction:
+        return None
     bounds = _interval(rows, nvars - 1, ())
     return None if _empty(*bounds) else (stages, bounds)
-
-
-class _Contradiction(Exception):
-    """A violated constant row, raised with the origin set it came from."""
-
-    def __init__(self, origins: int) -> None:
-        super().__init__(origins)
-        self.origins = origins
-
-
-def _add_traced(rows, coeffs, rhs, strict, origins) -> None:
-    """Insert a row with its origin set into ``coeffs -> [(rhs, strict,
-    origins)]``.  The row is dropped when a parallel row at least as tight
-    comes from a subset of its origins, and it drops the parallel rows it
-    dominates in the same way; a violated constant row raises."""
-    reduced: dict = {}
-    if not _add_row(reduced, coeffs, rhs, strict):  # the witness path's normalisation
-        raise _Contradiction(origins)
-    if not reduced:
-        return  # a constant row that holds
-    [(coeffs, (rhs, strict))] = reduced.items()
-    kept = rows.get(coeffs)
-    if kept is None:
-        rows[coeffs] = [(rhs, strict, origins)]
-        return
-    for r, s, o in kept:
-        if not o & ~origins and (r < rhs or (r == rhs and (s or not strict))):
-            return
-    kept[:] = [
-        (r, s, o) for r, s, o in kept
-        if origins & ~o or r < rhs or (r == rhs and s and not strict)
-    ]
-    kept.append((rhs, strict, origins))
 
 
 def _eliminate_traced(rows, j, limit):
@@ -212,19 +237,18 @@ def _eliminate_traced(rows, j, limit):
     pos, neg = [], []
     for coeffs, kept in rows.items():
         c = coeffs[j]
-        if c == 0:
-            out[coeffs] = list(kept)
+        if c > 0:
+            pos.extend((c, coeffs[j + 1:], *row) for row in kept)
+        elif c < 0:
+            neg.extend((-c, coeffs[j + 1:], *row) for row in kept)
         else:
-            (pos if c > 0 else neg).extend((coeffs, *row) for row in kept)
-    for pc, pr, ps, po in pos:
-        a = pc[j]
-        for nc, nr, ns, no in neg:
-            origins = po | no
-            if origins.bit_count() > limit:
-                continue
-            b = nc[j]  # b < 0
-            coeffs = tuple(a * ni - b * pi for pi, ni in zip(pc, nc))
-            _add_traced(out, coeffs, a * nr - b * pr, ps or ns, origins)
+            out[coeffs] = list(kept)
+    _keep_by_origins(out, _reduced((
+        ([a * n + b * p for p, n in zip(pt, nt)], a * nr + b * pr, ps or ns, po | no)
+        for a, pt, pr, ps, po in pos
+        for b, nt, nr, ns, no in neg
+        if (po | no).bit_count() <= limit
+    ), (0,) * (j + 1)))
     return out
 
 
@@ -233,14 +257,13 @@ def _traced_core(rows: list, nvars: int, prune: bool) -> Optional[int]:
     feasible.  Without ``prune`` no row is dropped for its origin count."""
     stage: dict = {}
     try:
-        for i, (coeffs, rhs, strict) in enumerate(rows):
-            _add_traced(stage, coeffs, rhs, strict, 1 << i)
+        _keep_by_origins(stage, _reduced((*row, 1 << i) for i, row in enumerate(rows)))
         for j in range(nvars - 1):
             stage = _eliminate_traced(stage, j, j + 2 if prune else len(rows))
         tightest: dict = {}
-        for coeffs, kept in stage.items():
-            for rhs, strict, _ in kept:
-                _add_row(tightest, coeffs, rhs, strict)
+        _keep_tighter(tightest, (
+            (coeffs, rhs, strict, None) for coeffs, kept in stage.items() for rhs, strict, _ in kept
+        ))
         if not _empty(*_interval(tightest, nvars - 1, ())):
             return None
         _eliminate_traced(stage, nvars - 1, nvars + 1 if prune else len(rows))
@@ -257,10 +280,7 @@ def infeasible_core(rows: Iterable[IntRow], nvars: int) -> Optional[tuple[int, .
     Rows are ``(coeffs, rhs, strict)`` with integer coefficients and integer
     right-hand side, read as in ``feasible_point``.
     """
-    rows = list(rows)
-    for coeffs, _, _ in rows:
-        if len(coeffs) != nvars:
-            raise ValueError(f"expected {nvars} coefficients, got {len(coeffs)}")
+    rows = _checked(rows, nvars)
     uniform = len({strict for _, _, strict in rows}) < 2
     origins = _traced_core(rows, nvars, uniform)
     if origins is None:

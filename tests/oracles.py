@@ -9,10 +9,14 @@ the exception: they ask the package's witness-producing separation oracle
 about every candidate (the scans rebuild each one as a configuration, the
 filter tests every bipartition through ``hyperplane_division``), a different
 route through the solver than the decide-only scans, the grouping table and
-the grouping enumeration they are compared with.  The Fraction kernel at the
-end is the package's own elimination, back-substitution, orientation and side
-value as they stood before they moved to integer arithmetic; the integer
-routines must return the same values.  Slow on purpose; keep inputs tiny.
+the grouping enumeration they are compared with.  The Fraction kernel near
+the end is the package's own elimination, back-substitution, orientation and
+side value as they stood before they moved to integer arithmetic; the integer
+routines must return the same values.  The integer elimination loops at the
+very end are the package's as they stood before they combined only the
+nonzero tail of two rows and inserted derived rows in bulk; the rewritten
+loops must keep the same rows, points and cores.  Slow on purpose; keep
+inputs tiny.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ from hyperpart import (
     strict_separate,
     validate_certificate,
 )
+from hyperpart.linsolve import _Contradiction, _empty, _interval, _to_int_row
+from hyperpart.linsolve import _pick as _int_pick
 
 
 def _rat(x) -> Rational:
@@ -377,3 +383,175 @@ def fraction_orient(points: Sequence[Point]) -> int:
 def fraction_value_at(plane: Hyperplane, coords: Sequence) -> Fraction:
     """normal . coords - offset, summed in Fractions."""
     return sum((n * Fraction(x) for n, x in zip(plane.normal, coords)), -plane.offset)
+
+
+# --- the integer elimination loops before the tail-only rewrite ---
+#
+# One call per inserted row, full-length combined rows and carried rows
+# re-inserted, kept verbatim; bounds and picks are the package's own.
+
+
+def _int_add_row(rows, coeffs, rhs, strict) -> bool:
+    """Insert a row, keeping the tighter of two parallel ones; False on a
+    violated constant row."""
+    g = gcd(*coeffs)
+    if g == 0:
+        return rhs > 0 or (rhs == 0 and not strict)
+    g = gcd(g, rhs)
+    if g > 1:
+        coeffs = tuple(c // g for c in coeffs)
+        rhs //= g
+    old = rows.get(coeffs)
+    if old is None or rhs < old[0] or (rhs == old[0] and strict and not old[1]):
+        rows[coeffs] = (rhs, strict)  # a parallel row keeps its place
+    return True
+
+
+def _int_eliminate(rows, j):
+    """Project out variable j; returns the new rows or None if infeasible."""
+    out = {}
+    pos, neg = [], []
+    for coeffs, (rhs, strict) in rows.items():
+        c = coeffs[j]
+        if c > 0:
+            pos.append((coeffs, rhs, strict))
+        elif c < 0:
+            neg.append((coeffs, rhs, strict))
+        elif not _int_add_row(out, coeffs, rhs, strict):
+            return None
+    for pc, pr, ps in pos:
+        a = pc[j]
+        for nc, nr, ns in neg:
+            b = nc[j]  # b < 0
+            coeffs = tuple(a * ni - b * pi for pi, ni in zip(pc, nc))
+            if not _int_add_row(out, coeffs, a * nr - b * pr, ps or ns):
+                return None
+    return out
+
+
+def _int_add_traced(rows, coeffs, rhs, strict, origins) -> None:
+    """Insert a row with its origin set into ``coeffs -> [(rhs, strict,
+    origins)]``.  The row is dropped when a parallel row at least as tight
+    comes from a subset of its origins, and it drops the parallel rows it
+    dominates in the same way; a violated constant row raises."""
+    reduced: dict = {}
+    if not _int_add_row(reduced, coeffs, rhs, strict):  # the witness path's normalisation
+        raise _Contradiction(origins)
+    if not reduced:
+        return  # a constant row that holds
+    [(coeffs, (rhs, strict))] = reduced.items()
+    kept = rows.get(coeffs)
+    if kept is None:
+        rows[coeffs] = [(rhs, strict, origins)]
+        return
+    for r, s, o in kept:
+        if not o & ~origins and (r < rhs or (r == rhs and (s or not strict))):
+            return
+    kept[:] = [
+        (r, s, o) for r, s, o in kept
+        if origins & ~o or r < rhs or (r == rhs and s and not strict)
+    ]
+    kept.append((rhs, strict, origins))
+
+
+def _int_eliminate_traced(rows, j, limit):
+    """Project out variable j, dropping derived rows with more than ``limit``
+    origins; raises ``_Contradiction`` on a violated constant row."""
+    out = {}
+    pos, neg = [], []
+    for coeffs, kept in rows.items():
+        c = coeffs[j]
+        if c == 0:
+            out[coeffs] = list(kept)
+        else:
+            (pos if c > 0 else neg).extend((coeffs, *row) for row in kept)
+    for pc, pr, ps, po in pos:
+        a = pc[j]
+        for nc, nr, ns, no in neg:
+            origins = po | no
+            if origins.bit_count() > limit:
+                continue
+            b = nc[j]  # b < 0
+            coeffs = tuple(a * ni - b * pi for pi, ni in zip(pc, nc))
+            _int_add_traced(out, coeffs, a * nr - b * pr, ps or ns, origins)
+    return out
+
+
+def _int_traced_core(rows: list, nvars: int, prune: bool) -> Optional[int]:
+    """The origin set of a contradiction, or None when the system is
+    feasible.  Without ``prune`` no row is dropped for its origin count."""
+    stage: dict = {}
+    try:
+        for i, (coeffs, rhs, strict) in enumerate(rows):
+            _int_add_traced(stage, coeffs, rhs, strict, 1 << i)
+        for j in range(nvars - 1):
+            stage = _int_eliminate_traced(stage, j, j + 2 if prune else len(rows))
+        tightest: dict = {}
+        for coeffs, kept in stage.items():
+            for rhs, strict, _ in kept:
+                _int_add_row(tightest, coeffs, rhs, strict)
+        if not _empty(*_interval(tightest, nvars - 1, ())):
+            return None
+        _int_eliminate_traced(stage, nvars - 1, nvars + 1 if prune else len(rows))
+    except _Contradiction as found:
+        return found.origins
+    raise VerificationError("empty last interval but no contradiction within the origin limit")
+
+
+def _int_load(rows_in, nvars: int) -> Optional[dict]:
+    rows: dict = {}
+    for coeffs, rhs, strict in rows_in:
+        if len(coeffs) != nvars:
+            raise ValueError(f"expected {nvars} coefficients, got {len(coeffs)}")
+        if not _int_add_row(rows, coeffs, rhs, strict):
+            return None
+    return rows
+
+
+def int_elimination(rows_in, nvars: int) -> Optional[tuple]:
+    """``(stages, bounds)`` of the reference loops on integer rows: the system
+    before each elimination step but the last, and the bounds on the last
+    variable; None if infeasible."""
+    rows = _int_load(rows_in, nvars)
+    if rows is None:
+        return None
+    stages = []
+    for j in range(nvars - 1):
+        stages.append(rows)
+        rows = _int_eliminate(rows, j)
+        if rows is None:
+            return None
+    bounds = _interval(rows, nvars - 1, ())
+    return None if _empty(*bounds) else (stages, bounds)
+
+
+def int_feasible_point(constraints, nvars: int):
+    """The point ``linsolve.feasible_point`` must return, or None."""
+    found = int_elimination([_to_int_row(*c) for c in constraints], nvars)
+    if found is None:
+        return None
+    stages, bounds = found
+    values: list = [None] * nvars
+    for j in range(nvars - 1, -1, -1):
+        values[j] = _int_pick(*bounds)
+        if j:
+            bounds = _interval(stages[j - 1], j - 1, values)
+    return tuple(values)
+
+
+def int_infeasible_core(rows, nvars: int) -> Optional[tuple[int, ...]]:
+    """The core ``linsolve.infeasible_core`` must return, or None."""
+    rows = list(rows)
+    uniform = len({strict for _, _, strict in rows}) < 2
+    origins = _int_traced_core(rows, nvars, uniform)
+    if origins is None:
+        return None
+    core = tuple(i for i in range(len(rows)) if origins >> i & 1)
+    if uniform:
+        return core
+    for i in core:
+        rest = [p for p in core if p != i]
+        smaller = int_infeasible_core([rows[p] for p in rest], nvars)
+        if smaller is not None:
+            return tuple(rest[q] for q in smaller)
+    return core

@@ -177,6 +177,16 @@ def test_domain_errors_exit_1(tmp_path, capsys):
     code, _, err = _run(capsys, ["witness", "--input", str(bad)])
     assert code == 1
 
+    # degenerate mode plants a collinear triple, which a flip cannot take
+    code, out, err = _run(capsys, ["verify", "--suite", "duality", "--degenerate"])
+    assert code == 1 and out == ""
+    assert "'duality'" in err and "general position" in err
+
+    for colors in ("0", "1"):
+        code, out, err = _run(capsys, ["formulas", "--dim", "2", "--colors", colors])
+        assert code == 1 and out == ""
+        assert "colors" in err and "points" not in err
+
 
 _HUGE = "1" + "0" * 5000  # more digits than Python converts from text
 

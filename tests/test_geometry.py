@@ -300,3 +300,12 @@ def test_kirchberger_campaign_computes_each_orientation_once(monkeypatch):
     report = run_suite(CampaignSpec(suite="kirchberger", dim=3, n=7, colors=2, trials=24))
     assert report["ok"]
     assert calls[0] <= 840
+
+
+def test_points_carry_their_separation_rows():
+    """Both rows of the separation system, positive side first, built once."""
+    point = Point(0, (Fraction(1, 2), Fraction(-1, 3)))
+    assert point.separation_rows == (((-3, 2, 6), -6, False), ((3, -2, -6), -6, False))
+    assert point.separation_rows is point.separation_rows
+    assert geometry.side_row(point, True) == point.separation_rows[0]
+    assert geometry.side_row(point, False) == point.separation_rows[1]

@@ -208,3 +208,66 @@ def test_cli_enumerate_fuzz_exits_0_or_1(text):
         assert json.loads(out.getvalue())["command"] == "enumerate"
     else:
         assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+
+
+_NOW_AND_THEN = st.sampled_from([False, False, False, True])
+
+
+@st.composite
+def _tiny_runs(draw):
+    """An argument list for a subcommand that reads a file, and a document of
+    at most six points in dimension 1 to 3 with small rational coordinates;
+    now and then with a repeated id, a repeated coordinate vector or colours
+    on some points only, and point ids in the arguments that are absent or
+    equal."""
+    dim, n = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    ids = list(range(n))
+    vectors = draw(st.lists(st.tuples(*[_COORD] * dim), min_size=n, max_size=n, unique=True))
+    if draw(_NOW_AND_THEN):
+        ids[draw(st.integers(0, n - 1))] = draw(st.sampled_from(ids))
+    if draw(_NOW_AND_THEN):
+        vectors[draw(st.integers(0, n - 1))] = draw(st.sampled_from(vectors))
+    points = [{"id": i, "coords": v} for i, v in zip(ids, vectors)]
+    coloring = draw(st.sampled_from(["none", "all", "all", "some"]))
+    palette = st.sampled_from(["r", "g", "b"][: draw(st.integers(2, 3))])
+    for point in points:
+        if coloring == "all" or (coloring == "some" and draw(st.booleans())):
+            point["color"] = draw(palette)
+
+    command = draw(st.sampled_from(
+        ["sep", "transversals", "flip", "shrink", "perturb", "partitionable", "witness", "kirchberger"]
+    ))
+    some_id = st.integers(0, n if draw(_NOW_AND_THEN) else n - 1).map(str)
+    argv = [command]
+    if command in ("sep", "flip", "shrink"):
+        a = draw(some_id)
+        b = draw(some_id if draw(_NOW_AND_THEN) else some_id.filter(lambda b: b != a))
+        argv += ["--a", a, "--b", b]
+    if command == "flip" and draw(st.booleans()):
+        argv += ["--base-index", str(draw(st.integers(-1, 3)))]
+    if command == "perturb":
+        argv += ["--seed", str(draw(st.integers(0, 3)))]
+    if command == "kirchberger" and draw(st.booleans()):
+        argv += ["--p", draw(some_id)]
+    return json.dumps({"dim": dim, "points": points}), argv
+
+
+@settings(max_examples=150)
+@given(_tiny_runs())
+def test_cli_subcommands_fuzz_exit_0_or_1(run):
+    """Every subcommand that reads a file, on drawn tiny files: a report or a
+    one-line diagnostic, never a traceback and never a verification
+    failure."""
+    text, argv = run
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "instance.json"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--input", str(path)])
+    assert code in (0, 1), err.getvalue()
+    if code == 0:
+        assert json.loads(out.getvalue())["command"] == argv[0]
+    else:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+        assert err.getvalue().startswith(("error: ", "usage error: "))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -16,10 +17,12 @@ from hyperpart.linsolve import (
     _load,
     _pick,
     _to_int_row,
+    _traced_core,
     feasible_point,
     infeasible_core,
     is_feasible,
 )
+from test_colorful import _degenerate_colored
 
 
 def _satisfies(point, constraints) -> bool:
@@ -337,3 +340,76 @@ def test_integer_rows_are_not_rescaled():
     row = ((2, -4), 6, True)
     assert _to_int_row(*row) == row
     assert _to_int_row((Fraction(1, 2), 1), Fraction(3, 4), False) == ((2, 4), 3, False)
+
+
+# --- the elimination loops against the reference loops ---------------------
+
+_LOOP_COEFF = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3])
+
+
+@st.composite
+def _loop_systems(draw):
+    """Integer systems in 1 to 4 variables for every branch of the loops:
+    rows with zeros at the variables eliminated first, exact duplicates and
+    positive multiples, a pair that becomes a violated constant row when its
+    first variable is eliminated (or, for the last variable, an empty
+    interval), a constant row, and uniform or mixed strictness."""
+    nvars = draw(st.integers(1, 4))
+    planted = draw(st.lists(st.integers(-2, 2), min_size=nvars, max_size=nvars))
+    mode = draw(st.sampled_from([False, True, None]))  # None: mixed strictness
+    strictness = st.booleans() if mode is None else st.just(mode)
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        coeffs = tuple(draw(st.lists(_LOOP_COEFF, min_size=nvars, max_size=nvars)))
+        rhs = sum(map(mul, coeffs, planted)) + draw(st.sampled_from([-2, -1, 0, 0, 1, 2]))
+        rows.append((coeffs, rhs, draw(strictness)))
+        if draw(st.booleans()):
+            factor = draw(st.sampled_from([1, 1, 2, 3]))
+            shift = draw(st.sampled_from([-1, 0, 0, 1]))
+            rows.append((tuple(factor * c for c in coeffs), factor * rhs + shift, draw(strictness)))
+    if draw(st.booleans()):
+        # u.x <= r and -u.x <= -r - gap sum to 0 <= -gap at variable `first`
+        first = draw(st.integers(0, nvars - 1))
+        rest = draw(st.lists(_LOOP_COEFF, min_size=nvars - first - 1, max_size=nvars - first - 1))
+        u = (0,) * first + (draw(st.integers(1, 3)),) + tuple(rest)
+        r, gap = draw(st.integers(-3, 3)), draw(st.integers(0, 2))
+        rows += [(u, r, draw(strictness)), (tuple(-c for c in u), -r - gap, draw(strictness))]
+    if draw(st.booleans()):
+        rows.append(((0,) * nvars, draw(st.integers(-1, 1)), draw(strictness)))
+    return nvars, draw(st.permutations(rows))
+
+
+def _outcome(solve, *args):
+    """What a solver returns, or the fault it raises."""
+    try:
+        return solve(*args)
+    except VerificationError as err:
+        return repr(err)
+
+
+@settings(max_examples=400)
+@given(
+    _loop_systems()
+    | _degenerate_colored(colors=2).map(
+        lambda cfg: (cfg.dim + 1, [p.separation_rows[c] for p, c in zip(cfg.points, cfg.colors)])
+    )
+)
+def test_elimination_loops_match_the_reference_loops(case):
+    """The same rows in the same order at every stage, the same point, and
+    the same Farkas core (cores steer the grouping table's pruning), pruned
+    or not, as the loops that inserted one row per call."""
+    nvars, rows = case
+    found = _elimination(_load(rows, nvars), nvars)
+    expected = oracles.int_elimination(rows, nvars)
+    assert (found is None) == (expected is None)
+    if found is not None:
+        assert [list(stage.items()) for stage in found[0]] == [
+            list(stage.items()) for stage in expected[0]
+        ]
+        assert found[1] == expected[1]
+    assert feasible_point(rows, nvars) == oracles.int_feasible_point(rows, nvars)
+    assert infeasible_core(rows, nvars) == oracles.int_infeasible_core(rows, nvars)
+    for prune in (False, True):
+        assert _outcome(_traced_core, rows, nvars, prune) == _outcome(
+            oracles._int_traced_core, rows, nvars, prune
+        )
