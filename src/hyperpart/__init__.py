@@ -47,12 +47,10 @@ from .geometry import (
     strict_separate,
 )
 from .hdivision import (
-    DeletionFiberReport,
     FlipResult,
     HyperplaneDivision,
     PerturbResult,
     ShrinkResult,
-    deletion_fiber_check,
     hyperplane_division,
     perturb,
     projective_flip,
@@ -78,7 +76,6 @@ __all__ = [
     "CampaignSpec",
     "Certificate",
     "CountingSummary",
-    "DeletionFiberReport",
     "Division",
     "DomainError",
     "FlipResult",
@@ -99,7 +96,6 @@ __all__ = [
     "bound_search",
     "color_separating_hyperplane",
     "counting_summary",
-    "deletion_fiber_check",
     "emit_instance",
     "extend_partition",
     "general_position",

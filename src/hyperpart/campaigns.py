@@ -1,9 +1,9 @@
 """Seeded verification campaigns and the exhaustive threshold search.
 
-Each suite runs ``trials`` independent instances and returns a JSON-able
-report.  A trial that trips an internal consistency check is recorded as a
-failure with its message rather than aborting the campaign, so a red run
-still shows every result.
+Each suite, and the threshold search, runs ``trials`` independent instances
+through one trial loop and returns a JSON-able report.  A trial that trips an
+internal consistency check is recorded as a failure with its message rather
+than aborting the campaign, so a red run still shows every result.
 """
 
 from __future__ import annotations
@@ -135,30 +135,54 @@ def _check_suite_shape(spec: CampaignSpec) -> CampaignSpec:
     return spec
 
 
-def run_suite(spec: CampaignSpec) -> dict:
-    """Run one named suite; the report carries every trial's verdict."""
-    spec = _check_suite_shape(spec)
-    trial_fn = _TRIALS[spec.suite]
+def _run_trials(
+    spec: CampaignSpec, trial_fn: Callable[[CampaignSpec, int], dict]
+) -> list[dict]:
+    """Every trial's record; a trial that raises ``VerificationError`` is
+    recorded as failed with its message."""
     results = []
     for trial in range(spec.trials):
         try:
             results.append(trial_fn(spec, trial))
         except VerificationError as err:
             results.append({"trial": trial, "ok": False, "error": str(err)})
+    return results
+
+
+def _report(spec: CampaignSpec, suite: str, results: list[dict], **summary) -> dict:
     passed = sum(1 for r in results if r["ok"])
     return {
-        "suite": spec.suite,
+        "suite": suite,
         "dim": spec.dim,
         "n": spec.n,
         "colors": spec.colors,
         "trials": spec.trials,
         "seed": spec.seed,
         "degenerate": spec.degenerate,
+        **summary,
         "results": results,
         "passed": passed,
         "failed": spec.trials - passed,
         "ok": passed == spec.trials,
     }
+
+
+def run_suite(spec: CampaignSpec) -> dict:
+    """Run one named suite; the report carries every trial's verdict."""
+    spec = _check_suite_shape(spec)
+    return _report(spec, spec.suite, _run_trials(spec, _TRIALS[spec.suite]))
+
+
+def _trial_bound_search(spec: CampaignSpec, trial: int) -> dict:
+    threshold = smallest_blocked_subset_size(generate_instance(spec, trial))
+    record: dict = {"trial": trial, "partitionable": threshold is None, "threshold": threshold}
+    if threshold is None:
+        record["ok"] = True
+    else:
+        # Every subset smaller than the threshold is partitionable.
+        record["largest_safe_size"] = threshold - 1
+        record["ok"] = threshold <= witness_size_bound(spec.dim, spec.colors)
+    return record
 
 
 def bound_search(spec: CampaignSpec) -> dict:
@@ -170,35 +194,12 @@ def bound_search(spec: CampaignSpec) -> dict:
         raise DomainError(
             f"bound search is exhaustive; n is capped at {_BOUND_SEARCH_MAX_N}"
         )
-    bound = witness_size_bound(spec.dim, spec.colors)
-    results = []
-    for trial in range(spec.trials):
-        config = generate_instance(spec, trial)
-        threshold = smallest_blocked_subset_size(config)
-        record: dict = {"trial": trial, "partitionable": threshold is None}
-        if threshold is None:
-            record["threshold"] = None
-            record["ok"] = True
-        else:
-            # Every subset smaller than the threshold is partitionable.
-            record["threshold"] = threshold
-            record["largest_safe_size"] = threshold - 1
-            record["ok"] = threshold <= bound
-        results.append(record)
-    thresholds = [r["threshold"] for r in results if r["threshold"] is not None]
-    passed = sum(1 for r in results if r["ok"])
-    return {
-        "suite": "bound-search",
-        "dim": spec.dim,
-        "n": spec.n,
-        "colors": spec.colors,
-        "trials": spec.trials,
-        "seed": spec.seed,
-        "degenerate": spec.degenerate,
-        "size_bound": bound,
-        "max_threshold": max(thresholds) if thresholds else None,
-        "results": results,
-        "passed": passed,
-        "failed": spec.trials - passed,
-        "ok": passed == spec.trials,
-    }
+    results = _run_trials(spec, _trial_bound_search)
+    thresholds = [r["threshold"] for r in results if r.get("threshold") is not None]
+    return _report(
+        spec,
+        "bound-search",
+        results,
+        size_bound=witness_size_bound(spec.dim, spec.colors),
+        max_threshold=max(thresholds) if thresholds else None,
+    )

@@ -483,20 +483,20 @@ def witness_nonpartitionable(config: PointConfig) -> WitnessReport:
     grouping table that decided non-partitionability decides it too.
     Minimalize the blocking set, then replace each remaining member by a small
     inseparable core of its extension.  Every postcondition is re-checked;
-    failures are bugs, not inputs.
+    failures are bugs, not inputs.  This is the witness of ``verify_instance``.
     """
     _require_colors(config)
     if config.k < 2:
         raise DomainError("need at least two colors")
-    groupings = _Groupings(config)
-    if _certificate(groupings) is not None:
+    report = verify_instance(config).witness
+    if report is None:
         raise DomainError("the configuration is partitionable; no witness exists")
-    return _witness_report(groupings)
+    return report
 
 
 def _witness_report(groupings: _Groupings) -> WitnessReport:
-    """The body of ``witness_nonpartitionable`` for a configuration already
-    decided non-partitionable on the same grouping table."""
+    """The body of ``witness_nonpartitionable``, for a configuration that
+    ``verify_instance`` decided non-partitionable on the same grouping table."""
     config = groupings.config
     classes = config.color_classes
     reps = tuple(min(ids) for _, ids in sorted(classes.items()))

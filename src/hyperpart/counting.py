@@ -23,13 +23,6 @@ from math import comb
 from .errors import DomainError
 
 
-def binomial(n: int, i: int) -> int:
-    """C(n, i), zero outside 0 <= i <= n."""
-    if i < 0 or i > n:
-        return 0
-    return comb(n, i)
-
-
 def _check(dim: int, k: int, least_k: int) -> None:
     if dim < 1:
         raise DomainError(f"dimension must be positive, got {dim}")
@@ -39,17 +32,17 @@ def _check(dim: int, k: int, least_k: int) -> None:
 
 def partition_count(dim: int, k: int) -> int:
     _check(dim, k, 1)
-    return sum(binomial(k - 1, i) for i in range(dim + 1))
+    return sum(comb(k - 1, i) for i in range(dim + 1))
 
 
 def min_transversal_size(dim: int, k: int) -> int:
     _check(dim, k, 2)
-    return sum(binomial(k - 2, i - 1) for i in range(1, dim + 1))
+    return sum(comb(k - 2, i - 1) for i in range(1, dim + 1))
 
 
 def max_transversal_size(dim: int, k: int) -> int:
     _check(dim, k, 2)
-    return sum(binomial(k - 2, i) for i in range(dim + 1))
+    return sum(comb(k - 2, i) for i in range(dim + 1))
 
 
 def witness_size_bound(dim: int, k: int) -> int:

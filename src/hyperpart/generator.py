@@ -32,8 +32,6 @@ class CampaignSpec:
     trials: int = 1
     seed: int = 0
     degenerate: bool = False
-    coord_range: int = COORD_RANGE
-    denominator_bound: int = DENOMINATOR_BOUND
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -48,19 +46,17 @@ class CampaignSpec:
             )
         if self.trials < 1:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
-        if self.coord_range < 1 or self.denominator_bound < 1:
-            raise DomainError("coordinate bounds must be >= 1")
         if self.degenerate and (self.dim < 2 or self.n < 3):
             raise DomainError(
                 "degenerate mode plants a collinear triple and needs dim >= 2, n >= 3"
             )
 
 
-def _draw_coords(rng: random.Random, spec: CampaignSpec) -> tuple[Fraction, ...]:
-    top = spec.coord_range * spec.denominator_bound
+def _draw_coords(rng: random.Random, dim: int) -> tuple[Fraction, ...]:
+    top = COORD_RANGE * DENOMINATOR_BOUND
     return tuple(
-        Fraction(rng.randint(-top, top), rng.randint(1, spec.denominator_bound))
-        for _ in range(spec.dim)
+        Fraction(rng.randint(-top, top), rng.randint(1, DENOMINATOR_BOUND))
+        for _ in range(dim)
     )
 
 
@@ -68,7 +64,7 @@ def generate_instance(spec: CampaignSpec, trial: int = 0) -> PointConfig:
     """The deterministic instance for one trial of a campaign."""
     rng = random.Random(f"{spec.suite}:{spec.seed}:{trial}")
     for _ in range(_MAX_DRAWS):
-        coords = [_draw_coords(rng, spec) for _ in range(spec.n)]
+        coords = [_draw_coords(rng, spec.dim) for _ in range(spec.n)]
         if spec.degenerate:
             # Plant points 0..2 on a line: the midpoint is exactly rational.
             coords[2] = tuple(
@@ -87,7 +83,7 @@ def generate_instance(spec: CampaignSpec, trial: int = 0) -> PointConfig:
         return config
     raise DomainError(
         f"could not draw a valid configuration in {_MAX_DRAWS} attempts "
-        f"(dim={spec.dim}, n={spec.n}, range={spec.coord_range})"
+        f"(dim={spec.dim}, n={spec.n}, range={COORD_RANGE})"
     )
 
 

@@ -347,12 +347,6 @@ def radon_signs(config: PointConfig, ids: tuple[int, ...]) -> tuple[int, ...]:
     return tuple((-1) ** t * table[ids[:t] + ids[t + 1:]] for t in range(len(ids)))
 
 
-def side_row(point: Point, positive: bool) -> IntRow:
-    """The separation row putting ``point`` strictly on one side
-    (``Point.separation_rows``)."""
-    return point.separation_rows[0 if positive else 1]
-
-
 def strict_separate(
     side_a: Iterable[Point], side_b: Iterable[Point], dim: int
 ) -> Optional[Hyperplane]:

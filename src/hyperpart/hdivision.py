@@ -37,7 +37,6 @@ from .partitions import (
     Division,
     Partition,
     nonseparating_members,
-    restrict,
     separating_members,
 )
 
@@ -302,55 +301,4 @@ def perturb(config: PointConfig, seed: int) -> PerturbResult:
     raise DomainError(
         f"no general-position perturbation preserved all partitions in "
         f"{MAX_PLACEMENT_ATTEMPTS} attempts"
-    )
-
-
-@dataclass(frozen=True)
-class DeletionFiberReport:
-    removed_id: int
-    pair: tuple[int, int]
-    count_full: int
-    count_reduced: int
-    separating_size: int
-    max_fiber: int
-
-
-def deletion_fiber_check(config: PointConfig, a: int, b: int) -> DeletionFiberReport:
-    """Check how realizable partitions collapse when one point is removed.
-
-    Restricting members to the ids without ``a`` must cover every realizable
-    partition of the smaller configuration, with at most two members landing on
-    each one; consequently the count can drop by at most the number of members
-    separating (a, b).  Violations raise VerificationError.
-    """
-    if a == b:
-        raise DomainError("choose two distinct ids")
-    config.point(a)
-    config.point(b)
-    full = hyperplane_division(config)
-    remaining = [i for i in config.ids if i != a]
-    if not remaining:
-        raise DomainError("cannot remove the only point")
-    reduced = hyperplane_division(config.subset(remaining))
-    fibers: dict[Partition, int] = {}
-    for member in full.members:
-        shadow = restrict(member, remaining)
-        fibers[shadow] = fibers.get(shadow, 0) + 1
-    if set(fibers) != set(reduced.members):
-        raise VerificationError("restrictions do not cover the reduced enumeration")
-    max_fiber = max(fibers.values())
-    if max_fiber > 2:
-        raise VerificationError(f"a reduced partition has {max_fiber} preimages")
-    sep_size = len(full.separating(a, b))
-    if len(full) - len(reduced) > sep_size:
-        raise VerificationError(
-            f"count drop {len(full) - len(reduced)} exceeds separating size {sep_size}"
-        )
-    return DeletionFiberReport(
-        removed_id=a,
-        pair=(a, b),
-        count_full=len(full),
-        count_reduced=len(reduced),
-        separating_size=sep_size,
-        max_fiber=max_fiber,
     )

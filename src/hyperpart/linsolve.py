@@ -11,11 +11,11 @@ fixed.  A rational is formed only for a chosen witness coordinate.
 Two entries, two eliminations.  ``feasible_point`` accepts rows with rational
 coefficients and back-substitutes a witness from the full elimination, which
 keeps every derived row but the looser of two parallel ones.
-``infeasible_core`` (and ``is_feasible``, which asks whether it is None) only
-decides, for callers that scan many small systems and would throw a witness
-away.  Each of its rows carries its origin set, the bitmask of the input rows
-it was combined from, and after k eliminations a derived row with more than
-k+1 origins is dropped (Chernikov's rule): it is implied by rows with fewer
+``infeasible_core`` only decides, for callers that scan many small systems
+and would throw a witness away: a feasible system has no core, None.  Each of
+its rows carries its origin set, the bitmask of the input rows it was
+combined from, and after k eliminations a derived row with more than k+1
+origins is dropped (Chernikov's rule): it is implied by rows with fewer
 origins, so the projection does not change.  A parallel row is dropped only
 when a row at least as tight comes from a subset of its origins; keeping just
 the tighter one would lose the rows that a pruned contradiction is built
@@ -295,11 +295,6 @@ def infeasible_core(rows: Iterable[IntRow], nvars: int) -> Optional[tuple[int, .
         if smaller is not None:
             return tuple(rest[q] for q in smaller)
     return core
-
-
-def is_feasible(rows: Iterable[IntRow], nvars: int) -> bool:
-    """Decide the system without building a witness (``infeasible_core``)."""
-    return infeasible_core(rows, nvars) is None
 
 
 def feasible_point(

@@ -13,10 +13,9 @@ Ids: 0 is the center, 1..5 walk the vertices counterclockwise from the top.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import VerificationError
-from .geometry import PointConfig, make_config, orient
+from .geometry import PointConfig, make_config
 
 CENTER_ID = 0
 VERTEX_IDS = (1, 2, 3, 4, 5)
@@ -47,10 +46,6 @@ _ORDER_TYPE = {
 def pentagon_config() -> PointConfig:
     """The reference configuration, with its order type checked on the way out."""
     config = make_config(2, _COORDS)
-    for triple in combinations(range(6), 3):
-        sign = orient([config.point(i) for i in triple], 2)
-        if sign != _ORDER_TYPE[triple]:
-            raise VerificationError(
-                f"rational approximation broke the pentagon order type at {triple}"
-            )
+    if config.orientations != _ORDER_TYPE:
+        raise VerificationError("rational approximation broke the pentagon order type")
     return config

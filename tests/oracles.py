@@ -9,18 +9,21 @@ the exception: they ask the package's witness-producing separation oracle
 about every candidate (the scans rebuild each one as a configuration, the
 filter tests every bipartition through ``hyperplane_division``), a different
 route through the solver than the decide-only scans, the grouping table and
-the grouping enumeration they are compared with.  The Fraction kernel near
-the end is the package's own elimination, back-substitution, orientation and
-side value as they stood before they moved to integer arithmetic; the integer
-routines must return the same values.  The integer elimination loops at the
-very end are the package's as they stood before they combined only the
-nonzero tail of two rows and inserted derived rows in bulk; the rewritten
-loops must keep the same rows, points and cores.  Slow on purpose; keep
-inputs tiny.
+the grouping enumeration they are compared with.  The deletion-fibre check
+enumerates a configuration with and without one point through the package
+and checks that restriction maps the one onto the other, at most two to one.
+The Fraction kernel near the end is the package's own elimination,
+back-substitution, orientation and side value as they stood before they moved
+to integer arithmetic; the integer routines must return the same values.  The
+integer elimination loops at the very end are the package's as they stood
+before they combined only the nonzero tail of two rows and inserted derived
+rows in bulk; the rewritten loops must keep the same rows, points and cores.
+Slow on purpose; keep inputs tiny.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -31,6 +34,7 @@ from sympy import Matrix, Rational
 from hyperpart import (
     Certificate,
     Division,
+    DomainError,
     Hyperplane,
     Partition,
     Point,
@@ -38,6 +42,7 @@ from hyperpart import (
     VerificationError,
     color_separating_hyperplane,
     hyperplane_division,
+    restrict,
     strict_separate,
     validate_certificate,
 )
@@ -222,6 +227,57 @@ def brute_is_transversal(
     for member in subset:
         chosen |= 1 << index[member]
     return all(mask & chosen for mask in full_masks)
+
+
+@dataclass(frozen=True)
+class DeletionFiberReport:
+    removed_id: int
+    pair: tuple[int, int]
+    count_full: int
+    count_reduced: int
+    separating_size: int
+    max_fiber: int
+
+
+def deletion_fiber_check(config: PointConfig, a: int, b: int) -> DeletionFiberReport:
+    """Check how realizable partitions collapse when one point is removed.
+
+    Restricting members to the ids without ``a`` must cover every realizable
+    partition of the smaller configuration, with at most two members landing on
+    each one; consequently the count can drop by at most the number of members
+    separating (a, b).  Violations raise VerificationError.
+    """
+    if a == b:
+        raise DomainError("choose two distinct ids")
+    config.point(a)
+    config.point(b)
+    full = hyperplane_division(config)
+    remaining = [i for i in config.ids if i != a]
+    if not remaining:
+        raise DomainError("cannot remove the only point")
+    reduced = hyperplane_division(config.subset(remaining))
+    fibers: dict[Partition, int] = {}
+    for member in full.members:
+        shadow = restrict(member, remaining)
+        fibers[shadow] = fibers.get(shadow, 0) + 1
+    if set(fibers) != set(reduced.members):
+        raise VerificationError("restrictions do not cover the reduced enumeration")
+    max_fiber = max(fibers.values())
+    if max_fiber > 2:
+        raise VerificationError(f"a reduced partition has {max_fiber} preimages")
+    sep_size = len(full.separating(a, b))
+    if len(full) - len(reduced) > sep_size:
+        raise VerificationError(
+            f"count drop {len(full) - len(reduced)} exceeds separating size {sep_size}"
+        )
+    return DeletionFiberReport(
+        removed_id=a,
+        pair=(a, b),
+        count_full=len(full),
+        count_reduced=len(reduced),
+        separating_size=sep_size,
+        max_fiber=max_fiber,
+    )
 
 
 def count_by_recurrence(dim: int, k: int) -> int:

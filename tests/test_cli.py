@@ -132,6 +132,33 @@ def test_bound_search(capsys):
         assert r["partitionable"] or r["threshold"] <= 9
 
 
+def test_bound_search_records_a_failed_trial(monkeypatch, capsys):
+    """A trial that raises VerificationError is listed with its message, the
+    other trials read as they do without it, and the CLI exits 2."""
+    import hyperpart.campaigns as campaigns
+
+    argv = ["bound-search", "--trials", "3", "--n", "7", "--colors", "3", "--seed", "5"]
+    clean = _run_json(capsys, argv)
+    decide = campaigns.smallest_blocked_subset_size
+    calls = []
+
+    def fails_on_trial_1(config):
+        calls.append(config)
+        if len(calls) == 2:
+            raise VerificationError("synthetic postcondition breach")
+        return decide(config)
+
+    monkeypatch.setattr(campaigns, "smallest_blocked_subset_size", fails_on_trial_1)
+    code, out, _ = _run(capsys, argv)
+    doc = json.loads(out)
+    assert code == 2
+    assert doc["results"][1] == {
+        "trial": 1, "ok": False, "error": "synthetic postcondition breach",
+    }
+    assert [doc["results"][t] for t in (0, 2)] == [clean["results"][t] for t in (0, 2)]
+    assert clean["ok"] and (doc["passed"], doc["failed"], doc["ok"]) == (2, 1, False)
+
+
 def test_output_file(tmp_path, capsys, quad_file):
     target = tmp_path / "report.json"
     code, out, _ = _run(

@@ -428,7 +428,7 @@ def test_work_counts_at_the_cli_caps(monkeypatch):
 
     The per-pair search made 240 ``feasible_point`` calls in
     ``is_partitionable``; ``witness_nonpartitionable`` made 604 (127 of them
-    in the representatives' division) and 3,875 ``is_feasible`` calls.
+    in the representatives' division) and 3,875 witness-free decisions.
     """
     cfg = generate_instance(CampaignSpec(suite="main", dim=2, n=16, colors=8, seed=0), 0)
     counts = Counter()
@@ -513,8 +513,8 @@ def test_kirchberger_routes_decide_the_configuration_once(monkeypatch):
 
 def test_witness_cores_solve_no_lp_in_general_position(monkeypatch):
     """On the main-suite baseline (d=2, n=16, k=8) the core scans decide by
-    Radon signs; deciding each candidate by an LP made 3,937 ``is_feasible``
-    calls in all."""
+    Radon signs; deciding each candidate by an LP made 3,937 witness-free
+    decisions in all."""
     cfg = generate_instance(CampaignSpec(suite="main", dim=2, n=16, colors=8, seed=0), 0)
     counts = Counter()
     _counting(monkeypatch, colorful, "infeasible_core", counts)

@@ -307,5 +307,3 @@ def test_points_carry_their_separation_rows():
     point = Point(0, (Fraction(1, 2), Fraction(-1, 3)))
     assert point.separation_rows == (((-3, 2, 6), -6, False), ((3, -2, -6), -6, False))
     assert point.separation_rows is point.separation_rows
-    assert geometry.side_row(point, True) == point.separation_rows[0]
-    assert geometry.side_row(point, False) == point.separation_rows[1]

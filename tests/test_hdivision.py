@@ -13,12 +13,12 @@ from sympy import Matrix, Rational, cos, pi, sin
 import hyperpart.campaigns as campaigns
 import hyperpart.cli as cli
 import hyperpart.hdivision as hdivision
+import oracles
 from hyperpart import (
     CampaignSpec,
     DomainError,
     Hyperplane,
     VerificationError,
-    deletion_fiber_check,
     emit_instance,
     general_position,
     generate_instance,
@@ -40,6 +40,7 @@ from hyperpart.pentagon import (
     ADJACENT_VERTEX_PAIR,
     CENTER_VERTEX_PAIR,
     NONADJACENT_VERTEX_PAIR,
+    _COORDS,
 )
 
 
@@ -135,6 +136,16 @@ def test_pentagon_matches_exact_trigonometric_order_type():
         sign = 1 if det.is_positive else -1 if det.is_negative else 0
         pts = [cfg.point(i), cfg.point(j), cfg.point(k)]
         assert orient(pts, 2) == sign != 0, (i, j, k)
+
+
+def test_pentagon_config_checks_its_order_type(monkeypatch):
+    """Coordinates off the pentagon's order type (two vertices swapped, still
+    in general position) are refused."""
+    coords = list(_COORDS)
+    coords[1], coords[2] = coords[2], coords[1]
+    monkeypatch.setattr("hyperpart.pentagon._COORDS", tuple(coords))
+    with pytest.raises(VerificationError, match="order type"):
+        pentagon_config()
 
 
 def test_pentagon_division_numbers(pentagon):
@@ -287,7 +298,7 @@ def test_perturb_is_deterministic():
 
 
 def test_deletion_fibers(pentagon):
-    report = deletion_fiber_check(pentagon, *NONADJACENT_VERTEX_PAIR)
+    report = oracles.deletion_fiber_check(pentagon, *NONADJACENT_VERTEX_PAIR)
     assert report.count_full == 16
     assert report.max_fiber <= 2
     assert report.count_full - report.count_reduced <= report.separating_size
@@ -298,6 +309,6 @@ def test_deletion_fibers_random(dim, n, seed):
     cfg = _random_config(dim, n, seed)
     rng = random.Random(f"fiber-pick:{seed}")
     a, b = rng.sample(cfg.ids, 2)
-    report = deletion_fiber_check(cfg, a, b)
+    report = oracles.deletion_fiber_check(cfg, a, b)
     assert report.max_fiber <= 2
     assert report.count_full - report.count_reduced <= report.separating_size

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import oracles
 from hyperpart import Point, VerificationError
-from hyperpart.geometry import side_row
 from hyperpart.linsolve import (
     _elimination,
     _load,
@@ -20,7 +19,6 @@ from hyperpart.linsolve import (
     _traced_core,
     feasible_point,
     infeasible_core,
-    is_feasible,
 )
 from test_colorful import _degenerate_colored
 
@@ -131,7 +129,7 @@ def test_returned_points_always_satisfy(constraints):
     point = feasible_point(constraints, 2)
     if point is not None:
         assert _satisfies(point, constraints)
-    assert is_feasible([_to_int_row(*c) for c in constraints], 2) == (point is not None)
+    assert (infeasible_core([_to_int_row(*c) for c in constraints], 2) is None) == (point is not None)
 
 
 def test_pick_on_an_empty_interval_is_an_internal_fault():
@@ -184,10 +182,10 @@ def test_separation_systems_match_the_fraction_kernel(case):
     """Strict separation of degenerate point sets: the same witness as the
     Fraction back-substitution, value for value, and the same decision."""
     dim, points, sides = case
-    rows = [side_row(p, positive) for p, positive in zip(points, sides)]
+    rows = [p.separation_rows[0 if positive else 1] for p, positive in zip(points, sides)]
     expected = oracles.fraction_feasible_point(rows, dim + 1)
     assert feasible_point(rows, dim + 1) == expected
-    assert is_feasible(rows, dim + 1) == (expected is not None)
+    assert (infeasible_core(rows, dim + 1) is None) == (expected is not None)
 
 
 _small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -234,7 +232,7 @@ def test_mixed_systems_match_the_fraction_kernel(case):
     expected = oracles.fraction_feasible_point(constraints, nvars)
     assert feasible_point(constraints, nvars) == expected
     rows = [_to_int_row(*c) for c in constraints]
-    assert is_feasible(rows, nvars) == (expected is not None)
+    assert (infeasible_core(rows, nvars) is None) == (expected is not None)
 
 
 def test_parallel_dedup_trap_stays_infeasible():
@@ -247,9 +245,8 @@ def test_parallel_dedup_trap_stays_infeasible():
     so the size-3 contradiction {0, 2, 3} is never formed and the system
     reads feasible."""
     pos = [Point(i, xy) for i, xy in enumerate([(-3, 1), (-2, 1), (1, 1)])]
-    rows = [side_row(p, True) for p in pos] + [side_row(Point(3, (-1, 1)), False)]
+    rows = [p.separation_rows[0] for p in pos] + [Point(3, (-1, 1)).separation_rows[1]]
     assert feasible_point(rows, 3) is None
-    assert not is_feasible(rows, 3)
     assert infeasible_core(rows, 3) == (0, 2, 3)
 
 
@@ -281,7 +278,7 @@ def test_pruned_decisions_match_on_degenerate_separation_systems(case):
     sympy hull oracle, and a core is a Kirchberger subset of at most dim+2
     points whose two sides are inseparable."""
     dim, points, sides = case
-    rows = [side_row(p, positive) for p, positive in zip(points, sides)]
+    rows = [p.separation_rows[0 if positive else 1] for p, positive in zip(points, sides)]
     core = infeasible_core(rows, dim + 1)
     plus = [p.coords for p, positive in zip(points, sides) if positive]
     minus = [p.coords for p, positive in zip(points, sides) if not positive]
