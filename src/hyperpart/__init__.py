@@ -52,8 +52,10 @@ from .hdivision import (
     PerturbResult,
     ShrinkResult,
     hyperplane_division,
+    member_witness,
     perturb,
     projective_flip,
+    realizable_division,
     shrink_to_min,
 )
 from .instances import emit_instance, parse_instance
@@ -108,6 +110,7 @@ __all__ = [
     "is_transversal",
     "kirchberger_witness",
     "make_config",
+    "member_witness",
     "max_transversal_size",
     "min_transversal_size",
     "minimal_transversals",
@@ -121,6 +124,7 @@ __all__ = [
     "perturb",
     "projective_flip",
     "radon_signs",
+    "realizable_division",
     "realize",
     "restrict",
     "run_suite",

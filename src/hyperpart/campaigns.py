@@ -20,8 +20,8 @@ from .colorful import (
 from .counting import max_transversal_size, partition_count, witness_size_bound
 from .errors import DomainError, VerificationError
 from .generator import CampaignSpec, generate_instance, generate_pair
-from .hdivision import hyperplane_division, projective_flip
-from .partitions import minimal_transversals
+from .hdivision import hyperplane_division, projective_flip, realizable_division
+from .partitions import minimal_transversals, separating_members
 
 SUITES = ("phi", "kirchberger", "main", "duality", "eta-bound")
 
@@ -30,6 +30,7 @@ _BOUND_SEARCH_MAX_N = 12
 
 def _trial_phi(spec: CampaignSpec, trial: int) -> dict:
     config = generate_instance(spec, trial)
+    # brute force on purpose: the enumeration checks the closed form independently
     count = len(hyperplane_division(config))
     expected = partition_count(spec.dim, spec.n)
     ok = count <= expected if spec.degenerate else count == expected
@@ -77,8 +78,8 @@ def _trial_main(spec: CampaignSpec, trial: int) -> dict:
 def _trial_duality(spec: CampaignSpec, trial: int) -> dict:
     config = generate_instance(spec, trial)
     a, b = generate_pair(spec, trial, config)
-    division = hyperplane_division(config)
-    result = projective_flip(division, a, b, division.separating(a, b)[0])
+    base = separating_members(realizable_division(config), a, b)[0]
+    result = projective_flip(config, a, b, base)
     expected = partition_count(spec.dim, spec.n)
     total = result.separating_before + result.separating_after
     return {
@@ -93,8 +94,7 @@ def _trial_duality(spec: CampaignSpec, trial: int) -> dict:
 
 def _trial_eta_bound(spec: CampaignSpec, trial: int) -> dict:
     config = generate_instance(spec, trial)
-    division = hyperplane_division(config).division
-    sizes = [t.size for t in minimal_transversals(division)]
+    sizes = [t.size for t in minimal_transversals(realizable_division(config))]
     bound = max_transversal_size(spec.dim, spec.n)
     largest = max(sizes) if sizes else 0
     return {

@@ -26,7 +26,13 @@ from .counting import counting_summary, min_transversal_size, partition_count
 from .errors import DomainError, HyperpartError, InvalidConfig, VerificationError
 from .generator import CampaignSpec, generate_instance
 from .geometry import PointConfig, general_position
-from .hdivision import hyperplane_division, perturb, projective_flip, shrink_to_min
+from .hdivision import (
+    hyperplane_division,
+    perturb,
+    projective_flip,
+    realizable_division,
+    shrink_to_min,
+)
 from .instances import (
     config_doc,
     dumps_doc,
@@ -35,7 +41,7 @@ from .instances import (
     partition_doc,
     rational_str,
 )
-from .partitions import minimal_transversals
+from .partitions import minimal_transversals, nonseparating_members, separating_members
 from .pentagon import (
     ADJACENT_VERTEX_PAIR,
     CENTER_VERTEX_PAIR,
@@ -137,10 +143,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sep(args: argparse.Namespace) -> int:
-    config = _load(args)
-    hd = hyperplane_division(config)
-    separating = hd.separating(args.a, args.b)
-    nonseparating = hd.nonseparating(args.a, args.b)
+    division = realizable_division(_load(args))
+    separating = separating_members(division, args.a, args.b)
+    nonseparating = nonseparating_members(division, args.a, args.b)
     doc = {
         "command": "sep",
         "pair": [args.a, args.b],
@@ -154,13 +159,12 @@ def _cmd_sep(args: argparse.Namespace) -> int:
 
 
 def _cmd_transversals(args: argparse.Namespace) -> int:
-    config = _load(args)
-    hd = hyperplane_division(config)
-    found = minimal_transversals(hd.division)
+    division = realizable_division(_load(args))
+    found = minimal_transversals(division)
     sizes = [t.size for t in found]
     doc = {
         "command": "transversals",
-        "count": len(hd),
+        "count": len(division),
         "min_size": min(sizes) if sizes else None,
         "max_size": max(sizes) if sizes else None,
         "minimal_transversals": [
@@ -178,8 +182,7 @@ def _cmd_transversals(args: argparse.Namespace) -> int:
 
 def _cmd_flip(args: argparse.Namespace) -> int:
     config = _load(args)
-    hd = hyperplane_division(config)
-    separating = hd.separating(args.a, args.b)
+    separating = separating_members(realizable_division(config), args.a, args.b)
     if not separating:
         raise DomainError(f"no member separates {args.a} and {args.b}")
     if not 0 <= args.base_index < len(separating):
@@ -187,7 +190,7 @@ def _cmd_flip(args: argparse.Namespace) -> int:
             f"--base-index {args.base_index} out of range "
             f"(pair has {len(separating)} separating members)"
         )
-    result = projective_flip(hd, args.a, args.b, separating[args.base_index])
+    result = projective_flip(config, args.a, args.b, separating[args.base_index])
     doc = {
         "command": "flip",
         "pair": [args.a, args.b],
@@ -209,7 +212,7 @@ def _cmd_flip(args: argparse.Namespace) -> int:
 
 def _cmd_shrink(args: argparse.Namespace) -> int:
     config = _load(args)
-    result = shrink_to_min(hyperplane_division(config), args.a, args.b)
+    result = shrink_to_min(config, args.a, args.b)
     doc = {
         "command": "shrink",
         "moved": result.moved_id,
@@ -358,16 +361,15 @@ _PENTAGON_EXPECTED = {
 
 def _cmd_demo(args: argparse.Namespace) -> int:
     config = pentagon_config()
-    hd = hyperplane_division(config)
-    found_transversals = minimal_transversals(hd.division)
-    sizes = [t.size for t in found_transversals]
-    shrunk = shrink_to_min(hd, *CENTER_VERTEX_PAIR)
-    after = minimal_transversals(shrunk.division.division)
+    division = realizable_division(config)
+    sizes = [t.size for t in minimal_transversals(division)]
+    shrunk = shrink_to_min(config, *CENTER_VERTEX_PAIR)
+    after = minimal_transversals(realizable_division(shrunk.config))
     got = {
-        "count": len(hd),
-        "center_vertex": len(hd.separating(*CENTER_VERTEX_PAIR)),
-        "adjacent_vertices": len(hd.separating(*ADJACENT_VERTEX_PAIR)),
-        "nonadjacent_vertices": len(hd.separating(*NONADJACENT_VERTEX_PAIR)),
+        "count": len(division),
+        "center_vertex": len(separating_members(division, *CENTER_VERTEX_PAIR)),
+        "adjacent_vertices": len(separating_members(division, *ADJACENT_VERTEX_PAIR)),
+        "nonadjacent_vertices": len(separating_members(division, *NONADJACENT_VERTEX_PAIR)),
         "min_transversal": min(sizes),
         "max_minimal_transversal": max(sizes),
         "shrink_separating": shrunk.separating_size,

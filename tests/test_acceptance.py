@@ -128,7 +128,7 @@ def test_criterion_02_pentagon():
     sizes = [t.size for t in minimal_transversals(hd.division)]
     assert min(sizes) == 6
     assert partition_count(2, 6) - partition_count(2, 5) == 5
-    shrunk = shrink_to_min(hd, *CENTER_VERTEX_PAIR)
+    shrunk = shrink_to_min(cfg, *CENTER_VERTEX_PAIR)
     assert shrunk.separating_size == 5
     after = hyperplane_division(shrunk.config)
     assert min(t.size for t in minimal_transversals(after.division)) == 5
@@ -158,9 +158,9 @@ def test_criterion_04_shrink_attainment():
     for trial, dim, n, cfg in _stream("accept-lower", 103, _LOWER_SHAPES, 50):
         rng = random.Random(f"accept-shrink:{trial}")
         a, b = sorted(rng.sample(cfg.ids, 2))
-        result = shrink_to_min(hyperplane_division(cfg), a, b)
+        result = shrink_to_min(cfg, a, b)
         assert result.separating_size == min_transversal_size(dim, n), trial
-    shrunk = shrink_to_min(hyperplane_division(pentagon_config()), *CENTER_VERTEX_PAIR)
+    shrunk = shrink_to_min(pentagon_config(), *CENTER_VERTEX_PAIR)
     assert shrunk.separating_size == min_transversal_size(2, 6)
     return "50 instances + pentagon"
 
@@ -172,7 +172,7 @@ def test_criterion_05_flip_duality():
         rng = random.Random(f"accept-flip:{trial}")
         a, b = sorted(rng.sample(cfg.ids, 2))
         base = hd.separating(a, b)[0]
-        result = projective_flip(hd, a, b, base)
+        result = projective_flip(cfg, a, b, base)
         total = result.separating_before + result.separating_after
         assert total == partition_count(dim, n), (trial, total)
     return "50 instances"

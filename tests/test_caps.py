@@ -1,0 +1,99 @@
+"""Deterministic LP counts of CLI subcommands at the desk-scale caps.
+
+Each case runs one subcommand on a seed-0 campaign instance at n=16 and counts
+the calls into the exact solver.  In general position the member sets are
+read off the orientation table, so a subcommand that only reads membership
+solves no LP, and a construction solves only the witnesses it reads; brute
+force would show here as thousands of LPs (2^15 - 1 per enumeration).
+"""
+
+from __future__ import annotations
+
+import json
+from collections import Counter
+
+import pytest
+
+import hyperpart.cli as cli
+import hyperpart.colorful as colorful
+import hyperpart.geometry as geometry
+from hyperpart import (
+    CampaignSpec,
+    emit_instance,
+    general_position,
+    generate_instance,
+    realizable_division,
+    separating_members,
+)
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Counts of every solver entry, split by whether the ``partitionable``
+    subcommand's enumeration route is running."""
+    counts = Counter()
+    in_route = [False]
+
+    def counting(name, fn):
+        def counted(*args):
+            counts[("route " if in_route[0] else "") + name] += 1
+            return fn(*args)
+        return counted
+
+    for module, name in ((geometry, "feasible_point"), (colorful, "feasible_point"),
+                         (colorful, "infeasible_core")):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    route = cli.is_partitionable_by_enumeration
+
+    def flagged(config):
+        in_route[0] = True
+        try:
+            return route(config)
+        finally:
+            in_route[0] = False
+
+    monkeypatch.setattr(cli, "is_partitionable_by_enumeration", flagged)
+    return counts
+
+
+def _instance(tmp_path, suite, dim, colors=0):
+    config = generate_instance(CampaignSpec(suite=suite, dim=dim, n=16, colors=colors, seed=0), 0)
+    assert general_position(config)
+    path = tmp_path / f"{suite}-d{dim}.json"
+    path.write_text(emit_instance(config))
+    return config, str(path)
+
+
+def _run(capsys, argv):
+    assert cli.main(argv) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_flip_solves_the_base_witness_only(tmp_path, capsys, solver_calls):
+    _, path = _instance(tmp_path, "phi", 2)
+    doc = _run(capsys, ["flip", "--input", path, "--a", "0", "--b", "1"])
+    assert doc["separating_before"] + doc["separating_after"] == doc["total"] == 121
+    assert solver_calls == {"feasible_point": 1}
+
+
+def test_shrink_solves_the_separating_witnesses_only(tmp_path, capsys, solver_calls):
+    config, path = _instance(tmp_path, "phi", 2)
+    separating = len(separating_members(realizable_division(config), 0, 1))
+    solver_calls.clear()
+    doc = _run(capsys, ["shrink", "--input", path, "--a", "0", "--b", "1"])
+    assert doc["separating_size"] == doc["formula_min"] == 15
+    assert solver_calls == {"feasible_point": separating} == {"feasible_point": 67}
+
+
+def test_partitionable_route_solves_no_lp(tmp_path, capsys, solver_calls):
+    _, path = _instance(tmp_path, "main", 3, colors=8)
+    doc = _run(capsys, ["partitionable", "--input", path])
+    assert doc["routes_agree"]
+    assert not any(key.startswith("route ") for key in solver_calls)
+
+
+def test_transversals_solve_no_lp(tmp_path, capsys, solver_calls):
+    _, path = _instance(tmp_path, "phi", 3)
+    doc = _run(capsys, ["transversals", "--input", path])
+    assert doc["count"] == 576
+    assert solver_calls == {}

@@ -95,6 +95,18 @@ def test_kirchberger(capsys, colored_file):
     assert 2 in doc["witness"]
 
 
+def test_kirchberger_on_one_color(tmp_path, capsys):
+    # the Helly dual used to build a hyperplane from the zero normal and exit 1
+    path = tmp_path / "one-color.json"
+    path.write_text(emit_instance(
+        make_config(2, [(3, 0), (0, 0), (0, 1), (6, 1)], colors=["c0"] * 4)
+    ))
+    doc = _run_json(capsys, ["kirchberger", "--input", str(path)])
+    assert doc["separable"] is True
+    assert doc["routes_agree"] is True
+    assert doc["witness"] is None
+
+
 def test_formulas(capsys):
     doc = _run_json(capsys, ["formulas", "--dim", "2", "--colors", "6"])
     assert doc["partition_count"] == 16

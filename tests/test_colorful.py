@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 import hyperpart.colorful as colorful
 import hyperpart.geometry as geometry
-import hyperpart.linsolve as linsolve
 import oracles
 from hyperpart import (
     CampaignSpec,
@@ -205,8 +204,14 @@ def _general_colored(draw, colors):
     return make_config(dim, kept, colors=labels)
 
 
+def _one_color_quad():
+    # every row of the Helly dual reads normal . a < 1, solved by the zero normal
+    return make_config(2, [(3, 0), (0, 0), (0, 1), (6, 1)], colors=["c0"] * 4)
+
+
 @settings(max_examples=40)
 @example(_xor_square(), 0)
+@example(_one_color_quad(), 0)
 @given(_general_colored(colors=2), st.integers(0, 8))
 def test_kirchberger_routes_match_brute_scan_in_general_position(cfg, slot):
     assert general_position(cfg)
@@ -427,47 +432,43 @@ def test_work_counts_at_the_cli_caps(monkeypatch):
     """Deterministic LP counts on the main-suite baseline (d=2, n=16, k=8).
 
     The per-pair search made 240 ``feasible_point`` calls in
-    ``is_partitionable``; ``witness_nonpartitionable`` made 604 (127 of them
-    in the representatives' division) and 3,875 witness-free decisions.
+    ``is_partitionable``; ``witness_nonpartitionable`` made 604 and then 127,
+    all in enumerating the representatives' division, which is now read off
+    the orientation table: no ``feasible_point`` call is left.
     """
     cfg = generate_instance(CampaignSpec(suite="main", dim=2, n=16, colors=8, seed=0), 0)
     counts = Counter()
-    in_division = [False]
-    solve = linsolve.feasible_point
-    divide = colorful.hyperplane_division
-
-    def counted_solve(*args):
-        counts["in division" if in_division[0] else "elsewhere"] += 1
-        return solve(*args)
-
-    def flagged_divide(*args):
-        in_division[0] = True
-        try:
-            return divide(*args)
-        finally:
-            in_division[0] = False
-
-    monkeypatch.setattr(geometry, "feasible_point", counted_solve)
-    monkeypatch.setattr(colorful, "feasible_point", counted_solve)
-    monkeypatch.setattr(colorful, "hyperplane_division", flagged_divide)
+    _counting(monkeypatch, geometry, "feasible_point", counts)
+    _counting(monkeypatch, colorful, "feasible_point", counts)
+    _counting(monkeypatch, colorful, "realizable_division", counts)
     assert is_partitionable(cfg) is None
     assert counts == {}
     report = witness_nonpartitionable(cfg)
-    assert set(counts) == {"in division"}
-    assert counts["in division"] <= 2 ** (cfg.k - 1) - 1 == 127
+    assert counts == {"realizable_division": 1}
     assert len(report.representatives) == cfg.k == 8
 
 
 def test_enumeration_route_solves_one_lp_per_grouping(monkeypatch):
-    """On the main-suite baseline (d=2, n=16, k=8) the route solves the
-    2^(k-1)-1 = 127 nontrivial color groupings and enumerates nothing; testing
-    every bipartition through ``hyperplane_division`` took 32,767 LPs."""
+    """On the main-suite baseline (d=2, n=16, k=8), in general position, the
+    route reads the member set once and solves no LP; it solved the 127
+    nontrivial color groupings, and testing every bipartition through
+    ``hyperplane_division`` took 32,767 LPs.  Degenerate input still solves
+    each of the 2^(k-1)-1 groupings."""
     cfg = generate_instance(CampaignSpec(suite="main", dim=2, n=16, colors=8, seed=0), 0)
     counts = Counter()
     _counting(monkeypatch, colorful, "strict_separate", counts)
-    _counting(monkeypatch, colorful, "hyperplane_division", counts)
+    _counting(monkeypatch, colorful, "realizable_division", counts)
+    _counting(monkeypatch, geometry, "feasible_point", counts)
     assert not is_partitionable_by_enumeration(cfg)
-    assert counts == {"strict_separate": 127}
+    assert counts == {"realizable_division": 1}
+
+    degenerate = generate_instance(
+        CampaignSpec(suite="main", dim=2, n=10, colors=5, seed=0, degenerate=True), 0
+    )
+    assert not general_position(degenerate) and degenerate.k == 5
+    counts.clear()
+    is_partitionable_by_enumeration(degenerate)
+    assert counts == {"strict_separate": 15, "feasible_point": 15}
 
 
 def test_bound_search_solves_no_hyperplane(monkeypatch):

@@ -8,16 +8,20 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from sympy import Matrix, Rational, cos, pi, sin
 
 import hyperpart.campaigns as campaigns
 import hyperpart.cli as cli
+import hyperpart.geometry as geometry
 import hyperpart.hdivision as hdivision
 import oracles
 from hyperpart import (
     CampaignSpec,
     DomainError,
     Hyperplane,
+    Partition,
     VerificationError,
     emit_instance,
     general_position,
@@ -26,6 +30,7 @@ from hyperpart import (
     make_config,
     max_transversal_size,
     min_transversal_size,
+    member_witness,
     minimal_transversals,
     one_side_hyperplane,
     orient,
@@ -33,6 +38,7 @@ from hyperpart import (
     pentagon_config,
     perturb,
     projective_flip,
+    realizable_division,
     realize,
     shrink_to_min,
 )
@@ -118,6 +124,70 @@ def test_degenerate_counts_stay_below_formula(dim, n, seed):
     assert len(hyperplane_division(cfg)) < partition_count(dim, n)
 
 
+@st.composite
+def _general_configs(draw):
+    """Integer grid points kept while they stay in general position, d = 1 to
+    3 and n = 1 to d+4, so n <= d and n = d+1 come up too."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(1, dim + 4))
+    candidates = draw(
+        st.lists(st.tuples(*[st.integers(-6, 6)] * dim), min_size=n, max_size=2 * n, unique=True)
+    )
+    kept: list = []
+    for point in candidates:
+        if len(kept) < n and general_position(make_config(dim, kept + [point])):
+            kept.append(point)
+    assume(kept)
+    return make_config(dim, kept)
+
+
+@settings(max_examples=60)
+@example(make_config(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0)]))
+@example(make_config(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+@example(make_config(2, [(0, 0), (1, 0), (0, 1)]))
+@example(make_config(2, [(1, 1)]))
+@given(_general_configs())
+def test_member_set_read_off_the_orientation_table_equals_enumeration(cfg):
+    assert general_position(cfg)
+    assert realizable_division(cfg) == hyperplane_division(cfg).division
+
+
+def test_degenerate_member_set_is_the_enumeration(monkeypatch):
+    cfg = _random_config(2, 7, 42, degenerate=True)
+    expected = hyperplane_division(cfg).division
+    solve = geometry.feasible_point
+    lps = []
+    monkeypatch.setattr(geometry, "feasible_point", lambda *args: lps.append(1) or solve(*args))
+    assert realizable_division(cfg) == expected
+    assert len(lps) == 2 ** 6 - 1
+
+
+@pytest.mark.parametrize("dim,n,seed,degenerate", [
+    (1, 5, 81, False), (2, 7, 82, False), (3, 6, 83, False), (2, 6, 84, True),
+])
+def test_member_witness_is_the_enumeration_witness(pentagon, dim, n, seed, degenerate):
+    for cfg in (pentagon, _random_config(dim, n, seed, degenerate)):
+        hd = hyperplane_division(cfg)
+        for member in hd.members:
+            assert member_witness(cfg, member) == hd.witness(member)
+
+
+def test_member_witness_refuses_a_non_member(quad):
+    with pytest.raises(VerificationError):
+        member_witness(quad, Partition(((0, 2), (1, 3))))  # the diagonals cross
+    with pytest.raises(DomainError):
+        member_witness(quad, Partition(((0, 1), (2,))))
+
+
+@pytest.mark.parametrize("patterns", [lambda mask: (0,), lambda mask: (mask,)])
+def test_reading_without_the_spanning_patterns_fails_the_count(monkeypatch, pentagon, patterns):
+    # the points spanning each hyperplane must take all 2^dim sides
+    monkeypatch.setattr(hdivision, "_submasks", patterns)
+    for _ in range(3):
+        with pytest.raises(VerificationError, match="orientation table"):
+            realizable_division(pentagon)
+
+
 def test_pentagon_matches_exact_trigonometric_order_type():
     """The shipped rational coordinates must have the same orientation on
     every triple as the exact unit-circle pentagon with center."""
@@ -160,7 +230,7 @@ def test_pentagon_division_numbers(pentagon):
 
 
 def test_shrink_pentagon_reaches_minimum(pentagon):
-    result = shrink_to_min(hyperplane_division(pentagon), *CENTER_VERTEX_PAIR)
+    result = shrink_to_min(pentagon, *CENTER_VERTEX_PAIR)
     assert result.separating_size == 5 == min_transversal_size(2, 6)
     assert 0 < result.scale < 1
     after = hyperplane_division(result.config)
@@ -172,7 +242,7 @@ def test_shrink_random_instances(dim, n, seed):
     cfg = _random_config(dim, n, seed)
     rng = random.Random(f"shrink-pick:{seed}")
     a, b = rng.sample(cfg.ids, 2)
-    result = shrink_to_min(hyperplane_division(cfg), a, b)
+    result = shrink_to_min(cfg, a, b)
     assert result.separating_size == min_transversal_size(dim, n)
     assert result.moved_id == a and result.toward_id == b
     # only the moved point changed
@@ -183,16 +253,16 @@ def test_shrink_random_instances(dim, n, seed):
 
 def test_shrink_domain_errors(pentagon):
     with pytest.raises(DomainError):
-        shrink_to_min(hyperplane_division(pentagon), 0, 0)
+        shrink_to_min(pentagon, 0, 0)
     with pytest.raises(DomainError):
-        shrink_to_min(hyperplane_division(pentagon), 0, 99)
+        shrink_to_min(pentagon, 0, 99)
 
 
 def test_flip_pentagon_sums(pentagon):
     hd = hyperplane_division(pentagon)
     for pair in (CENTER_VERTEX_PAIR, ADJACENT_VERTEX_PAIR, NONADJACENT_VERTEX_PAIR):
         base = hd.separating(*pair)[0]
-        result = projective_flip(hd, *pair, base)
+        result = projective_flip(pentagon, *pair, base)
         assert result.separating_before + result.separating_after == 16
         assert result.total == 16
 
@@ -200,7 +270,7 @@ def test_flip_pentagon_sums(pentagon):
 def test_flip_is_a_bijection_sending_base_to_trivial(quad):
     hd = hyperplane_division(quad)
     base = hd.separating(0, 1)[0]
-    result = projective_flip(hd, 0, 1, base)
+    result = projective_flip(quad, 0, 1, base)
     image = result.partition_map
     assert len(set(image.values())) == len(image) == 7
     assert image[base].is_trivial
@@ -213,7 +283,7 @@ def test_flip_requires_separating_base(quad):
     hd = hyperplane_division(quad)
     nonsep = hd.nonseparating(0, 1)[0]
     with pytest.raises(DomainError):
-        projective_flip(hd, 0, 1, nonsep)
+        projective_flip(quad, 0, 1, nonsep)
 
 
 @pytest.mark.parametrize("dim,n,seed", [(1, 6, 61), (2, 6, 62), (3, 5, 63)])
@@ -223,56 +293,71 @@ def test_flip_random_instances(dim, n, seed):
     rng = random.Random(f"flip-pick:{seed}")
     a, b = rng.sample(cfg.ids, 2)
     base = hd.separating(a, b)[-1]
-    result = projective_flip(hd, a, b, base)
+    result = projective_flip(cfg, a, b, base)
     assert result.separating_before + result.separating_after == partition_count(dim, n)
 
 
-def _count_divisions(monkeypatch, counts):
-    # the two callers' modules, and hdivision, where the image is enumerated
-    original = hdivision.hyperplane_division
+def _count_work(monkeypatch):
+    """Calls of the two division entries, by configuration size, and LPs.
 
-    def counted(config):
-        counts.append(len(config))
-        return original(config)
+    The entries are counted in every module that calls them; the LPs where
+    ``strict_separate`` looks the solver up."""
+    counts = {"enumerated": [], "read": [], "lps": 0}
+    enumerate_, read, solve = (
+        hdivision.hyperplane_division, hdivision.realizable_division, geometry.feasible_point
+    )
+
+    def enumerated(config):
+        counts["enumerated"].append(len(config))
+        return enumerate_(config)
+
+    def counted_read(config):
+        counts["read"].append(len(config))
+        return read(config)
+
+    def counted_solve(*args):
+        counts["lps"] += 1
+        return solve(*args)
 
     for module in (hdivision, cli, campaigns):
-        monkeypatch.setattr(module, "hyperplane_division", counted)
+        monkeypatch.setattr(module, "hyperplane_division", enumerated)
+        monkeypatch.setattr(module, "realizable_division", counted_read)
+    monkeypatch.setattr(geometry, "feasible_point", counted_solve)
+    return counts
 
 
 def test_cli_flip_enumerates_input_and_image_once(monkeypatch, tmp_path, capsys):
-    # projective_flip used to enumerate its input again: three divisions
+    # the input and the image were enumerated, 2 x 31 LPs; now the member sets
+    # are read (the input by the CLI, to pick the base, and by the flip) and
+    # only the base's witness is solved
     path = tmp_path / "instance.json"
     path.write_text(emit_instance(_random_config(2, 6, 64)))
-    counts = []
-    _count_divisions(monkeypatch, counts)
+    counts = _count_work(monkeypatch)
     assert cli.main(["flip", "--input", str(path), "--a", "0", "--b", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["total"] == partition_count(2, 6)
-    assert counts == [6, 6]
+    assert counts == {"enumerated": [], "read": [6, 6, 6], "lps": 1}
 
 
 def test_duality_trial_enumerates_input_and_image_once(monkeypatch):
-    # projective_flip used to enumerate its input again: three divisions
-    counts = []
-    _count_divisions(monkeypatch, counts)
+    # the input and the image were enumerated, 2 x 63 LPs
+    counts = _count_work(monkeypatch)
     record = campaigns._trial_duality(CampaignSpec(suite="duality", dim=2, n=7), 0)
     assert record["ok"]
-    assert counts == [7, 7]
+    assert counts == {"enumerated": [], "read": [7, 7, 7], "lps": 1}
 
 
 def test_cli_demo_enumerates_pentagon_and_shrunk_once(monkeypatch, capsys):
-    # shrink_to_min used to enumerate its input again, and the demo the
-    # shrunk configuration again: four divisions
-    counts = []
-    _count_divisions(monkeypatch, counts)
+    # the pentagon and the shrunk configuration were enumerated, 2 x 31 LPs;
+    # now only the witnesses of the 6 members separating the pair are solved
+    counts = _count_work(monkeypatch)
     assert cli.main(["demo", "pentagon"]) == 0
     assert json.loads(capsys.readouterr().out)["ok"]
-    assert counts == [6, 6]
+    assert counts == {"enumerated": [], "read": [6, 6, 6, 6], "lps": 6}
 
 
-def test_shrink_returns_the_shrunk_division(pentagon):
-    result = shrink_to_min(hyperplane_division(pentagon), *CENTER_VERTEX_PAIR)
-    assert result.division.config == result.config
-    assert result.division.members == hyperplane_division(result.config).members
+def test_demo_shrunk_member_set_equals_brute_force(pentagon):
+    result = shrink_to_min(pentagon, *CENTER_VERTEX_PAIR)
+    assert realizable_division(result.config) == hyperplane_division(result.config).division
 
 
 def test_perturb_reaches_general_position():
