@@ -364,7 +364,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     division = realizable_division(config)
     sizes = [t.size for t in minimal_transversals(division)]
     shrunk = shrink_to_min(config, *CENTER_VERTEX_PAIR)
-    after = minimal_transversals(realizable_division(shrunk.config))
+    after = minimal_transversals(shrunk.division)
     got = {
         "count": len(division),
         "center_vertex": len(separating_members(division, *CENTER_VERTEX_PAIR)),

@@ -427,27 +427,21 @@ def is_partitionable_by_enumeration(config: PointConfig) -> bool:
     grouping, so only the 2^(k-1)-1 nontrivial groupings with color 0 (the
     lowest id's) on side A are tested: they are exactly the color-respecting
     ones among the 2^(n-1)-1 bipartitions, with ``hyperplane_division``'s head
-    point on side A.  In general position a grouping is realizable exactly
-    when it is a member of ``realizable_division``, so no LP is solved;
-    otherwise each grouping is solved and its plane checked.  The grouping
-    table is not used."""
+    point on side A.  A grouping is realizable exactly when it is a member of
+    ``realizable_division``, which is read off the orientation table or the
+    spanned hyperplanes, general position or not: no LP is solved, and
+    neither the grouping table nor Fourier-Motzkin elimination is used."""
     _require_colors(config)
     classes = config.color_classes
-    division = realizable_division(config) if config.orientations is not None else None
+    division = realizable_division(config)
     respecting = []
     for mask in range((1 << (config.k - 1)) - 1):
         side_a, side_b = [], []
-        for p, color in zip(config.points, config.colors):
-            (side_a if color == 0 or mask >> (color - 1) & 1 else side_b).append(p)
-        member = Partition((tuple(p.id for p in side_a), tuple(p.id for p in side_b)))
-        if division is None:
-            plane = strict_separate(side_a, side_b, config.dim)
-            if plane is None:
-                continue
-            check_witness(plane, member, config)
-        elif member not in division:
-            continue
-        respecting.append(member)
+        for x, color in zip(config.ids, config.colors):
+            (side_a if color == 0 or mask >> (color - 1) & 1 else side_b).append(x)
+        member = Partition((tuple(side_a), tuple(side_b)))
+        if member in division:
+            respecting.append(member)
     return all(
         any(m.separates(classes[c1][0], classes[c2][0]) for m in respecting)
         for c1, c2 in combinations(sorted(classes), 2)

@@ -283,9 +283,9 @@ def make_config(
     return PointConfig(dim, pts, cols)  # type: ignore[arg-type]
 
 
-def _det_sign(rows: list[list[int]]) -> int:
-    """Sign of the determinant of a square integer matrix, by fraction-free
-    (Bareiss) elimination: every division is exact."""
+def _det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix, by fraction-free (Bareiss)
+    elimination: every division is exact.  The rows are overwritten."""
     n = len(rows)
     sign, prev = 1, 1
     for col in range(n):
@@ -300,7 +300,13 @@ def _det_sign(rows: list[list[int]]) -> int:
             c = rows[r][col]
             rows[r] = [(lead * x - c * y) // prev for x, y in zip(rows[r], rows[col])]
         prev = lead
-    return sign if prev > 0 else -sign
+    return sign * prev
+
+
+def _det_sign(rows: list[list[int]]) -> int:
+    """Sign of the determinant of a square integer matrix (``_det``)."""
+    det = _det(rows)
+    return (det > 0) - (det < 0)
 
 
 def orient(points: Sequence[Point], dim: int) -> int:

@@ -11,9 +11,18 @@ points S puts each other point on the side given by the configuration's
 orientation table, and a small move of it puts the points of S on either side
 in all 2^dim patterns.  So the members are read off the table with no LP, and
 their number is checked against the closed form ``partition_count``.
-Degenerate input is enumerated.  ``member_witness`` solves one member's
-witness on its own: the system ``hyperplane_division`` builds for that member,
-hence the same hyperplane.
+
+Degenerate input is read by recursion on flats, again with no LP.  Points
+that do not span R^dim are carried onto coordinates of their span.  Points
+that do span it make every cell a pointed cone, so every cell still has a
+vertex: a hyperplane spanned by dim affinely independent points, which may
+hold more of them (Zaslavsky, 1975).  The points on it take the sides of the
+members of their own configuration inside it, in dimension dim-1.  With no
+closed form for the count, it is checked to lie between n (the prefix splits
+along a generic direction, plus the trivial member) and ``partition_count``
+(a perturbation into general position keeps every member).
+``member_witness`` solves one member's witness on its own: the system
+``hyperplane_division`` builds for that member, hence the same hyperplane.
 
 On top sit three coordinate constructions, each of which recomputes the member
 set of its output and checks the combinatorial identity it exists to produce —
@@ -33,8 +42,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
+from operator import mul
 from typing import Optional
 
 from .counting import min_transversal_size, partition_count
@@ -43,6 +54,7 @@ from .geometry import (
     Hyperplane,
     Point,
     PointConfig,
+    _det,
     general_position,
     one_side_hyperplane,
     realize,
@@ -141,14 +153,36 @@ def realizable_division(config: PointConfig) -> Division:
     sorted ids times the parity of moving x to its sorted place; the points of
     S then take all 2^dim patterns.  With at most dim points every
     bipartition is a member.  The count is checked against
-    ``partition_count``.  Degenerate input is enumerated by
-    ``hyperplane_division``.
+    ``partition_count``.
+
+    Degenerate input is read off the hyperplanes spanned by its points
+    (``_flat_sides``): a vertex of a cell may hold more than dim points, and
+    those take the sides of their own member set inside the vertex
+    hyperplane, one dimension down.  No LP is solved.  The count has no closed
+    form there, so it is checked against two bounds: at least n, the n-1
+    prefix splits along a generic direction plus the trivial member, and at
+    most ``partition_count``, since a perturbation into general position keeps
+    every member.
     """
     table = config.orientations
-    if table is None:
-        return hyperplane_division(config).division
     ids = config.ids
     n, dim = len(ids), config.dim
+    if table is None:
+        den = lcm(*(p.scaled[1] for p in config.points))
+        points = [
+            (1 << i, tuple(v * (den // d) for v in ints))
+            for i, (ints, d) in enumerate(p.scaled for p in config.points)
+        ]
+        division = Division(
+            frozenset(ids), tuple(_from_mask(ids, first) for first in _flat_sides(points, dim))
+        )
+        least, most = n, partition_count(dim, n)
+        if not least <= len(division) <= most:
+            raise VerificationError(
+                f"read {len(division)} members off the spanned hyperplanes, "
+                f"expected {least} to {most}"
+            )
+        return division
     everything = (1 << n) - 1
     # a member is kept as the bitmask (over positions in ids) of its first
     # block; with at most dim points, S is all of them
@@ -170,6 +204,76 @@ def realizable_division(config: PointConfig) -> Division:
             f"read {len(division)} members off the orientation table, expected {expected}"
         )
     return division
+
+
+def _flat_sides(points: list[tuple[int, tuple[int, ...]]], dim: int) -> set[int]:
+    """The members of distinct integer points in R^dim, each as the bitmask of
+    its block holding the first point's bit; a point is ``(bit, coords)``.
+
+    Points that do not affinely span R^dim are carried onto the coordinates
+    where their differences have pivots, which is one-to-one on their span;
+    a hyperplane of R^dim meets the span in a hyperplane of it or misses it.
+    Points that span R^dim make every cell of the dual arrangement a pointed
+    cone, so each cell has a vertex: a hyperplane H spanned by dim of the
+    points.  Off H a point takes its side of H; the points on H take the
+    sides of any member of their own, found in dimension dim-1 by dropping a
+    coordinate where H's normal is nonzero (with exactly dim points on H,
+    that is every pattern).  A small tilt of H realizes each combination.
+    """
+    everything = sum(bit for bit, _ in points)
+    head, base = points[0]
+    pivots = _pivot_columns([[x - b for x, b in zip(coords, base)] for _, coords in points[1:]])
+    if len(pivots) < dim:
+        if not pivots:
+            return {everything}
+        span = [(bit, tuple(coords[j] for j in pivots)) for bit, coords in points]
+        return _flat_sides(span, len(pivots))
+    sides = {everything}
+    spanned = set()
+    for span in combinations(points, dim):
+        origin = span[0][1]
+        rows = [[x - o for x, o in zip(coords, origin)] for _, coords in span[1:]]
+        normal = [(-1) ** j * _det([row[:j] + row[j + 1:] for row in rows]) for j in range(dim)]
+        if not any(normal):
+            continue
+        offset = sum(map(mul, normal, origin))
+        plus = on = 0
+        for bit, coords in points:
+            value = sum(map(mul, normal, coords)) - offset
+            if value > 0:
+                plus |= bit
+            elif not value:
+                on |= bit
+        if on in spanned:
+            continue
+        spanned.add(on)
+        if on.bit_count() == dim:
+            inside = _submasks(on)
+        else:
+            j = next(j for j, v in enumerate(normal) if v)
+            flat = [(bit, coords[:j] + coords[j + 1:]) for bit, coords in points if bit & on]
+            # either block of a member on H's positive side: both orientations of H
+            inside = [m for first in _flat_sides(flat, dim - 1) for m in (first, on ^ first)]
+        for pattern in inside:
+            side = plus | pattern
+            sides.add(side if side & head else everything ^ side)
+    return sides
+
+
+def _pivot_columns(rows: list[list[int]]) -> list[int]:
+    """The pivot columns of integer rows brought to echelon form: the rows
+    restricted to them have the rows' full rank."""
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        lead = next((row for row in rows if row[col]), None)
+        if lead is None:
+            continue
+        pivots.append(col)
+        rows = [
+            [lead[col] * x - row[col] * y for x, y in zip(row, lead)]
+            for row in rows if row is not lead
+        ]
+    return pivots
 
 
 def _from_mask(ids: tuple[int, ...], first: int) -> Partition:
@@ -225,6 +329,7 @@ class ShrinkResult:
     scale: Fraction
     separating_size: int
     attempts: int
+    division: Division  # of the shrunk configuration
 
 
 def shrink_to_min(config: PointConfig, a: int, b: int) -> ShrinkResult:
@@ -236,7 +341,8 @@ def shrink_to_min(config: PointConfig, a: int, b: int) -> ShrinkResult:
     witness of every member separating a and b, and (3) the new configuration
     is in general position.  Those three conditions force the separating
     count of (c, b) to equal the closed-form minimum; that count is recomputed
-    and checked.  Only the separating members' witnesses are solved.
+    and checked, and the shrunk configuration's member set is returned with
+    it.  Only the separating members' witnesses are solved.
     """
     if a == b:
         raise DomainError("choose two distinct ids")
@@ -258,13 +364,14 @@ def shrink_to_min(config: PointConfig, a: int, b: int) -> ShrinkResult:
             if not general_position(candidate):
                 candidate = None
         if candidate is not None:
-            size = len(separating_members(realizable_division(candidate), a, b))
+            division = realizable_division(candidate)
+            size = len(separating_members(division, a, b))
             expected = min_transversal_size(config.dim, len(config))
             if size != expected:
                 raise VerificationError(
                     f"moved-pair separating count is {size}, expected {expected}"
                 )
-            return ShrinkResult(candidate, a, b, scale, size, attempt)
+            return ShrinkResult(candidate, a, b, scale, size, attempt, division)
         scale /= 2
     raise DomainError(
         f"no valid placement after {MAX_PLACEMENT_ATTEMPTS} halvings toward {b}"

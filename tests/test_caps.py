@@ -2,9 +2,10 @@
 
 Each case runs one subcommand on a seed-0 campaign instance at n=16 and counts
 the calls into the exact solver.  In general position the member sets are
-read off the orientation table, so a subcommand that only reads membership
-solves no LP, and a construction solves only the witnesses it reads; brute
-force would show here as thousands of LPs (2^15 - 1 per enumeration).
+read off the orientation table, and on degenerate input off the hyperplanes
+the points span, so a subcommand that only reads membership solves no LP, and
+a construction solves only the witnesses it reads; brute force would show here
+as thousands of LPs (2^15 - 1 per enumeration).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import pytest
 import hyperpart.cli as cli
 import hyperpart.colorful as colorful
 import hyperpart.geometry as geometry
+import hyperpart.hdivision as hdivision
 from hyperpart import (
     CampaignSpec,
     emit_instance,
@@ -56,9 +58,11 @@ def solver_calls(monkeypatch):
     return counts
 
 
-def _instance(tmp_path, suite, dim, colors=0):
-    config = generate_instance(CampaignSpec(suite=suite, dim=dim, n=16, colors=colors, seed=0), 0)
-    assert general_position(config)
+def _instance(tmp_path, suite, dim, colors=0, degenerate=False):
+    config = generate_instance(
+        CampaignSpec(suite=suite, dim=dim, n=16, colors=colors, seed=0, degenerate=degenerate), 0
+    )
+    assert general_position(config) != degenerate
     path = tmp_path / f"{suite}-d{dim}.json"
     path.write_text(emit_instance(config))
     return config, str(path)
@@ -96,4 +100,27 @@ def test_transversals_solve_no_lp(tmp_path, capsys, solver_calls):
     _, path = _instance(tmp_path, "phi", 3)
     doc = _run(capsys, ["transversals", "--input", path])
     assert doc["count"] == 576
+    assert solver_calls == {}
+
+
+@pytest.mark.parametrize("command", ["sep", "transversals"])
+def test_degenerate_reads_solve_no_lp(tmp_path, capsys, solver_calls, monkeypatch, command):
+    """The degenerate phi instance at d=3, n=16: the read took 2^15 - 1 LPs
+    through ``hyperplane_division``, which is no longer called."""
+    monkeypatch.setattr(hdivision, "hyperplane_division", None)
+    monkeypatch.setattr(cli, "hyperplane_division", None)
+    _, path = _instance(tmp_path, "phi", 3, degenerate=True)
+    extra = ["--a", "0", "--b", "1"] if command == "sep" else []
+    doc = _run(capsys, [command, "--input", path] + extra)
+    if command == "sep":
+        assert 16 <= doc["separating_count"] + doc["nonseparating_count"] < 576
+    else:
+        assert 16 <= doc["count"] < 576
+    assert solver_calls == {}
+
+
+def test_perturb_of_degenerate_input_solves_no_lp(tmp_path, capsys, solver_calls):
+    _, path = _instance(tmp_path, "phi", 2, degenerate=True)
+    doc = _run(capsys, ["perturb", "--input", path, "--seed", "0"])
+    assert doc["count_after"] == doc["formula_count"] == 121
     assert solver_calls == {}

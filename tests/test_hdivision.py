@@ -8,8 +8,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, example, given, settings
-from hypothesis import strategies as st
+from hypothesis import example, given, settings
 from sympy import Matrix, Rational, cos, pi, sin
 
 import hyperpart.campaigns as campaigns
@@ -17,6 +16,7 @@ import hyperpart.cli as cli
 import hyperpart.geometry as geometry
 import hyperpart.hdivision as hdivision
 import oracles
+from strategies import degenerate_configs, general_configs
 from hyperpart import (
     CampaignSpec,
     DomainError,
@@ -124,42 +124,62 @@ def test_degenerate_counts_stay_below_formula(dim, n, seed):
     assert len(hyperplane_division(cfg)) < partition_count(dim, n)
 
 
-@st.composite
-def _general_configs(draw):
-    """Integer grid points kept while they stay in general position, d = 1 to
-    3 and n = 1 to d+4, so n <= d and n = d+1 come up too."""
-    dim = draw(st.integers(1, 3))
-    n = draw(st.integers(1, dim + 4))
-    candidates = draw(
-        st.lists(st.tuples(*[st.integers(-6, 6)] * dim), min_size=n, max_size=2 * n, unique=True)
-    )
-    kept: list = []
-    for point in candidates:
-        if len(kept) < n and general_position(make_config(dim, kept + [point])):
-            kept.append(point)
-    assume(kept)
-    return make_config(dim, kept)
-
-
 @settings(max_examples=60)
 @example(make_config(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0)]))
 @example(make_config(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]))
 @example(make_config(2, [(0, 0), (1, 0), (0, 1)]))
 @example(make_config(2, [(1, 1)]))
-@given(_general_configs())
+@given(general_configs())
 def test_member_set_read_off_the_orientation_table_equals_enumeration(cfg):
     assert general_position(cfg)
     assert realizable_division(cfg) == hyperplane_division(cfg).division
 
 
 def test_degenerate_member_set_is_the_enumeration(monkeypatch):
+    # the read was the enumeration, 2^6 - 1 = 63 LPs; now no LP is solved
     cfg = _random_config(2, 7, 42, degenerate=True)
     expected = hyperplane_division(cfg).division
     solve = geometry.feasible_point
     lps = []
     monkeypatch.setattr(geometry, "feasible_point", lambda *args: lps.append(1) or solve(*args))
     assert realizable_division(cfg) == expected
-    assert len(lps) == 2 ** 6 - 1
+    assert len(lps) == 0
+
+
+@settings(max_examples=150)
+@example(make_config(2, [(x, y) for x in range(4) for y in range(3)]))  # a 3 x 4 grid
+@example(make_config(3, [(t, 2 * t, -t) for t in range(7)]))  # 7 collinear points
+@example(make_config(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 1, 1)]))
+@example(make_config(  # a line of three points and a skew line of four
+    3, [(-2, -3, -2), (-2, 5, 1), (-1, 4, 1), (0, -2, -2), (2, 1, 1), (3, 0, 1), (8, 2, -2)]
+))
+@example(make_config(2, [(0, 0), (1, 1), (2, 2)]))
+@given(degenerate_configs())
+def test_degenerate_member_set_read_off_the_spanned_hyperplanes_equals_enumeration(cfg):
+    assert not general_position(cfg)
+    assert realizable_division(cfg) == hyperplane_division(cfg).division
+
+
+def test_degenerate_read_checks_its_count_bounds(monkeypatch):
+    """Too few members (no pattern for the points spanning a hyperplane) and
+    too many (every pattern for the points on a hyperplane) are refused."""
+    line = make_config(3, [(t, 2 * t, -t) for t in range(7)])
+    eight_on_a_line = make_config(2, [(t, 0) for t in range(8)] + [(0, 1)])
+    flat_sides = hdivision._flat_sides
+
+    def free_on_flats(points, dim):
+        if dim == 2:
+            return flat_sides(points, dim)
+        everything = sum(bit for bit, _ in points)
+        return set(hdivision._submasks(everything))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(hdivision, "_submasks", lambda mask: ())
+        with pytest.raises(VerificationError, match="expected 7 to 42"):
+            realizable_division(line)
+    monkeypatch.setattr(hdivision, "_flat_sides", free_on_flats)
+    with pytest.raises(VerificationError, match="expected 9 to 37"):
+        realizable_division(eight_on_a_line)
 
 
 @pytest.mark.parametrize("dim,n,seed,degenerate", [
@@ -352,7 +372,7 @@ def test_cli_demo_enumerates_pentagon_and_shrunk_once(monkeypatch, capsys):
     counts = _count_work(monkeypatch)
     assert cli.main(["demo", "pentagon"]) == 0
     assert json.loads(capsys.readouterr().out)["ok"]
-    assert counts == {"enumerated": [], "read": [6, 6, 6, 6], "lps": 6}
+    assert counts == {"enumerated": [], "read": [6, 6, 6], "lps": 6}
 
 
 def test_demo_shrunk_member_set_equals_brute_force(pentagon):

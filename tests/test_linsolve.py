@@ -20,7 +20,7 @@ from hyperpart.linsolve import (
     feasible_point,
     infeasible_core,
 )
-from test_colorful import _degenerate_colored
+from strategies import degenerate_colored
 
 
 def _satisfies(point, constraints) -> bool:
@@ -387,7 +387,7 @@ def _outcome(solve, *args):
 @settings(max_examples=400)
 @given(
     _loop_systems()
-    | _degenerate_colored(colors=2).map(
+    | degenerate_colored(colors=2).map(
         lambda cfg: (cfg.dim + 1, [p.separation_rows[c] for p, c in zip(cfg.points, cfg.colors)])
     )
 )
