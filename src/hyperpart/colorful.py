@@ -428,9 +428,9 @@ def is_partitionable_by_enumeration(config: PointConfig) -> bool:
     lowest id's) on side A are tested: they are exactly the color-respecting
     ones among the 2^(n-1)-1 bipartitions, with ``hyperplane_division``'s head
     point on side A.  A grouping is realizable exactly when it is a member of
-    ``realizable_division``, which is read off the orientation table or the
-    spanned hyperplanes, general position or not: no LP is solved, and
-    neither the grouping table nor Fourier-Motzkin elimination is used."""
+    ``realizable_division``, which is read off the hyperplanes the points
+    span, general position or not: no LP is solved, and neither the
+    grouping table nor Fourier-Motzkin elimination is used."""
     _require_colors(config)
     classes = config.color_classes
     division = realizable_division(config)

@@ -4,23 +4,18 @@ Two entries return the realizable partitions.  ``hyperplane_division`` is
 brute force: every bipartition of the ids is handed to the exact separability
 oracle, so the result is exhaustive by construction, and every member comes
 with a checked witness hyperplane.  ``realizable_division`` returns the member
-set alone.  In general position every realizable partition is a cell of the
-dual arrangement, and every cell has a vertex spanned by dim points (Cover,
-1965; Edelsbrunner, O'Rourke and Seidel, 1986).  The hyperplane through dim
-points S puts each other point on the side given by the configuration's
-orientation table, and a small move of it puts the points of S on either side
-in all 2^dim patterns.  So the members are read off the table with no LP, and
-their number is checked against the closed form ``partition_count``.
-
-Degenerate input is read by recursion on flats, again with no LP.  Points
-that do not span R^dim are carried onto coordinates of their span.  Points
-that do span it make every cell a pointed cone, so every cell still has a
-vertex: a hyperplane spanned by dim affinely independent points, which may
-hold more of them (Zaslavsky, 1975).  The points on it take the sides of the
-members of their own configuration inside it, in dimension dim-1.  With no
-closed form for the count, it is checked to lie between n (the prefix splits
-along a generic direction, plus the trivial member) and ``partition_count``
-(a perturbation into general position keeps every member).
+set alone, with no LP, read by recursion on flats.  Points that do not span
+R^dim are carried onto coordinates of their span.  Points that do span it make
+every cell of the dual arrangement a pointed cone, so every cell has a vertex:
+a hyperplane spanned by dim affinely independent points (Cover, 1965;
+Edelsbrunner, O'Rourke and Seidel, 1986), which on degenerate input may hold
+more of them (Zaslavsky, 1975).  The points off it take their side, and the
+points on it take the sides of the members of their own configuration inside
+it, in dimension dim-1; in general position those are the dim spanning points,
+which take all 2^dim patterns.  The count is checked against
+``partition_count``: equal to it in general position, and otherwise between n
+(the prefix splits along a generic direction, plus the trivial member) and
+``partition_count`` (a perturbation into general position keeps every member).
 ``member_witness`` solves one member's witness on its own: the system
 ``hyperplane_division`` builds for that member, hence the same hyperplane.
 
@@ -147,61 +142,36 @@ def check_witness(plane: Hyperplane, member: Partition, config: PointConfig) -> 
 def realizable_division(config: PointConfig) -> Division:
     """Every hyperplane-realizable partition, without witnesses.
 
-    In general position the members are read off the orientation table: for
-    each dim points S, another point x lies on the side of the hyperplane
-    through S given by the sign of (S, x), which is the table's sign for the
-    sorted ids times the parity of moving x to its sorted place; the points of
-    S then take all 2^dim patterns.  With at most dim points every
-    bipartition is a member.  The count is checked against
-    ``partition_count``.
+    The points are scaled to integers by one common denominator and the
+    members are read off the hyperplanes they span (``_flat_sides``): a
+    vertex of a cell holds dim or more points, the points off it take their
+    side, and the points on it take the sides of their own member set inside
+    the vertex hyperplane, one dimension down.  In general position each
+    vertex holds exactly dim points, which take all 2^dim patterns, and with
+    at most dim points every bipartition is a member.  No LP is solved.
 
-    Degenerate input is read off the hyperplanes spanned by its points
-    (``_flat_sides``): a vertex of a cell may hold more than dim points, and
-    those take the sides of their own member set inside the vertex
-    hyperplane, one dimension down.  No LP is solved.  The count has no closed
-    form there, so it is checked against two bounds: at least n, the n-1
-    prefix splits along a generic direction plus the trivial member, and at
-    most ``partition_count``, since a perturbation into general position keeps
-    every member.
+    The count is checked against ``partition_count``: equal to it in general
+    position, and otherwise, with no closed form, between two bounds: at
+    least n, the n-1 prefix splits along a generic direction plus the
+    trivial member, and at most ``partition_count``, since a perturbation
+    into general position keeps every member.
     """
-    table = config.orientations
     ids = config.ids
     n, dim = len(ids), config.dim
-    if table is None:
-        den = lcm(*(p.scaled[1] for p in config.points))
-        points = [
-            (1 << i, tuple(v * (den // d) for v in ints))
-            for i, (ints, d) in enumerate(p.scaled for p in config.points)
-        ]
-        division = Division(
-            frozenset(ids), tuple(_from_mask(ids, first) for first in _flat_sides(points, dim))
-        )
-        least, most = n, partition_count(dim, n)
-        if not least <= len(division) <= most:
-            raise VerificationError(
-                f"read {len(division)} members off the spanned hyperplanes, "
-                f"expected {least} to {most}"
-            )
-        return division
-    everything = (1 << n) - 1
-    # a member is kept as the bitmask (over positions in ids) of its first
-    # block; with at most dim points, S is all of them
-    firsts = set()
-    for span in combinations(range(n), min(dim, n)):
-        plus = 0
-        for x in range(n):
-            if x not in span:
-                later = sum(s > x for s in span)  # swaps that move x to its sorted place
-                if table[tuple(ids[i] for i in sorted(span + (x,)))] * (-1) ** later > 0:
-                    plus |= 1 << x
-        for pattern in _submasks(sum(1 << i for i in span)):
-            side = plus | pattern
-            firsts.add(side if side & 1 else everything ^ side)
-    division = Division(frozenset(ids), tuple(_from_mask(ids, first) for first in firsts))
-    expected = partition_count(dim, n)
-    if len(division) != expected:
+    den = lcm(*(p.scaled[1] for p in config.points))
+    points = [
+        (1 << i, tuple(v * (den // d) for v in ints))
+        for i, (ints, d) in enumerate(p.scaled for p in config.points)
+    ]
+    division = Division(
+        frozenset(ids), tuple(_from_mask(ids, first) for first in _flat_sides(points, dim))
+    )
+    most = partition_count(dim, n)
+    least = most if config.orientations is not None else n
+    if not least <= len(division) <= most:
         raise VerificationError(
-            f"read {len(division)} members off the orientation table, expected {expected}"
+            f"read {len(division)} members off the spanned hyperplanes, "
+            f"expected {least} to {most}"
         )
     return division
 

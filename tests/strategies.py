@@ -25,24 +25,32 @@ def general_configs(draw):
     return make_config(dim, kept)
 
 
+def _on_a_flat(draw, dim, flat, spread, off):
+    """Three to six points base + sum of t_i u_i over ``flat`` nonzero
+    directions u_i of a small integer grid (a lower flat when the directions
+    are dependent), with distinct integer parameters t in [-spread, spread],
+    and up to ``off`` further points of the grid, mostly off the flat."""
+    small = st.tuples(*[st.integers(-2, 2)] * dim)
+    base = draw(small)
+    nonzero = small.map(lambda u: u if any(u) else (1,) + u[1:])
+    directions = [draw(nonzero) for _ in range(flat)]
+    params = draw(
+        st.lists(st.tuples(*[st.integers(-spread, spread)] * flat), min_size=3, max_size=6, unique=True)
+    )
+    points = {
+        tuple(b + sum(t * u[c] for t, u in zip(ts, directions)) for c, b in enumerate(base))
+        for ts in params
+    }
+    return points | set(draw(st.lists(small, max_size=off)))
+
+
 @st.composite
 def degenerate_colored(draw, colors):
     """Points of a small integer grid, most of them on one flat: a line in R^2,
     a plane (or, with parallel directions, a line) in R^3.  Inseparable
     subsets then often need fewer than dim+2 points."""
     dim = draw(st.sampled_from((2, 3)))
-    small = st.tuples(*[st.integers(-2, 2)] * dim)
-    base = draw(small)
-    nonzero = small.map(lambda u: u if any(u) else (1,) + u[1:])
-    directions = [draw(nonzero) for _ in range(dim - 1)]
-    params = draw(
-        st.lists(st.tuples(*[st.integers(-2, 2)] * (dim - 1)), min_size=3, max_size=6, unique=True)
-    )
-    points = {
-        tuple(b + sum(t * u[c] for t, u in zip(ts, directions)) for c, b in enumerate(base))
-        for ts in params
-    }
-    points |= set(draw(st.lists(small, max_size=3)))
+    points = _on_a_flat(draw, dim, dim - 1, spread=2, off=3)
     assume(len(points) >= 3)
     labels = draw(st.lists(st.integers(0, colors - 1), min_size=len(points), max_size=len(points)))
     return make_config(dim, sorted(points), colors=labels)
@@ -69,17 +77,7 @@ def degenerate_configs(draw):
             for t in draw(st.lists(st.integers(-3, 3), min_size=2, max_size=3, unique=True)):
                 points.add(tuple(b + t * u for b, u in zip(base, direction)))
     else:
-        flat = draw(st.integers(1, dim - 1))
-        base = draw(small)
-        directions = [draw(small.filter(any)) for _ in range(flat)]
-        params = draw(
-            st.lists(st.tuples(*[st.integers(-3, 3)] * flat), min_size=3, max_size=6, unique=True)
-        )
-        points = {
-            tuple(b + sum(t * u[c] for t, u in zip(ts, directions)) for c, b in enumerate(base))
-            for ts in params
-        }
-        points |= set(draw(st.lists(small, max_size=2)))
+        points = _on_a_flat(draw, dim, draw(st.integers(1, dim - 1)), spread=3, off=2)
     config = make_config(dim, sorted(points))
     assume(not general_position(config))
     return config

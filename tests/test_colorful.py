@@ -401,7 +401,7 @@ def test_work_counts_at_the_cli_caps(monkeypatch):
     The per-pair search made 240 ``feasible_point`` calls in
     ``is_partitionable``; ``witness_nonpartitionable`` made 604 and then 127,
     all in enumerating the representatives' division, which is now read off
-    the orientation table: no ``feasible_point`` call is left.
+    the hyperplanes the points span: no ``feasible_point`` call is left.
     """
     cfg = generate_instance(CampaignSpec(suite="main", dim=2, n=16, colors=8, seed=0), 0)
     counts = Counter()
