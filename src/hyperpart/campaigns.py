@@ -21,7 +21,7 @@ from .counting import max_transversal_size, partition_count, witness_size_bound
 from .errors import DomainError, VerificationError
 from .generator import CampaignSpec, generate_instance, generate_pair
 from .hdivision import hyperplane_division, projective_flip, realizable_division
-from .partitions import minimal_transversals, separating_members
+from .partitions import minimal_transversals
 
 SUITES = ("phi", "kirchberger", "main", "duality", "eta-bound")
 
@@ -78,8 +78,7 @@ def _trial_main(spec: CampaignSpec, trial: int) -> dict:
 def _trial_duality(spec: CampaignSpec, trial: int) -> dict:
     config = generate_instance(spec, trial)
     a, b = generate_pair(spec, trial, config)
-    base = separating_members(realizable_division(config), a, b)[0]
-    result = projective_flip(config, a, b, base)
+    result = projective_flip(config, a, b, 0)
     expected = partition_count(spec.dim, spec.n)
     total = result.separating_before + result.separating_after
     return {

@@ -106,7 +106,11 @@ def _load(args: argparse.Namespace) -> PointConfig:
 def _emit(args: argparse.Namespace, doc: dict) -> None:
     text = dumps_doc(doc)
     if getattr(args, "output", None):
-        Path(args.output).write_text(text)
+        path = Path(args.output)
+        try:
+            path.write_text(text)
+        except OSError as err:
+            raise DomainError(f"cannot write {path}: {err}") from err
     else:
         sys.stdout.write(text)
 
@@ -181,16 +185,7 @@ def _cmd_transversals(args: argparse.Namespace) -> int:
 
 
 def _cmd_flip(args: argparse.Namespace) -> int:
-    config = _load(args)
-    separating = separating_members(realizable_division(config), args.a, args.b)
-    if not separating:
-        raise DomainError(f"no member separates {args.a} and {args.b}")
-    if not 0 <= args.base_index < len(separating):
-        raise DomainError(
-            f"--base-index {args.base_index} out of range "
-            f"(pair has {len(separating)} separating members)"
-        )
-    result = projective_flip(config, args.a, args.b, separating[args.base_index])
+    result = projective_flip(_load(args), args.a, args.b, args.base_index)
     doc = {
         "command": "flip",
         "pair": [args.a, args.b],

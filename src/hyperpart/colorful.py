@@ -49,7 +49,6 @@ from typing import AbstractSet, Mapping, Optional
 from .counting import witness_size_bound
 from .errors import DomainError, VerificationError
 from .geometry import (
-    Coords,
     Hyperplane,
     PointConfig,
     one_side_hyperplane,
@@ -59,7 +58,7 @@ from .geometry import (
 # hyperplane_division stays bound here, unused: perfbench's tracer tests check
 # that tracing rebinds it in this module
 from .hdivision import check_witness, hyperplane_division, realizable_division  # noqa: F401
-from .linsolve import feasible_point, infeasible_core
+from .linsolve import IntRow, feasible_point, infeasible_core
 from .partitions import (
     Partition,
     is_transversal,
@@ -97,14 +96,15 @@ class HalfspaceSystem:
     normal . x = 1 in base-point coordinates, each other point contributes one
     open halfspace of admissible normals: points colored like the base must
     stay on its side (normal . a < 1), the rest must not (normal . a > 1).
-    The system has a common point exactly when the configuration is separable
-    along the colors — that is Helly's theorem territory, and deciding it
-    exactly is a plain feasibility question.
+    Each is an integer row of a strict system, scaled by the denominators of
+    the point and the base.  The system has a common point exactly when the
+    configuration is separable along the colors — that is Helly's theorem
+    territory, and deciding it exactly is a plain feasibility question.
     """
 
     config: PointConfig
     base_id: int
-    rows: tuple[tuple[Coords, int, bool], ...]
+    rows: tuple[IntRow, ...]
 
     def separating_hyperplane(self) -> Optional[Hyperplane]:
         """Translate a common point back into a hyperplane with color class 0
@@ -114,7 +114,7 @@ class HalfspaceSystem:
         hyperplane."""
         if self.config.k == 1:
             return one_side_hyperplane(self.config.points, self.config.dim)
-        lam = feasible_point(self.rows, self.config.dim)
+        lam = feasible_point(self.rows, self.config.dim, strict=True)
         if lam is None:
             return None
         base = self.config.point(self.base_id)
@@ -127,17 +127,19 @@ class HalfspaceSystem:
 
 def helly_dual(config: PointConfig, base_id: int) -> HalfspaceSystem:
     _require_colors(config, most=2)
-    base = config.point(base_id)
+    base, base_den = config.point(base_id).scaled
     base_color = config.color_of(base_id)
     rows = []
     for p in config.points:
         if p.id == base_id:
             continue
-        shifted = tuple(x - b for x, b in zip(p.coords, base.coords))
+        ints, den = p.scaled
+        scale = den * base_den
+        shifted = tuple(x * base_den - b * den for x, b in zip(ints, base))  # a * scale
         if config.color_of(p.id) == base_color:
-            rows.append((shifted, 1, True))                      # normal . a < 1
+            rows.append((shifted, scale))                      # normal . a < 1
         else:
-            rows.append((tuple(-x for x in shifted), -1, True))  # normal . a > 1
+            rows.append((tuple(-x for x in shifted), -scale))  # normal . a > 1
     return HalfspaceSystem(config, base_id, tuple(rows))
 
 

@@ -59,17 +59,17 @@ class Point:
 
     @cached_property
     def separation_rows(self) -> tuple[IntRow, IntRow]:
-        """The point's two rows of the strict separation system, the positive
-        side's first.
+        """The point's two rows of the separation system, the positive side's
+        first, each an integer pair ``(coeffs, rhs)`` of a closed system.
 
         The unknowns are ``(normal, offset)``; the positive side reads
         normal.p >= offset+1, the negative one normal.p <= offset-1, both
-        written as ``coeffs . x <= rhs`` over integers (scaled by the lcm of
-        the point's denominators, exactly as ``feasible_point`` would scale
-        them).
+        written as ``coeffs . x <= rhs`` and scaled by the lcm of the point's
+        denominators.  By positive scaling of the unknowns the closed margin
+        of 1 is equivalent to strict separation.
         """
         ints, den = self.scaled
-        return (tuple(-v for v in ints) + (den,), -den, False), (ints + (-den,), -den, False)
+        return (tuple(-v for v in ints) + (den,), -den), (ints + (-den,), -den)
 
 
 @dataclass(frozen=True)
@@ -373,7 +373,7 @@ def strict_separate(
         raise DomainError("sides share a coordinate vector")
     constraints = [p.separation_rows[0] for p in a_pts]
     constraints += [p.separation_rows[1] for p in b_pts]
-    solution = feasible_point(constraints, dim + 1)
+    solution = feasible_point(constraints, dim + 1, strict=False)
     if solution is None:
         return None
     return Hyperplane(solution[:dim], solution[dim])

@@ -84,12 +84,6 @@ class HyperplaneDivision:
     def __len__(self) -> int:
         return len(self.division)
 
-    def separating(self, a: int, b: int) -> tuple[Partition, ...]:
-        return separating_members(self.division, a, b)
-
-    def nonseparating(self, a: int, b: int) -> tuple[Partition, ...]:
-        return nonseparating_members(self.division, a, b)
-
     def witness(self, member: Partition) -> Hyperplane:
         try:
             return self.witnesses[member]
@@ -360,9 +354,10 @@ class FlipResult:
 
 
 def projective_flip(
-    config: PointConfig, a: int, b: int, base: Partition
+    config: PointConfig, a: int, b: int, base_index: int
 ) -> FlipResult:
-    """Send the witness of ``base`` (a member separating a and b) to infinity.
+    """Send the witness of the base to infinity: the member at ``base_index``
+    among those separating a and b, in the division's canonical order.
 
     Concretely the configuration is carried through x -> x / (L.x - 1), where
     L.x = 1 is the witness hyperplane (after a translation when it passes
@@ -377,8 +372,12 @@ def projective_flip(
         raise DomainError("the configuration must be in general position")
     division = realizable_division(config)
     before = separating_members(division, a, b)
-    if base not in before:
-        raise DomainError("the chosen partition does not separate the pair")
+    if not 0 <= base_index < len(before):
+        raise DomainError(
+            f"base index {base_index} out of range "
+            f"(pair has {len(before)} separating members)"
+        )
+    base = before[base_index]
     witness = member_witness(config, base)
     work = config
     if witness.offset == 0:

@@ -17,8 +17,10 @@ back-substitution, orientation and side value as they stood before they moved
 to integer arithmetic; the integer routines must return the same values.  The
 integer elimination loops at the very end are the package's as they stood
 before they combined only the nonzero tail of two rows and inserted derived
-rows in bulk; the rewritten loops must keep the same rows, points and cores.
-Slow on purpose; keep inputs tiny.
+rows in bulk, with their own copies of the row conversion, bounds and picks
+of the kernel that still carried a strictness flag on every row; on systems
+of one strictness the rewritten loops must keep the same rows, points and
+cores.  Slow on purpose; keep inputs tiny.
 """
 
 from __future__ import annotations
@@ -43,11 +45,10 @@ from hyperpart import (
     color_separating_hyperplane,
     hyperplane_division,
     restrict,
+    separating_members,
     strict_separate,
     validate_certificate,
 )
-from hyperpart.linsolve import _Contradiction, _empty, _interval, _to_int_row
-from hyperpart.linsolve import _pick as _int_pick
 
 
 def _rat(x) -> Rational:
@@ -265,7 +266,7 @@ def deletion_fiber_check(config: PointConfig, a: int, b: int) -> DeletionFiberRe
     max_fiber = max(fibers.values())
     if max_fiber > 2:
         raise VerificationError(f"a reduced partition has {max_fiber} preimages")
-    sep_size = len(full.separating(a, b))
+    sep_size = len(separating_members(full.division, a, b))
     if len(full) - len(reduced) > sep_size:
         raise VerificationError(
             f"count drop {len(full) - len(reduced)} exceeds separating size {sep_size}"
@@ -444,7 +445,73 @@ def fraction_value_at(plane: Hyperplane, coords: Sequence) -> Fraction:
 # --- the integer elimination loops before the tail-only rewrite ---
 #
 # One call per inserted row, full-length combined rows and carried rows
-# re-inserted, kept verbatim; bounds and picks are the package's own.
+# re-inserted, kept verbatim, with the row conversion, bounds and picks of the
+# kernel whose rows each carried a strictness flag.
+
+
+class _Contradiction(Exception):
+    """A violated constant row, raised with the origin set it came from."""
+
+    def __init__(self, origins: Optional[int]) -> None:
+        super().__init__(origins)
+        self.origins = origins
+
+
+def _to_int_row(coeffs: Sequence, rhs, strict: bool):
+    """The row over integers; a row already in integers is passed through."""
+    if type(rhs) is int and all(type(c) is int for c in coeffs):
+        return tuple(coeffs), rhs, strict
+    values = (*coeffs, rhs)
+    den = lcm(*(Fraction(v).denominator for v in values))
+    ints = [int(Fraction(v) * den) for v in values]
+    return tuple(ints[:-1]), ints[-1], strict
+
+
+def _interval(rows, j, values):
+    """Bounds (num, den, strict) on variable j once the variables after it
+    take ``values``, cross-multiplied over one denominator; of two equal
+    bounds the strict one is kept."""
+    later = values[j + 1:]
+    scale = lcm(*(v.denominator for v in later))
+    later = [v.numerator * (scale // v.denominator) for v in later]
+    lo = up = None
+    for coeffs, (rhs, strict) in rows.items():
+        c = coeffs[j] * scale
+        if c == 0:
+            continue
+        num = rhs * scale - sum(x * v for x, v in zip(coeffs[j + 1:], later))
+        if c > 0:
+            if up is None or num * up[1] < up[0] * c or (
+                num * up[1] == up[0] * c and strict
+            ):
+                up = (num, c, strict)
+        else:
+            num, c = -num, -c
+            if lo is None or num * lo[1] > lo[0] * c or (
+                num * lo[1] == lo[0] * c and strict
+            ):
+                lo = (num, c, strict)
+    return lo, up
+
+
+def _empty(lo, up) -> bool:
+    if lo is None or up is None:
+        return False
+    left, right = lo[0] * up[1], up[0] * lo[1]
+    return left > right or (left == right and (lo[2] or up[2]))
+
+
+def _int_pick(lo, up) -> Fraction:
+    """The midpoint, one past the single bound, or 0."""
+    if _empty(lo, up):
+        raise VerificationError("empty interval after feasible elimination")
+    if lo is None and up is None:
+        return Fraction(0)
+    if lo is None:
+        return Fraction(up[0] - up[1], up[1])
+    if up is None:
+        return Fraction(lo[0] + lo[1], lo[1])
+    return Fraction(lo[0] * up[1] + up[0] * lo[1], 2 * lo[1] * up[1])
 
 
 def _int_add_row(rows, coeffs, rhs, strict) -> bool:
@@ -533,22 +600,22 @@ def _int_eliminate_traced(rows, j, limit):
     return out
 
 
-def _int_traced_core(rows: list, nvars: int, prune: bool) -> Optional[int]:
+def _int_traced_core(rows: list, nvars: int) -> Optional[int]:
     """The origin set of a contradiction, or None when the system is
-    feasible.  Without ``prune`` no row is dropped for its origin count."""
+    feasible; a derived row with too many origins is dropped."""
     stage: dict = {}
     try:
         for i, (coeffs, rhs, strict) in enumerate(rows):
             _int_add_traced(stage, coeffs, rhs, strict, 1 << i)
         for j in range(nvars - 1):
-            stage = _int_eliminate_traced(stage, j, j + 2 if prune else len(rows))
+            stage = _int_eliminate_traced(stage, j, j + 2)
         tightest: dict = {}
         for coeffs, kept in stage.items():
             for rhs, strict, _ in kept:
                 _int_add_row(tightest, coeffs, rhs, strict)
         if not _empty(*_interval(tightest, nvars - 1, ())):
             return None
-        _int_eliminate_traced(stage, nvars - 1, nvars + 1 if prune else len(rows))
+        _int_eliminate_traced(stage, nvars - 1, nvars + 1)
     except _Contradiction as found:
         return found.origins
     raise VerificationError("empty last interval but no contradiction within the origin limit")
@@ -596,18 +663,35 @@ def int_feasible_point(constraints, nvars: int):
 
 
 def int_infeasible_core(rows, nvars: int) -> Optional[tuple[int, ...]]:
-    """The core ``linsolve.infeasible_core`` must return, or None."""
+    """The core ``linsolve.infeasible_core`` must return for a system of one
+    strictness, or None."""
     rows = list(rows)
-    uniform = len({strict for _, _, strict in rows}) < 2
-    origins = _int_traced_core(rows, nvars, uniform)
+    origins = _int_traced_core(rows, nvars)
     if origins is None:
         return None
-    core = tuple(i for i in range(len(rows)) if origins >> i & 1)
-    if uniform:
-        return core
-    for i in core:
-        rest = [p for p in core if p != i]
-        smaller = int_infeasible_core([rows[p] for p in rest], nvars)
-        if smaller is not None:
-            return tuple(rest[q] for q in smaller)
-    return core
+    return tuple(i for i in range(len(rows)) if origins >> i & 1)
+
+
+def int_helly_plane(config: PointConfig, base_id: int) -> Optional[Hyperplane]:
+    """The hyperplane ``helly_dual(config, base_id).separating_hyperplane()``
+    must return for a configuration of two colors: the dual's rational rows,
+    each flagged strict, solved by the reference loops and translated back
+    as the package does."""
+    base = config.point(base_id)
+    base_color = config.color_of(base_id)
+    rows = []
+    for p in config.points:
+        if p.id == base_id:
+            continue
+        shifted = tuple(x - b for x, b in zip(p.coords, base.coords))
+        if config.color_of(p.id) == base_color:
+            rows.append((shifted, 1, True))
+        else:
+            rows.append((tuple(-x for x in shifted), -1, True))
+    lam = int_feasible_point(rows, config.dim)
+    if lam is None:
+        return None
+    plane = Hyperplane(lam, 1 + sum(l * x for l, x in zip(lam, base.coords)))
+    if base_color == 0:
+        plane = Hyperplane(tuple(-x for x in plane.normal), -plane.offset)
+    return plane

@@ -33,6 +33,7 @@ from hyperpart import (
     partition_count,
     pentagon_config,
     projective_flip,
+    separating_members,
     shrink_to_min,
     smallest_blocked_subset_size,
     witness_nonpartitionable,
@@ -122,9 +123,9 @@ def test_criterion_02_pentagon():
     cfg = pentagon_config()
     hd = hyperplane_division(cfg)
     assert len(hd) == 16 == partition_count(2, 6)
-    assert len(hd.separating(*CENTER_VERTEX_PAIR)) == 6
-    assert len(hd.separating(*ADJACENT_VERTEX_PAIR)) == 6
-    assert len(hd.separating(*NONADJACENT_VERTEX_PAIR)) == 10
+    assert len(separating_members(hd.division, *CENTER_VERTEX_PAIR)) == 6
+    assert len(separating_members(hd.division, *ADJACENT_VERTEX_PAIR)) == 6
+    assert len(separating_members(hd.division, *NONADJACENT_VERTEX_PAIR)) == 10
     sizes = [t.size for t in minimal_transversals(hd.division)]
     assert min(sizes) == 6
     assert partition_count(2, 6) - partition_count(2, 5) == 5
@@ -168,11 +169,9 @@ def test_criterion_04_shrink_attainment():
 @criterion(5, "projective flip duality")
 def test_criterion_05_flip_duality():
     for trial, dim, n, cfg in _stream("accept-duality", 105, [(2, 7), (3, 6)], 50):
-        hd = hyperplane_division(cfg)
         rng = random.Random(f"accept-flip:{trial}")
         a, b = sorted(rng.sample(cfg.ids, 2))
-        base = hd.separating(a, b)[0]
-        result = projective_flip(cfg, a, b, base)
+        result = projective_flip(cfg, a, b, 0)
         total = result.separating_before + result.separating_after
         assert total == partition_count(dim, n), (trial, total)
     return "50 instances"
@@ -322,7 +321,7 @@ def test_criterion_11_collinear_strict_subset():
         },
     )
     hd = hyperplane_division(cfg)
-    sep_ac = set(hd.separating(0, 1))
-    sep_ab = set(hd.separating(0, 2))
+    sep_ac = set(separating_members(hd.division, 0, 1))
+    sep_ab = set(separating_members(hd.division, 0, 2))
     assert sep_ac < sep_ab
     return f"|sep(a,c)| = {len(sep_ac)} < |sep(a,b)| = {len(sep_ab)}"

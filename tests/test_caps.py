@@ -37,9 +37,9 @@ def solver_calls(monkeypatch):
     in_route = [False]
 
     def counting(name, fn):
-        def counted(*args):
+        def counted(*args, **kwargs):
             counts[("route " if in_route[0] else "") + name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
         return counted
 
     for module, name in ((geometry, "feasible_point"), (colorful, "feasible_point"),

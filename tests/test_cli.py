@@ -181,6 +181,15 @@ def test_output_file(tmp_path, capsys, quad_file):
     assert json.loads(target.read_text())["count"] == 7
 
 
+@pytest.mark.parametrize("where", ["a directory", "a missing directory"])
+def test_unwritable_output_is_a_one_line_error(tmp_path, capsys, where):
+    target = tmp_path if where == "a directory" else tmp_path / "missing" / "report.json"
+    argv = ["formulas", "--dim", "2", "--colors", "3", "--output", str(target)]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+
+
 def test_byte_identical_reports(capsys, quad_file):
     _, first, _ = _run(capsys, ["enumerate", "--input", quad_file])
     _, second, _ = _run(capsys, ["enumerate", "--input", quad_file])

@@ -105,6 +105,33 @@ def test_dual_route_matches_direct_and_oracle(seed, n):
     assert (direct is not None) == oracle
 
 
+@st.composite
+def _rational_two_colored(draw):
+    """Distinct points with small rational coordinates, d = 1 to 3, n = 2 to
+    7, both colors present."""
+    dim = draw(st.integers(1, 3))
+    coord = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    points = draw(st.lists(st.tuples(*[coord] * dim), min_size=2, max_size=7, unique=True))
+    labels = draw(st.lists(st.integers(0, 1), min_size=len(points), max_size=len(points)))
+    assume(len(set(labels)) == 2)
+    return make_config(dim, points, colors=labels)
+
+
+@settings(max_examples=150)
+@given(_rational_two_colored() | degenerate_colored(colors=2).filter(lambda cfg: cfg.k == 2))
+def test_direct_and_dual_planes_match_the_parent_kernel(cfg):
+    """The direct plane and the Helly dual's plane through every anchor are
+    the planes of the reference loops, which flagged each row's strictness
+    and took the dual's rows in rationals."""
+    classes = cfg.color_classes
+    rows = [(*cfg.point(i).separation_rows[c], False) for c in (0, 1) for i in classes[c]]
+    lam = oracles.int_feasible_point(rows, cfg.dim + 1)
+    expected = None if lam is None else geometry.Hyperplane(lam[:cfg.dim], lam[cfg.dim])
+    assert color_separating_hyperplane(cfg) == expected
+    for anchor in cfg.ids:
+        assert helly_dual(cfg, anchor).separating_hyperplane() == oracles.int_helly_plane(cfg, anchor)
+
+
 def test_kirchberger_witness_alternating_line():
     cfg = _alternating_line()
     assert kirchberger_witness(cfg, 0) == (0, 1, 2)

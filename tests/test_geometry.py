@@ -305,5 +305,5 @@ def test_kirchberger_campaign_computes_each_orientation_once(monkeypatch):
 def test_points_carry_their_separation_rows():
     """Both rows of the separation system, positive side first, built once."""
     point = Point(0, (Fraction(1, 2), Fraction(-1, 3)))
-    assert point.separation_rows == (((-3, 2, 6), -6, False), ((3, -2, -6), -6, False))
+    assert point.separation_rows == (((-3, 2, 6), -6), ((3, -2, -6), -6))
     assert point.separation_rows is point.separation_rows

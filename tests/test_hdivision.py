@@ -40,6 +40,7 @@ from hyperpart import (
     projective_flip,
     realizable_division,
     realize,
+    separating_members,
     shrink_to_min,
 )
 from hyperpart.pentagon import (
@@ -141,7 +142,9 @@ def test_degenerate_member_set_is_the_enumeration(monkeypatch):
     expected = hyperplane_division(cfg).division
     solve = geometry.feasible_point
     lps = []
-    monkeypatch.setattr(geometry, "feasible_point", lambda *args: lps.append(1) or solve(*args))
+    monkeypatch.setattr(
+        geometry, "feasible_point", lambda *args, **kwargs: lps.append(1) or solve(*args, **kwargs)
+    )
     assert realizable_division(cfg) == expected
     assert len(lps) == 0
 
@@ -241,9 +244,9 @@ def test_pentagon_config_checks_its_order_type(monkeypatch):
 def test_pentagon_division_numbers(pentagon):
     hd = hyperplane_division(pentagon)
     assert len(hd) == 16
-    assert len(hd.separating(*CENTER_VERTEX_PAIR)) == 6
-    assert len(hd.separating(*ADJACENT_VERTEX_PAIR)) == 6
-    assert len(hd.separating(*NONADJACENT_VERTEX_PAIR)) == 10
+    assert len(separating_members(hd.division, *CENTER_VERTEX_PAIR)) == 6
+    assert len(separating_members(hd.division, *ADJACENT_VERTEX_PAIR)) == 6
+    assert len(separating_members(hd.division, *NONADJACENT_VERTEX_PAIR)) == 10
     sizes = [t.size for t in minimal_transversals(hd.division)]
     assert min(sizes) == 6
     assert max(sizes) == 10
@@ -279,18 +282,17 @@ def test_shrink_domain_errors(pentagon):
 
 
 def test_flip_pentagon_sums(pentagon):
-    hd = hyperplane_division(pentagon)
     for pair in (CENTER_VERTEX_PAIR, ADJACENT_VERTEX_PAIR, NONADJACENT_VERTEX_PAIR):
-        base = hd.separating(*pair)[0]
-        result = projective_flip(pentagon, *pair, base)
+        result = projective_flip(pentagon, *pair, 0)
         assert result.separating_before + result.separating_after == 16
         assert result.total == 16
 
 
 def test_flip_is_a_bijection_sending_base_to_trivial(quad):
     hd = hyperplane_division(quad)
-    base = hd.separating(0, 1)[0]
-    result = projective_flip(quad, 0, 1, base)
+    base = separating_members(hd.division, 0, 1)[0]
+    result = projective_flip(quad, 0, 1, 0)
+    assert result.base == base
     image = result.partition_map
     assert len(set(image.values())) == len(image) == 7
     assert image[base].is_trivial
@@ -299,21 +301,21 @@ def test_flip_is_a_bijection_sending_base_to_trivial(quad):
     assert image[trivial].blocks == base.blocks
 
 
-def test_flip_requires_separating_base(quad):
-    hd = hyperplane_division(quad)
-    nonsep = hd.nonseparating(0, 1)[0]
-    with pytest.raises(DomainError):
-        projective_flip(quad, 0, 1, nonsep)
+def test_flip_base_index_must_be_in_range(quad):
+    count = len(separating_members(realizable_division(quad), 0, 1))
+    assert projective_flip(quad, 0, 1, count - 1).separating_before == count
+    for index in (-1, count):
+        with pytest.raises(DomainError, match="out of range"):
+            projective_flip(quad, 0, 1, index)
 
 
 @pytest.mark.parametrize("dim,n,seed", [(1, 6, 61), (2, 6, 62), (3, 5, 63)])
 def test_flip_random_instances(dim, n, seed):
     cfg = _random_config(dim, n, seed)
-    hd = hyperplane_division(cfg)
     rng = random.Random(f"flip-pick:{seed}")
     a, b = rng.sample(cfg.ids, 2)
-    base = hd.separating(a, b)[-1]
-    result = projective_flip(cfg, a, b, base)
+    count = len(separating_members(realizable_division(cfg), a, b))
+    result = projective_flip(cfg, a, b, count - 1)
     assert result.separating_before + result.separating_after == partition_count(dim, n)
 
 
@@ -335,9 +337,9 @@ def _count_work(monkeypatch):
         counts["read"].append(len(config))
         return read(config)
 
-    def counted_solve(*args):
+    def counted_solve(*args, **kwargs):
         counts["lps"] += 1
-        return solve(*args)
+        return solve(*args, **kwargs)
 
     for module in (hdivision, cli, campaigns):
         monkeypatch.setattr(module, "hyperplane_division", enumerated)
@@ -348,14 +350,14 @@ def _count_work(monkeypatch):
 
 def test_cli_flip_enumerates_input_and_image_once(monkeypatch, tmp_path, capsys):
     # the input and the image were enumerated, 2 x 31 LPs; now the member sets
-    # are read (the input by the CLI, to pick the base, and by the flip) and
-    # only the base's witness is solved
+    # of the input and the image are read once each, the base picked by its
+    # index in the flip, and only the base's witness is solved
     path = tmp_path / "instance.json"
     path.write_text(emit_instance(_random_config(2, 6, 64)))
     counts = _count_work(monkeypatch)
     assert cli.main(["flip", "--input", str(path), "--a", "0", "--b", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["total"] == partition_count(2, 6)
-    assert counts == {"enumerated": [], "read": [6, 6, 6], "lps": 1}
+    assert counts == {"enumerated": [], "read": [6, 6], "lps": 1}
 
 
 def test_duality_trial_enumerates_input_and_image_once(monkeypatch):
@@ -363,7 +365,7 @@ def test_duality_trial_enumerates_input_and_image_once(monkeypatch):
     counts = _count_work(monkeypatch)
     record = campaigns._trial_duality(CampaignSpec(suite="duality", dim=2, n=7), 0)
     assert record["ok"]
-    assert counts == {"enumerated": [], "read": [7, 7, 7], "lps": 1}
+    assert counts == {"enumerated": [], "read": [7, 7], "lps": 1}
 
 
 def test_cli_demo_enumerates_pentagon_and_shrunk_once(monkeypatch, capsys):

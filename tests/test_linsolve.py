@@ -15,70 +15,79 @@ from hyperpart.linsolve import (
     _elimination,
     _load,
     _pick,
-    _to_int_row,
     _traced_core,
     feasible_point,
     infeasible_core,
+    scale_to_integers,
 )
 from strategies import degenerate_colored
 
 
-def _satisfies(point, constraints) -> bool:
-    for coeffs, rhs, strict in constraints:
+def _satisfies(point, rows, strict) -> bool:
+    for coeffs, rhs in rows:
         value = sum(c * x for c, x in zip(coeffs, point))
         if value > rhs or (strict and value == rhs):
             return False
     return True
 
 
+def _int_row(coeffs, rhs):
+    """A rational row as the integer row of its common denominator."""
+    ints, _ = scale_to_integers((*map(Fraction, coeffs), Fraction(rhs)))
+    return ints[:-1], ints[-1]
+
+
+def _flagged(rows, strict):
+    """Integer rows in the reference loops' format, each with its flag."""
+    return [(coeffs, rhs, strict) for coeffs, rhs in rows]
+
+
 def test_simple_interval():
-    point = feasible_point([((1,), 3, False), ((-1,), -1, False)], 1)
+    point = feasible_point([((1,), 3), ((-1,), -1)], 1, strict=False)
     assert point is not None and 1 <= point[0] <= 3
 
 
 def test_strict_boundaries_feasible():
-    point = feasible_point([((1,), 2, True), ((-1,), -1, True)], 1)
+    point = feasible_point([((1,), 2), ((-1,), -1)], 1, strict=True)
     assert point is not None and 1 < point[0] < 2
 
 
 def test_strict_point_infeasible():
     # x < 1 and x > 1 leave nothing, even though x = 1 closes both.
-    assert feasible_point([((1,), 1, True), ((-1,), -1, True)], 1) is None
+    assert feasible_point([((1,), 1), ((-1,), -1)], 1, strict=True) is None
 
 
 def test_closed_point_feasible():
-    point = feasible_point([((1,), 1, False), ((-1,), -1, False)], 1)
+    point = feasible_point([((1,), 1), ((-1,), -1)], 1, strict=False)
     assert point == (Fraction(1),)
 
 
 def test_obviously_contradictory():
-    assert feasible_point([((1, 0), 0, False), ((-1, 0), -1, False)], 2) is None
+    assert feasible_point([((1, 0), 0), ((-1, 0), -1)], 2, strict=False) is None
 
 
 def test_no_constraints_returns_a_point():
-    assert feasible_point([], 3) is not None
+    assert feasible_point([], 3, strict=False) is not None
+    assert feasible_point([], 3, strict=True) is not None
 
 
 def test_zero_rows_are_tautologies_or_contradictions():
-    assert feasible_point([((0, 0), 1, False)], 2) is not None
-    assert feasible_point([((0, 0), 0, True)], 2) is None
-    assert feasible_point([((0, 0), -1, False)], 2) is None
+    assert feasible_point([((0, 0), 1)], 2, strict=True) is not None
+    assert feasible_point([((0, 0), 0)], 2, strict=False) is not None
+    assert feasible_point([((0, 0), 0)], 2, strict=True) is None
+    assert feasible_point([((0, 0), -1)], 2, strict=False) is None
 
 
 def test_equality_encoded_as_two_inequalities():
-    constraints = [
-        ((2, 3), 6, False),
-        ((-2, -3), -6, False),
-        ((1, 0), 100, False),
-    ]
-    point = feasible_point(constraints, 2)
+    rows = [((2, 3), 6), ((-2, -3), -6), ((1, 0), 100)]
+    point = feasible_point(rows, 2, strict=False)
     assert point is not None
     assert 2 * point[0] + 3 * point[1] == 6
 
 
 def test_deterministic():
-    constraints = [((1, 1), 5, True), ((-1, 2), 3, False)]
-    assert feasible_point(constraints, 2) == feasible_point(constraints, 2)
+    rows = [((1, 1), 5), ((-1, 2), 3)]
+    assert feasible_point(rows, 2, strict=True) == feasible_point(rows, 2, strict=True)
 
 
 _coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -93,26 +102,26 @@ _coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3)
                 st.tuples(
                     st.lists(_coeff, min_size=nvars, max_size=nvars).map(tuple),
                     st.fractions(min_value=0, max_value=5, max_denominator=3),
-                    st.booleans(),
                 ),
                 max_size=6,
             ),
+            st.booleans(),
         )
     )
 )
 def test_known_feasible_systems_are_found(case):
-    """Constraints built to hold at a planted point must be satisfiable, and
-    the returned point must satisfy every constraint it was given."""
-    nvars, planted, raw = case
-    constraints = []
-    for coeffs, slack, strict in raw:
+    """Rows built to hold at a planted rational point must be satisfiable,
+    and the returned point must satisfy every row it was given."""
+    nvars, planted, raw, strict = case
+    rows = []
+    for coeffs, slack in raw:
         value = sum(c * x for c, x in zip(coeffs, planted))
         if strict and slack == 0:
             slack = Fraction(1, 7)
-        constraints.append((coeffs, value + slack, strict))
-    point = feasible_point(constraints, nvars)
+        rows.append(_int_row(coeffs, value + slack))
+    point = feasible_point(rows, nvars, strict=strict)
     assert point is not None
-    assert _satisfies(point, constraints)
+    assert _satisfies(point, rows, strict)
 
 
 @given(
@@ -120,23 +129,26 @@ def test_known_feasible_systems_are_found(case):
         st.tuples(
             st.lists(_coeff, min_size=2, max_size=2).map(tuple),
             st.fractions(min_value=-4, max_value=4, max_denominator=3),
-            st.booleans(),
         ),
         max_size=5,
-    )
+    ),
+    st.booleans(),
 )
-def test_returned_points_always_satisfy(constraints):
-    point = feasible_point(constraints, 2)
+def test_returned_points_always_satisfy(raw, strict):
+    rows = [_int_row(*row) for row in raw]
+    point = feasible_point(rows, 2, strict=strict)
     if point is not None:
-        assert _satisfies(point, constraints)
-    assert (infeasible_core([_to_int_row(*c) for c in constraints], 2) is None) == (point is not None)
+        assert _satisfies(point, rows, strict)
+    if not strict:
+        assert (infeasible_core(rows, 2) is None) == (point is not None)
 
 
 def test_pick_on_an_empty_interval_is_an_internal_fault():
     with pytest.raises(VerificationError):
-        _pick((1, 1, False), (0, 1, False))
+        _pick((1, 1), (0, 1), False)
     with pytest.raises(VerificationError):
-        _pick((1, 1, True), (1, 1, False))
+        _pick((1, 1), (1, 1), True)
+    assert _pick((1, 1), (1, 1), False) == 1
 
 
 def _point_strategy(dim):
@@ -183,8 +195,8 @@ def test_separation_systems_match_the_fraction_kernel(case):
     Fraction back-substitution, value for value, and the same decision."""
     dim, points, sides = case
     rows = [p.separation_rows[0 if positive else 1] for p, positive in zip(points, sides)]
-    expected = oracles.fraction_feasible_point(rows, dim + 1)
-    assert feasible_point(rows, dim + 1) == expected
+    expected = oracles.fraction_feasible_point(_flagged(rows, False), dim + 1)
+    assert feasible_point(rows, dim + 1, strict=False) == expected
     assert (infeasible_core(rows, dim + 1) is None) == (expected is not None)
 
 
@@ -200,39 +212,38 @@ _small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
                 st.tuples(
                     st.lists(_small, min_size=nvars, max_size=nvars),
                     st.sampled_from([-1, 0, 0, 1, Fraction(1, 2)]),
-                    st.booleans(),
                     st.lists(
                         st.tuples(
                             st.sampled_from([1, 2, 3, Fraction(1, 2)]),
                             st.sampled_from([-1, 0, 0, 1]),
-                            st.booleans(),
                         ),
                         max_size=2,
                     ),
                 ),
                 max_size=6,
             ),
+            st.booleans(),
         )
     )
 )
-def test_mixed_systems_match_the_fraction_kernel(case):
-    """Rational rows near a planted point, both strictnesses, each with
-    positive multiples whose right-hand sides move by -1, 0 or 1 (parallel
-    rows for the dedup to merge): the same witness and decision as the
-    Fraction back-substitution."""
-    nvars, planted, raw = case
+def test_uniform_systems_match_the_fraction_kernel(case):
+    """Rational rows near a planted point, all closed or all strict, each
+    with positive multiples whose right-hand sides move by -1, 0 or 1
+    (parallel rows for the dedup to merge), scaled to integers: the same
+    witness and decision as the Fraction back-substitution on the rational
+    rows."""
+    nvars, planted, raw, strict = case
     constraints = []
-    for coeffs, slack, strict, copies in raw:
+    for coeffs, slack, copies in raw:
         rhs = sum(c * x for c, x in zip(coeffs, planted)) + slack
         constraints.append((tuple(coeffs), rhs, strict))
-        for factor, shift, copy_strict in copies:
-            constraints.append(
-                (tuple(factor * c for c in coeffs), factor * rhs + shift, copy_strict)
-            )
+        for factor, shift in copies:
+            constraints.append((tuple(factor * c for c in coeffs), factor * rhs + shift, strict))
     expected = oracles.fraction_feasible_point(constraints, nvars)
-    assert feasible_point(constraints, nvars) == expected
-    rows = [_to_int_row(*c) for c in constraints]
-    assert (infeasible_core(rows, nvars) is None) == (expected is not None)
+    rows = [_int_row(coeffs, rhs) for coeffs, rhs, _ in constraints]
+    assert feasible_point(rows, nvars, strict=strict) == expected
+    if not strict:
+        assert (infeasible_core(rows, nvars) is None) == (expected is not None)
 
 
 def test_parallel_dedup_trap_stays_infeasible():
@@ -246,12 +257,12 @@ def test_parallel_dedup_trap_stays_infeasible():
     reads feasible."""
     pos = [Point(i, xy) for i, xy in enumerate([(-3, 1), (-2, 1), (1, 1)])]
     rows = [p.separation_rows[0] for p in pos] + [Point(3, (-1, 1)).separation_rows[1]]
-    assert feasible_point(rows, 3) is None
+    assert feasible_point(rows, 3, strict=False) is None
     assert infeasible_core(rows, 3) == (0, 2, 3)
 
 
 def _unpruned_feasible(rows, nvars) -> bool:
-    return _elimination(_load(rows, nvars), nvars) is not None
+    return _elimination(_load(rows, nvars, False), nvars, False) is not None
 
 
 def _check_core(rows, nvars, core) -> None:
@@ -302,7 +313,6 @@ def test_pruned_decisions_match_on_degenerate_separation_systems(case):
                 st.tuples(
                     st.lists(st.integers(min_value=-3, max_value=3), min_size=nvars, max_size=nvars),
                     st.sampled_from([-2, -1, 0, 0, 1]),
-                    st.booleans(),
                 ),
                 max_size=9,
             ),
@@ -310,15 +320,14 @@ def test_pruned_decisions_match_on_degenerate_separation_systems(case):
     )
 )
 @settings(max_examples=300)
-def test_cores_of_mixed_and_uniform_systems(case):
-    """Integer rows near a planted point, with either strictness: the
-    decision agrees with the unpruned elimination, and a core of a mixed
-    system (shrunk from the unpruned origin set) obeys the same bound as a
-    pruned one."""
+def test_cores_of_closed_systems(case):
+    """Closed integer rows near a planted point: the pruned decision agrees
+    with the unpruned elimination, and a core is at most nvars+1 rows that
+    are infeasible alone."""
     nvars, planted, raw = case
     rows = [
-        (tuple(coeffs), sum(c * x for c, x in zip(coeffs, planted)) + slack, strict)
-        for coeffs, slack, strict in raw
+        (tuple(coeffs), sum(c * x for c, x in zip(coeffs, planted)) + slack)
+        for coeffs, slack in raw
     ]
     core = infeasible_core(rows, nvars)
     assert (core is None) == _unpruned_feasible(rows, nvars)
@@ -327,16 +336,11 @@ def test_cores_of_mixed_and_uniform_systems(case):
 
 
 def test_core_of_a_violated_constant_row_is_that_row():
-    rows = [((1, 0), 5, False), ((0, 0), -1, False), ((0, 1), 5, True)]
+    rows = [((1, 0), 5), ((0, 0), -1), ((0, 1), 5)]
     assert infeasible_core(rows, 2) == (1,)
-    assert infeasible_core([((1,), 1, True), ((-1,), -1, True)], 1) == (0, 1)
+    assert infeasible_core([((1,), 1), ((-1,), -2)], 1) == (0, 1)
+    assert infeasible_core([((1,), 1), ((-1,), -1)], 1) is None
     assert infeasible_core([], 2) is None
-
-
-def test_integer_rows_are_not_rescaled():
-    row = ((2, -4), 6, True)
-    assert _to_int_row(*row) == row
-    assert _to_int_row((Fraction(1, 2), 1), Fraction(3, 4), False) == ((2, 4), 3, False)
 
 
 # --- the elimination loops against the reference loops ---------------------
@@ -350,30 +354,29 @@ def _loop_systems(draw):
     rows with zeros at the variables eliminated first, exact duplicates and
     positive multiples, a pair that becomes a violated constant row when its
     first variable is eliminated (or, for the last variable, an empty
-    interval), a constant row, and uniform or mixed strictness."""
+    interval), a constant row, all closed or all strict."""
     nvars = draw(st.integers(1, 4))
     planted = draw(st.lists(st.integers(-2, 2), min_size=nvars, max_size=nvars))
-    mode = draw(st.sampled_from([False, True, None]))  # None: mixed strictness
-    strictness = st.booleans() if mode is None else st.just(mode)
+    strict = draw(st.booleans())
     rows = []
     for _ in range(draw(st.integers(0, 5))):
         coeffs = tuple(draw(st.lists(_LOOP_COEFF, min_size=nvars, max_size=nvars)))
         rhs = sum(map(mul, coeffs, planted)) + draw(st.sampled_from([-2, -1, 0, 0, 1, 2]))
-        rows.append((coeffs, rhs, draw(strictness)))
+        rows.append((coeffs, rhs))
         if draw(st.booleans()):
             factor = draw(st.sampled_from([1, 1, 2, 3]))
             shift = draw(st.sampled_from([-1, 0, 0, 1]))
-            rows.append((tuple(factor * c for c in coeffs), factor * rhs + shift, draw(strictness)))
+            rows.append((tuple(factor * c for c in coeffs), factor * rhs + shift))
     if draw(st.booleans()):
         # u.x <= r and -u.x <= -r - gap sum to 0 <= -gap at variable `first`
         first = draw(st.integers(0, nvars - 1))
         rest = draw(st.lists(_LOOP_COEFF, min_size=nvars - first - 1, max_size=nvars - first - 1))
         u = (0,) * first + (draw(st.integers(1, 3)),) + tuple(rest)
         r, gap = draw(st.integers(-3, 3)), draw(st.integers(0, 2))
-        rows += [(u, r, draw(strictness)), (tuple(-c for c in u), -r - gap, draw(strictness))]
+        rows += [(u, r), (tuple(-c for c in u), -r - gap)]
     if draw(st.booleans()):
-        rows.append(((0,) * nvars, draw(st.integers(-1, 1)), draw(strictness)))
-    return nvars, draw(st.permutations(rows))
+        rows.append(((0,) * nvars, draw(st.integers(-1, 1))))
+    return nvars, strict, draw(st.permutations(rows))
 
 
 def _outcome(solve, *args):
@@ -388,25 +391,29 @@ def _outcome(solve, *args):
 @given(
     _loop_systems()
     | degenerate_colored(colors=2).map(
-        lambda cfg: (cfg.dim + 1, [p.separation_rows[c] for p, c in zip(cfg.points, cfg.colors)])
+        lambda cfg: (
+            cfg.dim + 1, False, [p.separation_rows[c] for p, c in zip(cfg.points, cfg.colors)]
+        )
     )
 )
 def test_elimination_loops_match_the_reference_loops(case):
-    """The same rows in the same order at every stage, the same point, and
-    the same Farkas core (cores steer the grouping table's pruning), pruned
-    or not, as the loops that inserted one row per call."""
-    nvars, rows = case
-    found = _elimination(_load(rows, nvars), nvars)
-    expected = oracles.int_elimination(rows, nvars)
+    """The same rows in the same order at every stage, the same bounds and
+    the same point as the loops that inserted one row per call and flagged
+    each row's strictness, and on closed systems the same Farkas core (cores
+    steer the grouping table's pruning)."""
+    nvars, strict, rows = case
+    flagged = _flagged(rows, strict)
+    found = _elimination(_load(rows, nvars, strict), nvars, strict)
+    expected = oracles.int_elimination(flagged, nvars)
     assert (found is None) == (expected is None)
     if found is not None:
         assert [list(stage.items()) for stage in found[0]] == [
-            list(stage.items()) for stage in expected[0]
+            [(coeffs, rhs) for coeffs, (rhs, _) in stage.items()] for stage in expected[0]
         ]
-        assert found[1] == expected[1]
-    assert feasible_point(rows, nvars) == oracles.int_feasible_point(rows, nvars)
-    assert infeasible_core(rows, nvars) == oracles.int_infeasible_core(rows, nvars)
-    for prune in (False, True):
-        assert _outcome(_traced_core, rows, nvars, prune) == _outcome(
-            oracles._int_traced_core, rows, nvars, prune
+        assert found[1] == tuple(None if b is None else b[:2] for b in expected[1])
+    assert feasible_point(rows, nvars, strict=strict) == oracles.int_feasible_point(flagged, nvars)
+    if not strict:
+        assert infeasible_core(rows, nvars) == oracles.int_infeasible_core(flagged, nvars)
+        assert _outcome(_traced_core, rows, nvars) == _outcome(
+            oracles._int_traced_core, flagged, nvars
         )
