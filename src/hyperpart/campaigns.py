@@ -129,6 +129,8 @@ def _check_suite_shape(spec: CampaignSpec) -> CampaignSpec:
             "suite 'duality' flips through a witness and needs general position, "
             "but degenerate mode plants a collinear triple"
         )
+    if spec.suite == "eta-bound" and (spec.dim < 2 or spec.n < 3):
+        raise DomainError("suite 'eta-bound' plants a collinear triple and needs dim >= 2, n >= 3")
     if spec.suite == "eta-bound" and not spec.degenerate:
         spec = dataclasses.replace(spec, degenerate=True)
     return spec

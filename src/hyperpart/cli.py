@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Every subcommand reads exact-rational JSON (or generates seeded instances),
-prints one deterministic JSON report to stdout (or ``--output``), and exits
-with 0 on success, 1 on bad input or usage, 2 on a failed verification.
+Every subcommand body reads exact-rational JSON (or generates seeded
+instances) and returns one JSON-able report.  ``main`` alone prints it, as
+deterministic JSON to stdout (or ``--output``), and sets the exit status: 1
+on bad input or usage, 2 on a failed verification (raised, or recorded in the
+report as a top-level ``routes_agree`` or ``ok`` that is false), else 0.
 Output is plain JSON with no terminal styling, so ``NO_COLOR`` has nothing to
 override.
 """
@@ -128,11 +130,11 @@ def _member_docs(hd) -> list[dict]:
 # --- subcommand bodies -----------------------------------------------------
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _cmd_enumerate(args: argparse.Namespace) -> dict:
     config = _load(args)
     hd = hyperplane_division(config)
     expected = partition_count(config.dim, len(config))
-    doc = {
+    return {
         "command": "enumerate",
         "dim": config.dim,
         "n": len(config),
@@ -142,15 +144,13 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         "matches_formula": len(hd) == expected,
         "members": _member_docs(hd),
     }
-    _emit(args, doc)
-    return 0
 
 
-def _cmd_sep(args: argparse.Namespace) -> int:
+def _cmd_sep(args: argparse.Namespace) -> dict:
     division = realizable_division(_load(args))
     separating = separating_members(division, args.a, args.b)
     nonseparating = nonseparating_members(division, args.a, args.b)
-    doc = {
+    return {
         "command": "sep",
         "pair": [args.a, args.b],
         "separating_count": len(separating),
@@ -158,15 +158,13 @@ def _cmd_sep(args: argparse.Namespace) -> int:
         "separating": [partition_doc(m) for m in separating],
         "nonseparating": [partition_doc(m) for m in nonseparating],
     }
-    _emit(args, doc)
-    return 0
 
 
-def _cmd_transversals(args: argparse.Namespace) -> int:
+def _cmd_transversals(args: argparse.Namespace) -> dict:
     division = realizable_division(_load(args))
     found = minimal_transversals(division)
     sizes = [t.size for t in found]
-    doc = {
+    return {
         "command": "transversals",
         "count": len(division),
         "min_size": min(sizes) if sizes else None,
@@ -180,13 +178,11 @@ def _cmd_transversals(args: argparse.Namespace) -> int:
             for t in found
         ],
     }
-    _emit(args, doc)
-    return 0
 
 
-def _cmd_flip(args: argparse.Namespace) -> int:
+def _cmd_flip(args: argparse.Namespace) -> dict:
     result = projective_flip(_load(args), args.a, args.b, args.base_index)
-    doc = {
+    return {
         "command": "flip",
         "pair": [args.a, args.b],
         "base": partition_doc(result.base),
@@ -201,14 +197,12 @@ def _cmd_flip(args: argparse.Namespace) -> int:
         ],
         "config": config_doc(result.config),
     }
-    _emit(args, doc)
-    return 0
 
 
-def _cmd_shrink(args: argparse.Namespace) -> int:
+def _cmd_shrink(args: argparse.Namespace) -> dict:
     config = _load(args)
     result = shrink_to_min(config, args.a, args.b)
-    doc = {
+    return {
         "command": "shrink",
         "moved": result.moved_id,
         "toward": result.toward_id,
@@ -218,14 +212,12 @@ def _cmd_shrink(args: argparse.Namespace) -> int:
         "formula_min": min_transversal_size(config.dim, len(config)),
         "config": config_doc(result.config),
     }
-    _emit(args, doc)
-    return 0
 
 
-def _cmd_perturb(args: argparse.Namespace) -> int:
+def _cmd_perturb(args: argparse.Namespace) -> dict:
     config = _load(args)
     result = perturb(config, args.seed)
-    doc = {
+    return {
         "command": "perturb",
         "seed": args.seed,
         "attempts": result.attempts,
@@ -234,15 +226,13 @@ def _cmd_perturb(args: argparse.Namespace) -> int:
         "formula_count": partition_count(config.dim, len(config)),
         "config": config_doc(result.config),
     }
-    _emit(args, doc)
-    return 0
 
 
-def _cmd_partitionable(args: argparse.Namespace) -> int:
+def _cmd_partitionable(args: argparse.Namespace) -> dict:
     config = _load(args)
     certificate = is_partitionable(config)
     agree = (certificate is not None) == is_partitionable_by_enumeration(config)
-    doc = {
+    return {
         "command": "partitionable",
         "partitionable": certificate is not None,
         "routes_agree": agree,
@@ -253,14 +243,12 @@ def _cmd_partitionable(args: argparse.Namespace) -> int:
             for h, p in certificate.family
         ],
     }
-    _emit(args, doc)
-    return 0 if agree else 2
 
 
-def _cmd_witness(args: argparse.Namespace) -> int:
+def _cmd_witness(args: argparse.Namespace) -> dict:
     config = _load(args)
     report = witness_nonpartitionable(config)
-    doc = {
+    return {
         "command": "witness",
         "witness": list(report.witness_ids),
         "size": len(report.witness_ids),
@@ -275,16 +263,14 @@ def _cmd_witness(args: argparse.Namespace) -> int:
             for member in report.transversal
         ],
     }
-    _emit(args, doc)
-    return 0
 
 
-def _cmd_kirchberger(args: argparse.Namespace) -> int:
+def _cmd_kirchberger(args: argparse.Namespace) -> dict:
     config = _load(args)
     anchor = args.p if args.p is not None else config.ids[0]
     routes = kirchberger_routes(config, anchor)
     direct = routes.hyperplane
-    doc = {
+    return {
         "command": "kirchberger",
         "anchor": anchor,
         "separable": direct is not None,
@@ -292,16 +278,14 @@ def _cmd_kirchberger(args: argparse.Namespace) -> int:
         "hyperplane": hyperplane_doc(direct) if direct is not None else None,
         "witness": list(routes.witness) if routes.witness is not None else None,
     }
-    _emit(args, doc)
-    return 0 if routes.routes_agree else 2
 
 
-def _cmd_formulas(args: argparse.Namespace) -> int:
+def _cmd_formulas(args: argparse.Namespace) -> dict:
     if args.colors < 2:
         raise DomainError(f"formulas need at least 2 colors, got {args.colors}")
     _check_scale(args.unsafe_large, dim=args.dim, colors=args.colors)
     summary = counting_summary(args.dim, args.colors)
-    doc = {
+    return {
         "command": "formulas",
         "dim": summary.dim,
         "colors": summary.k,
@@ -310,8 +294,6 @@ def _cmd_formulas(args: argparse.Namespace) -> int:
         "max_transversal_size": summary.max_transversal_size,
         "witness_size_bound": summary.witness_size_bound,
     }
-    _emit(args, doc)
-    return 0
 
 
 def _spec_from_args(args: argparse.Namespace, suite: str) -> CampaignSpec:
@@ -330,71 +312,57 @@ def _spec_from_args(args: argparse.Namespace, suite: str) -> CampaignSpec:
     )
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    report = run_suite(_spec_from_args(args, args.suite))
-    _emit(args, report)
-    return 0 if report["ok"] else 2
+def _cmd_verify(args: argparse.Namespace) -> dict:
+    return run_suite(_spec_from_args(args, args.suite))
 
 
-def _cmd_bound_search(args: argparse.Namespace) -> int:
-    report = bound_search(_spec_from_args(args, "bound-search"))
-    _emit(args, report)
-    return 0 if report["ok"] else 2
+def _cmd_bound_search(args: argparse.Namespace) -> dict:
+    return bound_search(_spec_from_args(args, "bound-search"))
 
 
+# The demo report's fields other than command, name and ok, frozen.
 _PENTAGON_EXPECTED = {
     "count": 16,
-    "center_vertex": 6,
-    "adjacent_vertices": 6,
-    "nonadjacent_vertices": 10,
-    "min_transversal": 6,
-    "max_minimal_transversal": 10,
-    "shrink_separating": 5,
-    "shrink_min_transversal": 5,
+    "separating_sizes": {"center-vertex": 6, "adjacent-vertices": 6, "nonadjacent-vertices": 10},
+    "min_transversal_size": 6,
+    "max_minimal_transversal_size": 10,
+    "shrink": {
+        "pair": list(CENTER_VERTEX_PAIR),
+        "scale": "1/4",
+        "separating_size": 5,
+        "min_transversal_size_after": 5,
+    },
 }
 
 
-def _cmd_demo(args: argparse.Namespace) -> int:
+def _cmd_demo(args: argparse.Namespace) -> dict:
     config = pentagon_config()
     division = realizable_division(config)
     sizes = [t.size for t in minimal_transversals(division)]
     shrunk = shrink_to_min(config, *CENTER_VERTEX_PAIR)
-    after = minimal_transversals(shrunk.division)
-    got = {
-        "count": len(division),
-        "center_vertex": len(separating_members(division, *CENTER_VERTEX_PAIR)),
-        "adjacent_vertices": len(separating_members(division, *ADJACENT_VERTEX_PAIR)),
-        "nonadjacent_vertices": len(separating_members(division, *NONADJACENT_VERTEX_PAIR)),
-        "min_transversal": min(sizes),
-        "max_minimal_transversal": max(sizes),
-        "shrink_separating": shrunk.separating_size,
-        "shrink_min_transversal": min(t.size for t in after),
-    }
-    if got != _PENTAGON_EXPECTED:
-        raise VerificationError(
-            f"pentagon demo deviates from the frozen values: {got}"
-        )
-    doc = {
+    report = {
         "command": "demo",
         "name": "pentagon",
-        "count": got["count"],
+        "count": len(division),
         "separating_sizes": {
-            "center-vertex": got["center_vertex"],
-            "adjacent-vertices": got["adjacent_vertices"],
-            "nonadjacent-vertices": got["nonadjacent_vertices"],
+            "center-vertex": len(separating_members(division, *CENTER_VERTEX_PAIR)),
+            "adjacent-vertices": len(separating_members(division, *ADJACENT_VERTEX_PAIR)),
+            "nonadjacent-vertices": len(separating_members(division, *NONADJACENT_VERTEX_PAIR)),
         },
-        "min_transversal_size": got["min_transversal"],
-        "max_minimal_transversal_size": got["max_minimal_transversal"],
+        "min_transversal_size": min(sizes),
+        "max_minimal_transversal_size": max(sizes),
         "shrink": {
             "pair": list(CENTER_VERTEX_PAIR),
             "scale": rational_str(shrunk.scale),
-            "separating_size": got["shrink_separating"],
-            "min_transversal_size_after": got["shrink_min_transversal"],
+            "separating_size": shrunk.separating_size,
+            "min_transversal_size_after": min(t.size for t in minimal_transversals(shrunk.division)),
         },
         "ok": True,
     }
-    _emit(args, doc)
-    return 0
+    got = {key: report[key] for key in _PENTAGON_EXPECTED}
+    if got != _PENTAGON_EXPECTED:
+        raise VerificationError(f"pentagon demo deviates from the frozen values: {got}")
+    return report
 
 
 # --- parser wiring ---------------------------------------------------------
@@ -525,7 +493,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = _shared_parser().parse_args(argv)
         # looked up per call, so the subcommand bodies can be replaced
-        return globals()[f"_cmd_{args.command.replace('-', '_')}"](args)
+        report = globals()[f"_cmd_{args.command.replace('-', '_')}"](args)
+        _emit(args, report)
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
@@ -535,6 +504,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except HyperpartError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    failed = report.get("routes_agree") is False or report.get("ok") is False
+    return 2 if failed else 0
 
 
 if __name__ == "__main__":

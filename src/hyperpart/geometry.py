@@ -215,12 +215,11 @@ class PointConfig:
 
         Fewer than dim+1 points have no orientation to record: they are in
         general position when they are affinely independent, that is when
-        the Gram determinant of their differences is nonzero.
+        their n-1 difference rows have n-1 pivots.
         """
         if len(self.points) <= self.dim:
             rows = _difference_rows(self.points)
-            gram = [[sum(map(mul, u, v)) for v in rows] for u in rows]
-            return {} if _det_sign(gram) else None
+            return {} if len(_pivot_columns(rows)) == len(rows) else None
         table = {}
         size = self.dim + 1
         for ids, sub in zip(combinations(self.ids, size), combinations(self.points, size)):
@@ -301,6 +300,22 @@ def _det(rows: list[list[int]]) -> int:
             rows[r] = [(lead * x - c * y) // prev for x, y in zip(rows[r], rows[col])]
         prev = lead
     return sign * prev
+
+
+def _pivot_columns(rows: list[list[int]]) -> list[int]:
+    """The pivot columns of integer rows brought to echelon form: the rows
+    restricted to them have the rows' full rank."""
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        lead = next((row for row in rows if row[col]), None)
+        if lead is None:
+            continue
+        pivots.append(col)
+        rows = [
+            [lead[col] * x - row[col] * y for x, y in zip(row, lead)]
+            for row in rows if row is not lead
+        ]
+    return pivots
 
 
 def _det_sign(rows: list[list[int]]) -> int:

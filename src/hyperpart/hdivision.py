@@ -50,6 +50,7 @@ from .geometry import (
     Point,
     PointConfig,
     _det,
+    _pivot_columns,
     general_position,
     one_side_hyperplane,
     realize,
@@ -222,22 +223,6 @@ def _flat_sides(points: list[tuple[int, tuple[int, ...]]], dim: int) -> set[int]
             side = plus | pattern
             sides.add(side if side & head else everything ^ side)
     return sides
-
-
-def _pivot_columns(rows: list[list[int]]) -> list[int]:
-    """The pivot columns of integer rows brought to echelon form: the rows
-    restricted to them have the rows' full rank."""
-    pivots = []
-    for col in range(len(rows[0]) if rows else 0):
-        lead = next((row for row in rows if row[col]), None)
-        if lead is None:
-            continue
-        pivots.append(col)
-        rows = [
-            [lead[col] * x - row[col] * y for x, y in zip(row, lead)]
-            for row in rows if row is not lead
-        ]
-    return pivots
 
 
 def _from_mask(ids: tuple[int, ...], first: int) -> Partition:

@@ -236,6 +236,14 @@ def test_domain_errors_exit_1(tmp_path, capsys):
         assert "colors" in err and "points" not in err
 
 
+@pytest.mark.parametrize("dim, n", [("1", "5"), ("2", "2")])
+def test_eta_bound_shape_error_names_the_suite(capsys, dim, n):
+    # eta-bound always plants a collinear triple, --degenerate or not
+    code, out, err = _run(capsys, ["verify", "--suite", "eta-bound", "--dim", dim, "--n", n])
+    assert code == 1 and out == ""
+    assert "'eta-bound'" in err and "degenerate mode" not in err
+
+
 _HUGE = "1" + "0" * 5000  # more digits than Python converts from text
 
 
@@ -318,6 +326,37 @@ def test_verification_failures_exit_2(monkeypatch, capsys, quad_file):
     err = capsys.readouterr().err
     assert code == 2
     assert "verification failure" in err
+
+
+def test_partitionable_routes_disagreeing_print_the_report_and_exit_2(
+    monkeypatch, capsys, colored_file
+):
+    from hyperpart import cli
+
+    monkeypatch.setattr(
+        cli, "is_partitionable_by_enumeration", lambda config: cli.is_partitionable(config) is None
+    )
+    code, out, _ = _run(capsys, ["partitionable", "--input", colored_file])
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["partitionable"] is False and doc["routes_agree"] is False
+
+
+def test_kirchberger_routes_disagreeing_print_the_report_and_exit_2(
+    monkeypatch, capsys, colored_file
+):
+    from hyperpart import cli
+    from hyperpart.colorful import KirchbergerReport
+
+    monkeypatch.setattr(
+        cli,
+        "kirchberger_routes",
+        lambda config, anchor: KirchbergerReport(hyperplane=None, routes_agree=False, witness=None),
+    )
+    code, out, _ = _run(capsys, ["kirchberger", "--input", colored_file])
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["separable"] is False and doc["routes_agree"] is False
 
 
 def test_parser_is_built_once_per_process(monkeypatch, capsys, quad_file):

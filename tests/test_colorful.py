@@ -229,10 +229,21 @@ def test_kirchberger_routes_match_brute_scan_in_general_position(cfg, slot):
         assert len(expected) == cfg.dim + 2  # smaller subsets are affinely independent
 
 
+@st.composite
+def _radon_colored(draw, colors):
+    """``_general_colored`` with the first dim+2 points colored 0 and 1 by
+    their Radon signs: those two classes hold both sides of a Radon
+    partition, whose hulls meet, so no draw is partitionable."""
+    cfg = draw(_general_colored(colors))
+    head = cfg.ids[: cfg.dim + 2]
+    labels = [int(sign < 0) for sign in geometry.radon_signs(cfg, head)]
+    return cfg.with_colors(labels + list(cfg.colors[len(head):]))
+
+
 @settings(max_examples=30)
-@given(_general_colored(colors=3))
+@given(_radon_colored(colors=3))
 def test_witness_cores_match_brute_scan_in_general_position(cfg):
-    assume(cfg.k >= 2 and is_partitionable(cfg) is None)
+    assert is_partitionable(cfg) is None
     report = witness_nonpartitionable(cfg)
     for member, core in report.per_member_sets.items():
         first = frozenset(extend_partition(member, cfg).blocks[0])
