@@ -8,10 +8,15 @@ formed only for a value that is returned.
 
 A configuration computes the orientation sign of each of its dim+1-point
 subsets once, on first use, and keeps them (``PointConfig.orientations``).  The
-table is None when the configuration is not in general position, so
-``general_position`` is a lookup, and on general-position input the table
-also decides every labelled dim+2-point subset without an LP: its labels must
-be its unique Radon partition, whose sides are the signs of ``radon_signs``.
+table is read off the hyperplanes the points span: with the points on one
+common denominator (``PointConfig.integer_points``), each dim-subset S gets
+the integer cofactor normal and offset of its hyperplane (``_spanned_normal``),
+and the sign of S with one later point p added is (-1)^(dim-1) times the side
+of S's hyperplane that p lies on, one dot product per sign.  The table is None
+when the configuration is not in general position, so ``general_position`` is
+a lookup, and on general-position input the table also decides every labelled
+dim+2-point subset without an LP: its labels must be its unique Radon
+partition, whose sides are the signs of ``radon_signs``.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import lcm
 from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -208,25 +214,47 @@ class PointConfig:
         return {c: tuple(ids) for c, ids in sorted(classes.items())}
 
     @cached_property
+    def integer_points(self) -> tuple[tuple[int, ...], ...]:
+        """The points' coordinates in id order, all scaled by the lcm of their
+        denominators: integers, and the same configuration up to a positive
+        scaling."""
+        den = lcm(*(p.scaled[1] for p in self.points))
+        return tuple(
+            tuple(v * (den // d) for v in ints) for ints, d in (p.scaled for p in self.points)
+        )
+
+    @cached_property
     def orientations(self) -> Optional[dict[tuple[int, ...], int]]:
         """The orientation sign of every dim+1 points, keyed by their ids in
-        increasing order; None when the configuration is not in general
-        position.
+        increasing order (in the order of ``combinations``); None when the
+        configuration is not in general position.
+
+        Each dim+1 points are a dim-subset S and one point p after S's last
+        id.  The orientation is the determinant of the difference rows from
+        S's first point, and expanding it along p's row gives (-1)^(dim-1)
+        times normal . p - offset, with S's cofactor normal and offset from
+        ``_spanned_normal`` on ``integer_points``: one normal per S and one
+        dot product per sign.
 
         Fewer than dim+1 points have no orientation to record: they are in
         general position when they are affinely independent, that is when
         their n-1 difference rows have n-1 pivots.
         """
-        if len(self.points) <= self.dim:
+        n, dim = len(self.points), self.dim
+        if n <= dim:
             rows = _difference_rows(self.points)
             return {} if len(_pivot_columns(rows)) == len(rows) else None
+        points, ids = self.integer_points, self.ids
+        flip = (-1) ** (dim - 1)
         table = {}
-        size = self.dim + 1
-        for ids, sub in zip(combinations(self.ids, size), combinations(self.points, size)):
-            sign = _det_sign(_difference_rows(sub))  # orient, its checks already met
-            if not sign:
-                return None
-            table[ids] = sign
+        for span in combinations(range(n - 1), dim):
+            normal, offset = _spanned_normal([points[i] for i in span])
+            key = tuple(ids[i] for i in span)
+            for j in range(span[-1] + 1, n):
+                value = sum(map(mul, normal, points[j])) - offset
+                if not value:
+                    return None
+                table[key + (ids[j],)] = flip if value > 0 else -flip
         return table
 
     def subset(self, ids: Iterable[int]) -> "PointConfig":
@@ -283,9 +311,18 @@ def make_config(
 
 
 def _det(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix, by fraction-free (Bareiss)
-    elimination: every division is exact.  The rows are overwritten."""
+    """Determinant of a square integer matrix: in closed form for sizes 1 to
+    3, otherwise by fraction-free (Bareiss) elimination, in which every
+    division is exact and the rows are overwritten."""
     n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     sign, prev = 1, 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if rows[r][col]), None)
@@ -300,6 +337,22 @@ def _det(rows: list[list[int]]) -> int:
             rows[r] = [(lead * x - c * y) // prev for x, y in zip(rows[r], rows[col])]
         prev = lead
     return sign * prev
+
+
+def _spanned_normal(points: Sequence[Sequence[int]]) -> tuple[list[int], int]:
+    """``(normal, offset)`` of the hyperplane through dim integer points of
+    R^dim, both integers; the normal is zero when the points are affinely
+    dependent.
+
+    The normal holds the cofactors of the dim-1 difference rows from the
+    first point: (-1)^j times their minor without column j.  So for every x,
+    normal . x - offset is (-1)^(dim-1) times the determinant of those rows
+    with x minus the first point appended.
+    """
+    origin = points[0]
+    rows = [[x - o for x, o in zip(p, origin)] for p in points[1:]]
+    normal = [(-1) ** j * _det([row[:j] + row[j + 1:] for row in rows]) for j in range(len(origin))]
+    return normal, sum(map(mul, normal, origin))
 
 
 def _pivot_columns(rows: list[list[int]]) -> list[int]:
@@ -352,7 +405,8 @@ def general_position(config: PointConfig) -> bool:
 
 def radon_signs(config: PointConfig, ids: tuple[int, ...]) -> tuple[int, ...]:
     """The sign of each point's coefficient in the affine dependence of dim+2
-    points of a configuration in general position, ids increasing.
+    points of a configuration in general position, ids increasing; other ids
+    are a DomainError.
 
     By Cramer's rule the coefficient of the t-th point is proportional to
     (-1)^t times the orientation of the other dim+1, and in general position
@@ -365,7 +419,12 @@ def radon_signs(config: PointConfig, ids: tuple[int, ...]) -> tuple[int, ...]:
         raise DomainError("Radon signs need a configuration in general position")
     if len(ids) != config.dim + 2:
         raise DomainError(f"Radon signs in dimension {config.dim} need {config.dim + 2} points")
-    return tuple((-1) ** t * table[ids[:t] + ids[t + 1:]] for t in range(len(ids)))
+    try:
+        return tuple((-1) ** t * table[ids[:t] + ids[t + 1:]] for t in range(len(ids)))
+    except KeyError:
+        raise DomainError(
+            f"Radon signs need increasing ids of the configuration, got {ids}"
+        ) from None
 
 
 def strict_separate(

@@ -39,7 +39,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from operator import mul
 from typing import Optional
 
@@ -49,8 +48,8 @@ from .geometry import (
     Hyperplane,
     Point,
     PointConfig,
-    _det,
     _pivot_columns,
+    _spanned_normal,
     general_position,
     one_side_hyperplane,
     realize,
@@ -137,8 +136,8 @@ def check_witness(plane: Hyperplane, member: Partition, config: PointConfig) -> 
 def realizable_division(config: PointConfig) -> Division:
     """Every hyperplane-realizable partition, without witnesses.
 
-    The points are scaled to integers by one common denominator and the
-    members are read off the hyperplanes they span (``_flat_sides``): a
+    The points are read on one common denominator (``integer_points``) and
+    the members are read off the hyperplanes they span (``_flat_sides``): a
     vertex of a cell holds dim or more points, the points off it take their
     side, and the points on it take the sides of their own member set inside
     the vertex hyperplane, one dimension down.  In general position each
@@ -153,11 +152,7 @@ def realizable_division(config: PointConfig) -> Division:
     """
     ids = config.ids
     n, dim = len(ids), config.dim
-    den = lcm(*(p.scaled[1] for p in config.points))
-    points = [
-        (1 << i, tuple(v * (den // d) for v in ints))
-        for i, (ints, d) in enumerate(p.scaled for p in config.points)
-    ]
+    points = [(1 << i, coords) for i, coords in enumerate(config.integer_points)]
     division = Division(
         frozenset(ids), tuple(_from_mask(ids, first) for first in _flat_sides(points, dim))
     )
@@ -196,12 +191,9 @@ def _flat_sides(points: list[tuple[int, tuple[int, ...]]], dim: int) -> set[int]
     sides = {everything}
     spanned = set()
     for span in combinations(points, dim):
-        origin = span[0][1]
-        rows = [[x - o for x, o in zip(coords, origin)] for _, coords in span[1:]]
-        normal = [(-1) ** j * _det([row[:j] + row[j + 1:] for row in rows]) for j in range(dim)]
+        normal, offset = _spanned_normal([coords for _, coords in span])
         if not any(normal):
             continue
-        offset = sum(map(mul, normal, origin))
         plus = on = 0
         for bit, coords in points:
             value = sum(map(mul, normal, coords)) - offset

@@ -15,6 +15,8 @@ and checks that restriction maps the one onto the other, at most two to one.
 The Fraction kernel near the end is the package's own elimination,
 back-substitution, orientation and side value as they stood before they moved
 to integer arithmetic; the integer routines must return the same values.  The
+determinant beside them is a cofactor expansion, independent of both
+eliminations.  The
 integer elimination loops at the very end are the package's as they stood
 before they combined only the nonzero tail of two rows and inserted derived
 rows in bulk, with their own copies of the row conversion, bounds and picks
@@ -435,6 +437,17 @@ def fraction_orient(points: Sequence[Point]) -> int:
     base = points[0].coords
     rows = [[x - b for x, b in zip(p.coords, base)] for p in points[1:]]
     return _det_sign(rows)
+
+
+def fraction_det(rows: Sequence[Sequence]) -> Fraction:
+    """Determinant of a square matrix by cofactor expansion along its first
+    row, in Fractions: no elimination, so no pivot and no row swap."""
+    if not rows:
+        return Fraction(1)
+    return sum(
+        (-1) ** j * Fraction(x) * fraction_det([row[:j] + row[j + 1:] for row in rows[1:]])
+        for j, x in enumerate(rows[0])
+    )
 
 
 def fraction_value_at(plane: Hyperplane, coords: Sequence) -> Fraction:

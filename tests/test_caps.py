@@ -1,11 +1,13 @@
-"""Deterministic LP counts of CLI subcommands at the desk-scale caps.
+"""Deterministic work counts of CLI subcommands at the desk-scale caps.
 
-Each case runs one subcommand on a seed-0 campaign instance at n=16 and counts
-the calls into the exact solver.  The member sets are read off the
-hyperplanes the points span, general position or not, so a subcommand that
-only reads membership solves no LP, and a construction solves only the
-witnesses it reads; brute force would show here as thousands of LPs (2^15 - 1
-per enumeration).
+Each case runs one subcommand on a seed-0 campaign instance at n=16 (the
+kirchberger baseline: n=14) and counts the calls into the exact solver.  The
+member sets are read off the hyperplanes the points span, general position or
+not, so a subcommand that only reads membership solves no LP, and a
+construction solves only the witnesses it reads; brute force would show here
+as thousands of LPs (2^15 - 1 per enumeration).  The orientation tables and
+member reads are counted too, in spanned-hyperplane normals and dim x dim
+determinants.
 """
 
 from __future__ import annotations
@@ -58,9 +60,29 @@ def solver_calls(monkeypatch):
     return counts
 
 
-def _instance(tmp_path, suite, dim, colors=0, degenerate=False):
+@pytest.fixture
+def geometry_work(monkeypatch):
+    """Counts of spanned-hyperplane normals and of determinants by size."""
+    counts = Counter()
+    normal, det = geometry._spanned_normal, geometry._det
+
+    def counted_normal(points):
+        counts["normals"] += 1
+        return normal(points)
+
+    def counted_det(rows):
+        counts[f"det {len(rows)}"] += 1
+        return det(rows)
+
+    monkeypatch.setattr(geometry, "_spanned_normal", counted_normal)
+    monkeypatch.setattr(hdivision, "_spanned_normal", counted_normal)
+    monkeypatch.setattr(geometry, "_det", counted_det)
+    return counts
+
+
+def _instance(tmp_path, suite, dim, colors=0, degenerate=False, n=16):
     config = generate_instance(
-        CampaignSpec(suite=suite, dim=dim, n=16, colors=colors, seed=0, degenerate=degenerate), 0
+        CampaignSpec(suite=suite, dim=dim, n=n, colors=colors, seed=0, degenerate=degenerate), 0
     )
     assert general_position(config) != degenerate
     path = tmp_path / f"{suite}-d{dim}.json"
@@ -127,3 +149,27 @@ def test_perturb_of_degenerate_input_solves_no_lp(tmp_path, capsys, solver_calls
     doc = _run(capsys, ["perturb", "--input", path, "--seed", "0"])
     assert doc["count_after"] == doc["formula_count"] == 121
     assert solver_calls == {}
+
+
+def test_witness_builds_each_table_from_spanned_normals(tmp_path, capsys, geometry_work):
+    """``witness`` on the main baseline (d=2, n=16, k=8): the instance's
+    orientation table takes one normal per pair of points with a later point,
+    C(15, 2) = 105; the eight representatives' table C(7, 2) = 21, and their
+    member read one per spanned line, C(8, 2) = 28.  Each normal is two 1 x 1
+    minors, and no 2 x 2 determinant is left: the tables took one per point
+    triple, C(16, 3) + C(8, 3) = 616."""
+    _, path = _instance(tmp_path, "main", 2, colors=8)
+    geometry_work.clear()
+    _run(capsys, ["witness", "--input", path])
+    assert geometry_work == {"normals": 105 + 21 + 28, "det 1": 2 * (105 + 21 + 28)}
+
+
+def test_kirchberger_builds_its_table_from_spanned_normals(tmp_path, capsys, geometry_work):
+    """``kirchberger`` on its baseline (d=3, n=14): the orientation table
+    takes C(13, 3) = 286 normals of three 2 x 2 minors each, and no 3 x 3
+    determinant: the table took one per four points, C(14, 4) = 1,001."""
+    _, path = _instance(tmp_path, "kirchberger", 3, colors=2, n=14)
+    geometry_work.clear()
+    doc = _run(capsys, ["kirchberger", "--input", path])
+    assert doc["witness"] == [0, 1, 2, 9, 11]
+    assert geometry_work == {"normals": 286, "det 2": 3 * 286}

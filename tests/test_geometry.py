@@ -6,11 +6,14 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from sympy import Matrix, Rational
 
 import hyperpart.geometry as geometry
+import hyperpart.hdivision as hdivision
 import oracles
+from strategies import degenerate_configs, general_configs
 from hyperpart import (
     CampaignSpec,
     DomainError,
@@ -82,6 +85,41 @@ def test_orientation_table_holds_every_sign():
     assert make_config(2, [(0, 0), (1, 0), (2, 0), (0, 1)]).orientations is None
 
 
+@given(general_configs())
+@example(make_config(4, [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+                         (1, 2, 3, 5), (-2, 1, 4, -1), (3, -1, -2, 2)]))
+@example(make_config(4, [(3, 1, 4, 1), (5, 9, 2, 6), (5, 3, 5, 8), (9, 7, 9, 3), (2, 3, 8, 4),
+                         (6, 2, 6, 4), (3, 3, 8, 3), (2, 7, 9, 5), (0, 2, 8, 8)]))
+@example(make_config(4, [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 0),
+                         (0, 0, 0, 1)]))  # five points on x4 = 0
+@example(make_config(4, [(0, 0, 0, 0), (1, 2, 3, 4), (2, 4, 6, 8), (0, 1, 0, 0)]))
+def test_orientation_table_matches_orient_in_order(cfg):
+    """The table read off spanned hyperplanes holds every dim+1 points'
+    ``orient`` sign, keyed and inserted in ``combinations`` order, and is
+    None exactly when one of them is 0 (with n <= dim: when the points are
+    affinely dependent)."""
+    table = cfg.orientations
+    if len(cfg) <= cfg.dim:
+        base = cfg.points[0].coords
+        rows = [[Rational(x - b) for x, b in zip(p.coords, base)] for p in cfg.points[1:]]
+        independent = not rows or Matrix(rows).rank() == len(rows)
+        assert table == ({} if independent else None)
+        return
+    expected = {
+        ids: orient([cfg.point(i) for i in ids], cfg.dim)
+        for ids in combinations(cfg.ids, cfg.dim + 1)
+    }
+    if 0 in expected.values():
+        assert table is None
+    else:
+        assert list(table.items()) == list(expected.items())
+
+
+@given(degenerate_configs())
+def test_orientation_table_of_degenerate_input_is_none(cfg):
+    assert cfg.orientations is None
+
+
 def test_radon_signs_of_the_square():
     # the diagonals {0, 1} and {2, 3} cross
     cfg = make_config(2, [(0, 0), (1, 1), (1, 0), (0, 1)])
@@ -91,6 +129,13 @@ def test_radon_signs_of_the_square():
         radon_signs(cfg, (0, 1, 2))
     with pytest.raises(DomainError):
         radon_signs(make_config(2, [(0, 0), (1, 1), (2, 2), (0, 1)]), (0, 1, 2, 3))
+
+
+@pytest.mark.parametrize("ids", [(1, 0, 2, 3), (0, 0, 1, 2), (0, 1, 2, 7)])
+def test_radon_signs_need_increasing_ids_of_the_configuration(ids):
+    cfg = make_config(2, [(0, 0), (1, 1), (1, 0), (0, 1)])
+    with pytest.raises(DomainError, match="increasing ids"):
+        radon_signs(cfg, ids)
 
 
 @settings(max_examples=30)
@@ -253,6 +298,27 @@ def test_orient_matches_the_fraction_determinant(case):
 
 
 @given(
+    st.integers(min_value=0, max_value=4).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n),
+            st.booleans(),
+        )
+    )
+)
+@example(([[0, 1, 2, 3], [0, 4, 5, 6], [7, 8, 9, 1], [2, 3, 4, 5]], False))
+@example(([[1, 2, 3, 4], [2, 4, 6, 9], [0, 0, 5, 1], [1, 3, 0, 2]], False))  # a zero pivot at column 1
+def test_det_matches_the_cofactor_expansion(case):
+    """Closed forms for sizes 1 to 3, Bareiss for 0 and 4; with ``swap``
+    the first column's top entry is 0, so a size-4 matrix takes the
+    row-swap path."""
+    rows, swap = case
+    if swap and rows:
+        rows[0][0] = 0
+    expected = oracles.fraction_det(rows)
+    assert geometry._det([list(row) for row in rows]) == expected
+
+
+@given(
     st.integers(min_value=1, max_value=3).flatmap(
         lambda d: st.tuples(
             _vectors(d, 2).filter(lambda v: any(v[0])), _rational, st.booleans()
@@ -287,19 +353,20 @@ def test_with_colors_shares_a_computed_orientation_table(quad):
 def test_kirchberger_campaign_computes_each_orientation_once(monkeypatch):
     """Each trial's draw is checked for general position before it is
     colored; the colored copy reuses that table, so a trial at d=3, n=7
-    evaluates the C(7, 4) = 35 determinants once (recomputing them for the
-    colored copy made 1,680 calls)."""
+    computes the normals of its C(6, 3) = 20 point triples with a later
+    point once (recomputing them for the colored copy makes 960 calls)."""
     calls = [0]
-    sign = geometry._det_sign
+    normal = geometry._spanned_normal
 
-    def counted(rows):
+    def counted(points):
         calls[0] += 1
-        return sign(rows)
+        return normal(points)
 
-    monkeypatch.setattr(geometry, "_det_sign", counted)
+    monkeypatch.setattr(geometry, "_spanned_normal", counted)
+    monkeypatch.setattr(hdivision, "_spanned_normal", counted)
     report = run_suite(CampaignSpec(suite="kirchberger", dim=3, n=7, colors=2, trials=24))
     assert report["ok"]
-    assert calls[0] <= 840
+    assert calls[0] <= 480
 
 
 def test_points_carry_their_separation_rows():
