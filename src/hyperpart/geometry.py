@@ -311,18 +311,16 @@ def make_config(
 
 
 def _det(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix: in closed form for sizes 1 to
-    3, otherwise by fraction-free (Bareiss) elimination, in which every
-    division is exact and the rows are overwritten."""
+    """Determinant of a square integer matrix: in closed form for sizes 1 and
+    2 (every minor of a normal for dim <= 3), otherwise by fraction-free
+    (Bareiss) elimination, in which every division is exact and the rows are
+    overwritten."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
     if n == 2:
         (a, b), (c, d) = rows
         return a * d - b * c
-    if n == 3:
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     sign, prev = 1, 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if rows[r][col]), None)
