@@ -336,10 +336,9 @@ _PENTAGON_EXPECTED = {
 
 
 def _cmd_demo(args: argparse.Namespace) -> dict:
-    config = pentagon_config()
-    division = realizable_division(config)
+    shrunk = shrink_to_min(pentagon_config(), *CENTER_VERTEX_PAIR)
+    division = shrunk.input_division
     sizes = [t.size for t in minimal_transversals(division)]
-    shrunk = shrink_to_min(config, *CENTER_VERTEX_PAIR)
     report = {
         "command": "demo",
         "name": "pentagon",

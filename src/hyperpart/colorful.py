@@ -25,26 +25,24 @@ transversal bound.
 
 Both k-color questions reduce to two-sided color groupings: which bipartitions
 of the color classes a hyperplane can realize.  One grouping table per
-configuration answers them.  It keys a grouping by its canonical bipartition
-(the side holding the lowest color first), so a grouping and its mirror image
-are one entry, and decides each entry at most once, witness-free.  A failed
-decision returns a Farkas core, at most dim+2 of the grouping's points that
-are already inseparable, and the table records the colors of the core's
-points on each side.  That gives one pruning rule: a grouping whose sides
-contain a recorded core's sides, in either orientation, is inseparable
-without an LP, since a hyperplane realizing it would separate the core.  It
-replaces the blocked pairs of classes that the table used to keep: the
-two-class separations are decided first, and a failed one leaves a core of
-one class per side, a pair for which no grouping is realizable.  Only the
-groupings that end up in a certificate are solved again for their
-hyperplanes.
+configuration answers them with no LP.  A grouping is realizable exactly when
+its point mask is a member, so the table holds the configuration's member
+masks, read once off the hyperplanes the points span
+(``hdivision.member_masks``), and a grouping is one set lookup.  A subset's
+questions (the representatives' division, the re-check of an extracted
+witness, every subset of ``smallest_blocked_subset_size``) read the same
+masks restricted to the subset (``hdivision.restricted_masks``): a subset's
+members are the traces of the whole configuration's members.  Only the
+groupings that end up in a certificate are solved for their hyperplanes.  The
+cross-check ``is_partitionable_by_enumeration`` stays independent of the
+member read: it decides each grouping by one Fourier-Motzkin test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import AbstractSet, Mapping, Optional
+from typing import AbstractSet, Iterable, Mapping, Optional
 
 from .counting import witness_size_bound
 from .errors import DomainError, VerificationError
@@ -57,7 +55,9 @@ from .geometry import (
 )
 # hyperplane_division stays bound here, unused: perfbench's tracer tests check
 # that tracing rebinds it in this module
-from .hdivision import check_witness, hyperplane_division, realizable_division  # noqa: F401
+from .hdivision import (  # noqa: F401
+    check_witness, division_of_masks, hyperplane_division, member_masks, restricted_masks,
+)
 from .linsolve import IntRow, feasible_point, infeasible_core
 from .partitions import (
     Partition,
@@ -289,69 +289,42 @@ def validate_certificate(certificate: Certificate, config: PointConfig) -> None:
 
 class _Groupings:
     """Which two-sided color groupings of one configuration a hyperplane can
-    realize, each decided at most once.
+    realize: those whose point mask is one of the configuration's member
+    masks (``hdivision.member_masks``, or a restriction of a larger
+    configuration's).
 
-    A grouping is a pair of disjoint color bitmasks (classes on one side,
-    classes on the other), keyed with the side holding the lowest color first.
-    The two-class separations are decided on construction.  ``cores`` holds,
-    for each failed decision, the color bitmasks of its core's points on each
-    side; a grouping whose sides contain both, in either orientation, is
-    inseparable with no LP.
+    A grouping is a bitmask of colors, the classes on one side; every other
+    class is on the other side.  Its point mask is taken with the block
+    holding the first point, as the members are, so a grouping and its
+    mirror image are one lookup.
     """
 
-    def __init__(self, config: PointConfig) -> None:
+    def __init__(self, config: PointConfig, members: Optional[frozenset[int]] = None) -> None:
         self.config = config
-        self._classes = {
-            c: [config.point(i) for i in ids] for c, ids in config.color_classes.items()
-        }
-        self._all = (1 << config.k) - 1
-        self._known: dict[tuple[int, int], bool] = {}
-        self.cores: set[tuple[int, int]] = set()
-        for a, b in combinations(config.color_classes, 2):
-            self._separable(1 << a, 1 << b)
+        self.members = member_masks(config) if members is None else members
+        position = {i: t for t, i in enumerate(config.ids)}
+        self._classes = [
+            sum(1 << position[i] for i in ids) for _, ids in sorted(config.color_classes.items())
+        ]
+        self._everything = (1 << len(position)) - 1
 
     def realizable(self, plus: int) -> bool:
         """Can a hyperplane put the colors of bitmask ``plus`` on one side and
         every other color on the other?"""
-        return self._separable(plus, self._all ^ plus)
+        mask = sum(points for c, points in enumerate(self._classes) if plus >> c & 1)
+        return (mask if mask & 1 else self._everything ^ mask) in self.members
 
-    def _separable(self, plus: int, minus: int) -> bool:
-        low = (plus | minus) & -(plus | minus)
-        key = (plus, minus) if plus & low else (minus, plus)
-        if key not in self._known:
-            self._known[key] = not any(
-                not (a & ~plus or b & ~minus) or not (a & ~minus or b & ~plus)
-                for a, b in self.cores
-            ) and self._decide(*key)
-        return self._known[key]
-
-    def _decide(self, plus: int, minus: int) -> bool:
-        """One LP; on failure the core's colors per side join ``cores``."""
-        points = [
-            (p, side, c)
-            for side, mask in enumerate((plus, minus))
-            for c, members in self._classes.items()
-            if mask >> c & 1
-            for p in members
-        ]
-        core = infeasible_core(
-            [p.separation_rows[side] for p, side, _ in points], self.config.dim + 1
-        )
-        if core is None:
-            return True
-        sides = [0, 0]
-        for q in core:
-            _, side, c = points[q]
-            sides[side] |= 1 << c
-        self.cores.add((sides[0], sides[1]))
-        return False
+    def restricted(self, ids: Iterable[int]) -> "_Groupings":
+        """The table of ``config.subset(ids)``, read off this one's members."""
+        subset = self.config.subset(ids)
+        positions = [t for t, i in enumerate(self.config.ids) if i in subset]
+        general = self.config.orientations is not None
+        return _Groupings(subset, restricted_masks(self.members, positions, subset.dim, general))
 
 
 def _pair_groupings(groupings: _Groupings) -> Optional[list[tuple[int, frozenset]]]:
     """Per color pair the first realizable grouping in mask order, as (bitmask
-    of its side, pairs it separates); None if a pair has none.  Decides only."""
-    if any(not (a & (a - 1) or b & (b - 1)) for a, b in groupings.cores):
-        return None  # a core of one class per side is in every grouping for that pair
+    of its side, pairs it separates); None if a pair has none."""
     classes = groupings.config.color_classes
     pairs = list(combinations(sorted(classes), 2))
     entries = []
@@ -409,44 +382,35 @@ def is_partitionable(config: PointConfig) -> Optional[Certificate]:
     sides.  Each pair takes the first such grouping in a fixed mask order, and
     the collected groupings are thinned greedily before returning.
 
-    The search only decides: every grouping is looked up in the grouping table
-    (at most one LP per bipartition, memoised under its canonical key), and a
-    grouping that contains a recorded core is inseparable with no LP.  Two
-    inseparable classes answer "not partitionable" outright: every grouping
-    for their pair puts them on opposite sides, and a hyperplane realizing it
-    would separate them.  Hyperplanes are solved afterwards, once per kept
-    grouping and with its points in color order, so a certificate does not
-    depend on which groupings the memo answered.
+    The search only decides: every grouping is one lookup in the grouping
+    table, which reads the member set once and solves no LP.  Hyperplanes
+    are solved afterwards, once per kept grouping and with its points in
+    color order.
     """
     _require_colors(config)
     return _certificate(_Groupings(config))
 
 
 def is_partitionable_by_enumeration(config: PointConfig) -> bool:
-    """Independent route to the same decision: enumerate the realizable
+    """Independent route to the same decision: find the realizable
     partitions that keep every color class whole, and ask whether they
     separate every color pair.  Such a partition is a two-sided color
-    grouping, so only the 2^(k-1)-1 nontrivial groupings with color 0 (the
-    lowest id's) on side A are tested: they are exactly the color-respecting
-    ones among the 2^(n-1)-1 bipartitions, with ``hyperplane_division``'s head
-    point on side A.  A grouping is realizable exactly when it is a member of
-    ``realizable_division``, which is read off the hyperplanes the points
-    span, general position or not: no LP is solved, and neither the
-    grouping table nor Fourier-Motzkin elimination is used."""
+    grouping, so the 2^(k-1)-1 nontrivial groupings with color 0 on side A
+    are each decided by one witness-free Fourier-Motzkin test
+    (``linsolve.infeasible_core``), side A positive; the member set, which
+    the grouping table reads, is not used."""
     _require_colors(config)
-    classes = config.color_classes
-    division = realizable_division(config)
-    respecting = []
-    for mask in range((1 << (config.k - 1)) - 1):
-        side_a, side_b = [], []
-        for x, color in zip(config.ids, config.colors):
-            (side_a if color == 0 or mask >> (color - 1) & 1 else side_b).append(x)
-        member = Partition((tuple(side_a), tuple(side_b)))
-        if member in division:
-            respecting.append(member)
+    realizable = [  # side A's colors: the odd bitmasks, less all colors (trivial)
+        plus
+        for plus in range(1, (1 << config.k) - 1, 2)
+        if infeasible_core(
+            [p.separation_rows[not plus >> c & 1] for p, c in zip(config.points, config.colors)],
+            config.dim + 1,
+        ) is None
+    ]
     return all(
-        any(m.separates(classes[c1][0], classes[c2][0]) for m in respecting)
-        for c1, c2 in combinations(sorted(classes), 2)
+        any((plus >> c1 ^ plus >> c2) & 1 for plus in realizable)
+        for c1, c2 in combinations(range(config.k), 2)
     )
 
 
@@ -455,19 +419,17 @@ def smallest_blocked_subset_size(config: PointConfig) -> Optional[int]:
     colors, or None when the whole configuration is partitionable.
 
     Partitionability is inherited by subsets, so scanning sizes upward and
-    stopping at the first hit is exhaustive; each subset is only decided.
+    stopping at the first hit is exhaustive; each proper subset is only
+    decided, on the configuration's grouping table restricted to it.
     """
-    if _pair_groupings(_Groupings(config)) is not None:
+    groupings = _Groupings(config)
+    if _pair_groupings(groupings) is not None:
         return None
-    ids = config.ids
-    for size in range(3, len(ids) + 1):
-        for chosen in combinations(ids, size):
-            if _pair_groupings(_Groupings(config.subset(chosen))) is None:
+    for size in range(3, len(config)):
+        for chosen in combinations(config.ids, size):
+            if _pair_groupings(groupings.restricted(chosen)) is None:
                 return size
-    raise VerificationError(
-        "configuration reported non-partitionable but every proper scan "
-        "level was partitionable"
-    )  # pragma: no cover - contradiction guard
+    return len(config)
 
 
 @dataclass(frozen=True)
@@ -507,11 +469,13 @@ def witness_nonpartitionable(config: PointConfig) -> WitnessReport:
 
 def _witness_report(groupings: _Groupings) -> WitnessReport:
     """The body of ``witness_nonpartitionable``, for a configuration that
-    ``verify_instance`` decided non-partitionable on the same grouping table."""
+    ``verify_instance`` decided non-partitionable on the same grouping table.
+    The representatives' division and the witness's re-check read that
+    table restricted to their points."""
     config = groupings.config
     classes = config.color_classes
     reps = tuple(min(ids) for _, ids in sorted(classes.items()))
-    rep_div = realizable_division(config.subset(reps))
+    rep_div = division_of_masks(reps, groupings.restricted(reps).members)
     blocking = []
     for member in rep_div.members:
         if member.is_trivial:
@@ -545,7 +509,7 @@ def _witness_report(groupings: _Groupings) -> WitnessReport:
     bound = witness_size_bound(config.dim, config.k)
     if len(witness) > bound:
         raise VerificationError(f"witness has {len(witness)} points, bound is {bound}")
-    if is_partitionable(config.subset(witness)) is not None:
+    if _pair_groupings(groupings.restricted(witness)) is not None:
         raise VerificationError("extracted witness is partitionable")
     return WitnessReport(
         witness_ids=witness,

@@ -4,20 +4,24 @@ Two entries return the realizable partitions.  ``hyperplane_division`` is
 brute force: every bipartition of the ids is handed to the exact separability
 oracle, so the result is exhaustive by construction, and every member comes
 with a checked witness hyperplane.  ``realizable_division`` returns the member
-set alone, with no LP, read by recursion on flats.  Points that do not span
-R^dim are carried onto coordinates of their span.  Points that do span it make
-every cell of the dual arrangement a pointed cone, so every cell has a vertex:
-a hyperplane spanned by dim affinely independent points (Cover, 1965;
-Edelsbrunner, O'Rourke and Seidel, 1986), which on degenerate input may hold
-more of them (Zaslavsky, 1975).  The points off it take their side, and the
-points on it take the sides of the members of their own configuration inside
-it, in dimension dim-1; in general position those are the dim spanning points,
-which take all 2^dim patterns.  The count is checked against
+set alone, with no LP: the partitions of ``member_masks``, which holds each
+member as a point bitmask, read by recursion on flats.  Points that do not
+span R^dim are carried onto coordinates of their span.  Points that do span
+it make every cell of the dual arrangement a pointed cone, so every cell has
+a vertex: a hyperplane spanned by dim affinely independent points (Cover,
+1965; Edelsbrunner, O'Rourke and Seidel, 1986), which on degenerate input may
+hold more of them (Zaslavsky, 1975).  The points off it take their side, and
+the points on it take the sides of the members of their own configuration
+inside it, in dimension dim-1; in general position those are the dim spanning
+points, which take all 2^dim patterns.  The count is checked against
 ``partition_count``: equal to it in general position, and otherwise between n
 (the prefix splits along a generic direction, plus the trivial member) and
 ``partition_count`` (a perturbation into general position keeps every member).
-``member_witness`` solves one member's witness on its own: the system
-``hyperplane_division`` builds for that member, hence the same hyperplane.
+A subset's members are the traces of the configuration's members, so
+``restricted_masks`` reads them off its masks with no geometry, under the same
+count check.  ``member_witness`` solves one member's witness on its own: the
+system ``hyperplane_division`` builds for that member, hence the same
+hyperplane.
 
 On top sit three coordinate constructions, each of which recomputes the member
 set of its output and checks the combinatorial identity it exists to produce —
@@ -40,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 from .counting import min_transversal_size, partition_count
 from .errors import DomainError, InvalidConfig, VerificationError
@@ -134,36 +138,59 @@ def check_witness(plane: Hyperplane, member: Partition, config: PointConfig) -> 
 
 
 def realizable_division(config: PointConfig) -> Division:
-    """Every hyperplane-realizable partition, without witnesses.
+    """Every hyperplane-realizable partition, without witnesses."""
+    return division_of_masks(config.ids, member_masks(config))
 
-    The points are read on one common denominator (``integer_points``) and
-    the members are read off the hyperplanes they span (``_flat_sides``): a
-    vertex of a cell holds dim or more points, the points off it take their
-    side, and the points on it take the sides of their own member set inside
-    the vertex hyperplane, one dimension down.  In general position each
-    vertex holds exactly dim points, which take all 2^dim patterns, and with
-    at most dim points every bipartition is a member.  No LP is solved.
 
-    The count is checked against ``partition_count``: equal to it in general
-    position, and otherwise, with no closed form, between two bounds: at
-    least n, the n-1 prefix splits along a generic direction plus the
-    trivial member, and at most ``partition_count``, since a perturbation
-    into general position keeps every member.
-    """
-    ids = config.ids
-    n, dim = len(ids), config.dim
+def member_masks(config: PointConfig) -> frozenset[int]:
+    """Every hyperplane-realizable partition as a point bitmask, bit t for the
+    t-th point in id order, each member by its block holding the first point.
+    Read off the hyperplanes the points span (``_flat_sides``) on one common
+    denominator (``integer_points``), with no LP, and count-checked."""
     points = [(1 << i, coords) for i, coords in enumerate(config.integer_points)]
-    division = Division(
-        frozenset(ids), tuple(_from_mask(ids, first) for first in _flat_sides(points, dim))
-    )
+    masks = frozenset(_flat_sides(points, config.dim))
+    return _counted(masks, config.dim, len(points), config.orientations is not None)
+
+
+def restricted_masks(
+    masks: frozenset[int], positions: Sequence[int], dim: int, general: bool
+) -> frozenset[int]:
+    """The member masks of the subset at increasing ``positions`` (the order
+    ``PointConfig.subset`` keeps), from the member masks of a configuration
+    in R^dim, in general position when ``general`` (and with it the subset).
+
+    A member's trace on the subset is a member of it.  Conversely, a
+    hyperplane realizing a member of the subset, moved parallel by less than
+    its least nonzero distance to a point, misses every point and realizes a
+    member with that trace.  So the subset's members are the traces, each by
+    its block holding the subset's first point; a one-sided trace is the
+    trivial member.
+    """
+    traces = (sum(1 << t for t, at in enumerate(positions) if mask >> at & 1) for mask in masks)
+    everything = (1 << len(positions)) - 1
+    members = frozenset(trace if trace & 1 else everything ^ trace for trace in traces)
+    return _counted(members, dim, len(positions), general)
+
+
+def _counted(masks: frozenset[int], dim: int, n: int, general: bool) -> frozenset[int]:
+    """``masks``, the members of n points, once their count is checked."""
     most = partition_count(dim, n)
-    least = most if config.orientations is not None else n
-    if not least <= len(division) <= most:
-        raise VerificationError(
-            f"read {len(division)} members off the spanned hyperplanes, "
-            f"expected {least} to {most}"
-        )
-    return division
+    least = most if general else n
+    if not least <= len(masks) <= most:
+        raise VerificationError(f"{len(masks)} members of {n} points, expected {least} to {most}")
+    return masks
+
+
+def division_of_masks(ids: tuple[int, ...], masks: Iterable[int]) -> Division:
+    """The division of ``ids`` whose members have their first blocks at the
+    positions set in each of ``masks``."""
+    members = []
+    for first in masks:
+        blocks: tuple[list[int], list[int]] = ([], [])
+        for i, x in enumerate(ids):
+            blocks[not first >> i & 1].append(x)
+        members.append(Partition(tuple(tuple(block) for block in blocks if block)))
+    return Division(frozenset(ids), tuple(members))
 
 
 def _flat_sides(points: list[tuple[int, tuple[int, ...]]], dim: int) -> set[int]:
@@ -217,15 +244,6 @@ def _flat_sides(points: list[tuple[int, tuple[int, ...]]], dim: int) -> set[int]
     return sides
 
 
-def _from_mask(ids: tuple[int, ...], first: int) -> Partition:
-    """The partition of ``ids`` whose first block is at the positions set in
-    ``first``."""
-    blocks: tuple[list[int], list[int]] = ([], [])
-    for i, x in enumerate(ids):
-        blocks[not first >> i & 1].append(x)
-    return Partition(tuple(tuple(block) for block in blocks if block))
-
-
 def _submasks(mask: int):
     """Every bitmask inside ``mask``."""
     sub = mask
@@ -271,6 +289,7 @@ class ShrinkResult:
     separating_size: int
     attempts: int
     division: Division  # of the shrunk configuration
+    input_division: Division  # of the configuration given
 
 
 def shrink_to_min(config: PointConfig, a: int, b: int) -> ShrinkResult:
@@ -282,16 +301,18 @@ def shrink_to_min(config: PointConfig, a: int, b: int) -> ShrinkResult:
     witness of every member separating a and b, and (3) the new configuration
     is in general position.  Those three conditions force the separating
     count of (c, b) to equal the closed-form minimum; that count is recomputed
-    and checked, and the shrunk configuration's member set is returned with
-    it.  Only the separating members' witnesses are solved.
+    and checked, and the member sets of the shrunk configuration and of the
+    input are returned with it.  Only the separating members' witnesses are
+    solved.
     """
     if a == b:
         raise DomainError("choose two distinct ids")
     pa, pb = config.point(a), config.point(b)
     if not general_position(config):
         raise DomainError("the configuration must be in general position")
+    original = realizable_division(config)
     watched = []
-    for member in separating_members(realizable_division(config), a, b):
+    for member in separating_members(original, a, b):
         plane = member_witness(config, member)
         watched.append((plane, plane.side_of(pb)))
     keep = tuple(p for p in config.points if p.id != a)
@@ -312,7 +333,7 @@ def shrink_to_min(config: PointConfig, a: int, b: int) -> ShrinkResult:
                 raise VerificationError(
                     f"moved-pair separating count is {size}, expected {expected}"
                 )
-            return ShrinkResult(candidate, a, b, scale, size, attempt, division)
+            return ShrinkResult(candidate, a, b, scale, size, attempt, division, original)
         scale /= 2
     raise DomainError(
         f"no valid placement after {MAX_PLACEMENT_ATTEMPTS} halvings toward {b}"

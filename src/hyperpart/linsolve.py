@@ -13,8 +13,9 @@ coordinate.
 Two entries, two eliminations.  ``feasible_point`` decides a closed or a
 strict system and back-substitutes a witness from the full elimination,
 which keeps every derived row but the looser of two parallel ones.
-``infeasible_core`` only decides closed systems, for callers that scan many
-small systems and would throw a witness away: a feasible system has no core,
+``infeasible_core`` only decides closed systems, for the partitionability
+cross-check (one test per color grouping) and the inseparable-subset scan on
+degenerate input, which would throw a witness away: a feasible system has no core,
 None.  Each of its rows carries its origin set, the bitmask of the input rows
 it was combined from, and after k eliminations a derived row with more than
 k+1 origins is dropped (Chernikov's rule): it is implied by rows with fewer

@@ -9,8 +9,10 @@ that structural equality is set equality and every scan is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
+from math import comb
+from operator import or_, xor
 from typing import Iterable
 
 from .errors import DomainError, InvalidConfig
@@ -112,20 +114,28 @@ class Division:
         return frozenset(self.members)
 
     @cached_property
-    def _full(self) -> bool:
-        for a, b in combinations(sorted(self.support), 2):
-            if not any(m.separates(a, b) for m in self.members):
-                return False
-        return True
+    def _separated(self) -> dict[Partition, int]:
+        """Per member, the bitmask of the pairs it separates (bit t for the
+        t-th of ``combinations`` of the sorted support): the pairs with one id
+        in a block, the XOR of its ids' pair masks over each block."""
+        pairs = dict.fromkeys(sorted(self.support), 0)
+        for t, (a, b) in enumerate(combinations(pairs, 2)):
+            pairs[a] |= 1 << t
+            pairs[b] |= 1 << t
+        return {
+            m: reduce(or_, (reduce(xor, map(pairs.get, block)) for block in m.blocks))
+            for m in self.members
+        }
 
-    def drop(self, unwanted: Iterable[Partition]) -> "Division":
-        gone = set(unwanted)
-        return Division(self.support, tuple(m for m in self.members if m not in gone))
+    def _separates_all(self, members: Iterable[Partition]) -> bool:
+        """Do ``members`` of the division separate every pair of its ids?"""
+        union = reduce(or_, map(self._separated.get, members), 0)
+        return union == (1 << comb(len(self.support), 2)) - 1
 
 
 def is_full(division: Division) -> bool:
     """Every pair of distinct support ids is separated by some member."""
-    return division._full
+    return division._separates_all(division.members)
 
 
 def separating_members(division: Division, a: int, b: int) -> tuple[Partition, ...]:
@@ -159,7 +169,7 @@ def is_transversal(division: Division, subset: Iterable[Partition]) -> bool:
         raise DomainError("subset contains partitions outside the division")
     if not is_full(division):
         raise DomainError("transversals are defined for full divisions only")
-    return not is_full(division.drop(chosen))
+    return not division._separates_all(m for m in division.members if m not in chosen)
 
 
 def minimalize_transversal(
@@ -168,15 +178,19 @@ def minimalize_transversal(
     """Greedy descent to an inclusion-minimal transversal inside the given one.
 
     Members are scanned in canonical order; each is dropped when the rest still
-    forms a transversal.  Because transversality is monotone under supersets,
-    the result admits no removable member at all, i.e. it is inclusion-minimal.
+    forms a transversal, that is when the members outside it stay not full
+    with the member added.  Because transversality is monotone under
+    supersets, the result admits no removable member at all, i.e. it is
+    inclusion-minimal.
     """
     chosen = set(transversal)
     if not is_transversal(division, chosen):
         raise DomainError("the given subset is not a transversal")
+    outside = [m for m in division.members if m not in chosen]
     for member in division.members:
-        if member in chosen and is_transversal(division, chosen - {member}):
+        if member in chosen and not division._separates_all(outside + [member]):
             chosen.remove(member)
+            outside.append(member)
     return tuple(m for m in division.members if m in chosen)
 
 

@@ -112,10 +112,14 @@ def test_shrink_solves_the_separating_witnesses_only(tmp_path, capsys, solver_ca
 
 
 def test_partitionable_route_solves_no_lp(tmp_path, capsys, solver_calls):
+    """The grouping table decides with no LP, and the instance is not
+    partitionable, so no hyperplane is solved; the cross-check, independent
+    of the member read, decides each of the 2^7 - 1 = 127 nontrivial color
+    groupings by one witness-free Fourier-Motzkin test."""
     _, path = _instance(tmp_path, "main", 3, colors=8)
     doc = _run(capsys, ["partitionable", "--input", path])
-    assert doc["routes_agree"]
-    assert not any(key.startswith("route ") for key in solver_calls)
+    assert doc["routes_agree"] and not doc["partitionable"]
+    assert solver_calls == {"route infeasible_core": 127}
 
 
 def test_transversals_solve_no_lp(tmp_path, capsys, solver_calls):
@@ -154,14 +158,16 @@ def test_perturb_of_degenerate_input_solves_no_lp(tmp_path, capsys, solver_calls
 def test_witness_builds_each_table_from_spanned_normals(tmp_path, capsys, geometry_work):
     """``witness`` on the main baseline (d=2, n=16, k=8): the instance's
     orientation table takes one normal per pair of points with a later point,
-    C(15, 2) = 105; the eight representatives' table C(7, 2) = 21, and their
-    member read one per spanned line, C(8, 2) = 28.  Each normal is two 1 x 1
-    minors, and no 2 x 2 determinant is left: the tables took one per point
-    triple, C(16, 3) + C(8, 3) = 616."""
+    C(15, 2) = 105, and its member read one per spanned line, C(16, 2) = 120.
+    Each normal is two 1 x 1 minors.  No subset is read again: the eight
+    representatives' table and member read, C(7, 2) + C(8, 2) = 49 normals,
+    are a restriction of the instance's members now, and no 2 x 2
+    determinant is left: the tables took one per point triple, C(16, 3) +
+    C(8, 3) = 616."""
     _, path = _instance(tmp_path, "main", 2, colors=8)
     geometry_work.clear()
     _run(capsys, ["witness", "--input", path])
-    assert geometry_work == {"normals": 105 + 21 + 28, "det 1": 2 * (105 + 21 + 28)}
+    assert geometry_work == {"normals": 105 + 120, "det 1": 2 * (105 + 120)}
 
 
 def test_kirchberger_builds_its_table_from_spanned_normals(tmp_path, capsys, geometry_work):

@@ -418,54 +418,65 @@ def test_inseparable_pair_blocks_without_a_grouping_lp(monkeypatch):
     counts = Counter()
     _counting(monkeypatch, colorful, "strict_separate", counts)
     _counting(monkeypatch, colorful, "infeasible_core", counts)
+    _counting(monkeypatch, colorful, "member_masks", counts)
     _counting(monkeypatch, geometry, "feasible_point", counts)
     _counting(monkeypatch, colorful, "feasible_point", counts)
+    assert not general_position(cfg)
     assert is_partitionable(cfg) is None
-    # only the three two-class decisions: no grouping LP, no witness LP
-    assert counts == {"infeasible_core": 3}
+    # one member read, on degenerate input too: no grouping LP, no witness LP
+    assert counts == {"member_masks": 1}
 
     table = colorful._Groupings(cfg)
     counts.clear()
     assert not table.realizable(0b001)  # {0} | {1, 2} splits the blocked pair
     assert not table.realizable(0b110)  # the same grouping, mirrored
-    assert counts == {}
     assert table.realizable(0b011) and table.realizable(0b100)  # {0, 1} | {2}
-    assert counts == {"infeasible_core": 1}
+    assert counts == {}
 
 
 def test_work_counts_at_the_cli_caps(monkeypatch):
-    """Deterministic LP counts on the main-suite baseline (d=2, n=16, k=8).
+    """Deterministic work counts on the main-suite baseline (d=2, n=16, k=8).
 
     The per-pair search made 240 ``feasible_point`` calls in
     ``is_partitionable``; ``witness_nonpartitionable`` made 604 and then 127,
-    all in enumerating the representatives' division, which is now read off
-    the hyperplanes the points span: no ``feasible_point`` call is left.
+    all in enumerating the representatives' division.  Later the groupings
+    took witness-free decisions, and the representatives' division and the
+    witness re-check each read their points' member set again.  Now each
+    entry reads the configuration's member set once and restricts it: no LP
+    of either kind is left.
     """
     cfg = generate_instance(CampaignSpec(suite="main", dim=2, n=16, colors=8, seed=0), 0)
+    assert general_position(cfg)
     counts = Counter()
     _counting(monkeypatch, geometry, "feasible_point", counts)
     _counting(monkeypatch, colorful, "feasible_point", counts)
-    _counting(monkeypatch, colorful, "realizable_division", counts)
+    _counting(monkeypatch, colorful, "infeasible_core", counts)
+    _counting(monkeypatch, colorful, "member_masks", counts)
+    _counting(monkeypatch, colorful, "restricted_masks", counts)
     assert is_partitionable(cfg) is None
-    assert counts == {}
+    assert counts == {"member_masks": 1}
+    counts.clear()
     report = witness_nonpartitionable(cfg)
-    assert counts == {"realizable_division": 1}
+    # the representatives' division and the witness re-check
+    assert counts == {"member_masks": 1, "restricted_masks": 2}
     assert len(report.representatives) == cfg.k == 8
 
 
 def test_enumeration_route_solves_one_lp_per_grouping(monkeypatch):
-    """On the main-suite baseline (d=2, n=16, k=8), in general position, the
-    route reads the member set once and solves no LP; it solved the 127
-    nontrivial color groupings, and testing every bipartition through
-    ``hyperplane_division`` took 32,767 LPs.  Degenerate input is read the
-    same way; it solved each of its 2^(k-1)-1 = 15 groupings."""
+    """On the main-suite baseline (d=2, n=16, k=8) the cross-check decides
+    each of the 2^(k-1)-1 = 127 nontrivial color groupings by one
+    witness-free Fourier-Motzkin test and reads no member set, so it stays
+    independent of the grouping table; testing every bipartition through
+    ``hyperplane_division`` took 32,767 LPs.  Degenerate input is decided
+    the same way: 15 tests for its 5 colors."""
     cfg = generate_instance(CampaignSpec(suite="main", dim=2, n=16, colors=8, seed=0), 0)
     counts = Counter()
     _counting(monkeypatch, colorful, "strict_separate", counts)
-    _counting(monkeypatch, colorful, "realizable_division", counts)
+    _counting(monkeypatch, colorful, "infeasible_core", counts)
+    _counting(monkeypatch, colorful, "member_masks", counts)
     _counting(monkeypatch, geometry, "feasible_point", counts)
     assert not is_partitionable_by_enumeration(cfg)
-    assert counts == {"realizable_division": 1}
+    assert counts == {"infeasible_core": 127}
 
     degenerate = generate_instance(
         CampaignSpec(suite="main", dim=2, n=10, colors=5, seed=0, degenerate=True), 0
@@ -473,31 +484,37 @@ def test_enumeration_route_solves_one_lp_per_grouping(monkeypatch):
     assert not general_position(degenerate) and degenerate.k == 5
     counts.clear()
     is_partitionable_by_enumeration(degenerate)
-    assert counts == {"realizable_division": 1}
+    assert counts == {"infeasible_core": 15}
 
 
 def test_bound_search_solves_no_hyperplane(monkeypatch):
-    # with a certificate per partitionable subset this made 1,502 LPs
+    # with a certificate per partitionable subset this made 1,502 LPs, and
+    # with a grouping table per subset it made witness-free decisions; now
+    # each trial reads its member set once and restricts it to each subset
     spec = CampaignSpec(suite="bound-search", dim=2, n=8, colors=3, trials=20)
     counts = Counter()
     _counting(monkeypatch, colorful, "strict_separate", counts)
     _counting(monkeypatch, colorful, "infeasible_core", counts)
+    _counting(monkeypatch, colorful, "member_masks", counts)
     _counting(monkeypatch, geometry, "feasible_point", counts)
     report = bound_search(spec)
     assert report["ok"] and report["max_threshold"] is not None
-    assert set(counts) == {"infeasible_core"}
+    assert counts == {"member_masks": 20}
 
 
 def test_verify_instance_decides_once(monkeypatch):
     cfg = make_config(
         1, [(0,), (1,), (2,), (3,), (4,)], colors=["a", "b", "c", "b", "a"]
     )
-    tables = []
-    build = colorful._Groupings
-    monkeypatch.setattr(colorful, "_Groupings", lambda config: tables.append(config) or build(config))
+    assert general_position(cfg)
+    counts = Counter()
+    _counting(monkeypatch, colorful, "infeasible_core", counts)
+    _counting(monkeypatch, colorful, "member_masks", counts)
+    _counting(monkeypatch, colorful, "restricted_masks", counts)
     report = verify_instance(cfg)
-    # the configuration's own table, then the re-check of the extracted witness
-    assert tables == [cfg, cfg.subset(report.witness.witness_ids)]
+    # the configuration's own read, restricted to the representatives and to
+    # the extracted witness for its re-check
+    assert counts == {"member_masks": 1, "restricted_masks": 2}
     assert report.witness.witness_ids == (0, 1, 2, 3)
 
 
@@ -520,12 +537,13 @@ def test_kirchberger_routes_decide_the_configuration_once(monkeypatch):
 def test_witness_cores_solve_no_lp_in_general_position(monkeypatch):
     """On the main-suite baseline (d=2, n=16, k=8) the core scans decide by
     Radon signs; deciding each candidate by an LP made 3,937 witness-free
-    decisions in all."""
+    decisions in all, and the grouping table, which decides by member
+    lookup, takes none either."""
     cfg = generate_instance(CampaignSpec(suite="main", dim=2, n=16, colors=8, seed=0), 0)
     counts = Counter()
     _counting(monkeypatch, colorful, "infeasible_core", counts)
     report = witness_nonpartitionable(cfg)
-    assert counts["infeasible_core"] <= 62
+    assert counts == {}
     assert report.witness_ids == (0, 1, 2, 3, 4, 5, 6, 8, 9, 12, 13, 14)
 
 
@@ -544,34 +562,6 @@ def test_kirchberger_routes_at_the_caps_solve_no_direct_lp(monkeypatch):
     assert routes.witness == (0, 1, 2, 9, 11)
 
 
-def test_a_core_answers_a_larger_grouping_without_an_lp(monkeypatch):
-    # one point per color; color 2 lies between colors 0 and 1, color 3 above
-    cfg = make_config(2, [(0, 0), (2, 0), (1, 0), (1, 5)], colors=[0, 1, 2, 3])
-    counts = Counter()
-    _counting(monkeypatch, colorful, "infeasible_core", counts)
-    table = colorful._Groupings(cfg)
-    assert counts == {"infeasible_core": 6} and table.cores == set()
-    assert not table.realizable(0b0011)  # {0, 1} | {2, 3}
-    assert table.cores == {(0b0011, 0b0100)}  # the three points on the line
-    assert not table.realizable(0b1011)  # {0, 1, 3} | {2} contains the core
-    assert not table.realizable(0b0100)  # the same, mirrored
-    assert counts == {"infeasible_core": 7}
-
-
-def test_a_core_answers_a_grouping_that_holds_it_mirrored(monkeypatch):
-    # color 3 lies between colors 1 and 2, color 0 above: grouping keys put
-    # color 0 first, so the second grouping holds the first one's core the
-    # other way round
-    cfg = make_config(2, [(1, 5), (0, 0), (2, 0), (1, 0)], colors=[0, 1, 2, 3])
-    counts = Counter()
-    _counting(monkeypatch, colorful, "infeasible_core", counts)
-    table = colorful._Groupings(cfg)
-    assert not table.realizable(0b0111)  # {0, 1, 2} | {3}
-    assert table.cores == {(0b0110, 0b1000)}
-    assert not table.realizable(0b1001)  # {0, 3} | {1, 2}
-    assert counts == {"infeasible_core": 7}
-
-
 def _class_points(cfg, mask):
     return [cfg.point(i) for c, ids in cfg.color_classes.items() if mask >> c & 1 for i in ids]
 
@@ -579,30 +569,25 @@ def _class_points(cfg, mask):
 @settings(max_examples=60)
 @example(_FOUR_CLUSTERS)
 @given(st.integers(3, 5).flatmap(lambda k: degenerate_colored(colors=k)))
-def test_grouping_table_and_its_cores_match_the_witness_route(cfg):
-    """Every grouping, asked in mask order so that recorded cores answer
-    later ones, gets the answer of the unpruned witness-producing route;
-    every core is two disjoint nonempty sets of at most dim+2 colors whose
-    classes that route cannot separate."""
+def test_grouping_table_matches_the_witness_route(cfg):
+    """Every grouping gets the answer of the witness-producing route."""
     table = colorful._Groupings(cfg)
     full = (1 << cfg.k) - 1
     for plus in range(1, full):
         expected = strict_separate(_class_points(cfg, plus), _class_points(cfg, full ^ plus), cfg.dim)
         assert table.realizable(plus) == (expected is not None)
-    for a, b in table.cores:
-        assert a and b and not a & b
-        assert a.bit_count() + b.bit_count() <= cfg.dim + 2
-        assert strict_separate(_class_points(cfg, a), _class_points(cfg, b), cfg.dim) is None
 
 
 def test_verify_instance_at_the_d3_cap(monkeypatch):
     """Main suite at the CLI caps (d=3, n=16, k=8): the same all-points
     witness as the unpruned decisions, which took 297 of them and about a
-    minute; cores and pruning bring it under a second."""
+    minute, and as the pruned decisions with cores, which took 105.  Now one
+    member read decides every grouping, with no LP."""
     cfg = generate_instance(CampaignSpec(suite="main", dim=3, n=16, colors=8, seed=0), 0)
     counts = Counter()
     _counting(monkeypatch, colorful, "infeasible_core", counts)
+    _counting(monkeypatch, colorful, "member_masks", counts)
     report = verify_instance(cfg)
     assert not report.partitionable
     assert report.witness.witness_ids == tuple(range(16))
-    assert counts["infeasible_core"] <= 297
+    assert counts == {"member_masks": 1}

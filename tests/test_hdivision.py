@@ -9,6 +9,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from sympy import Matrix, Rational, cos, pi, sin
 
 import hyperpart.campaigns as campaigns
@@ -161,6 +162,22 @@ def test_degenerate_member_set_is_the_enumeration(monkeypatch):
 def test_degenerate_member_set_read_off_the_spanned_hyperplanes_equals_enumeration(cfg):
     assert not general_position(cfg)
     assert realizable_division(cfg) == hyperplane_division(cfg).division
+
+
+@settings(max_examples=150)
+@given(general_configs() | degenerate_configs(), st.data())
+def test_restricted_masks_are_a_fresh_read_of_the_subset(cfg, data):
+    """The members of a subset, restricted from the whole configuration's
+    member masks, are the masks of a fresh read of the subset: each member by
+    its block holding the subset's first point, a one-sided trace folded
+    into the trivial member, and the count check passed."""
+    ids = data.draw(st.sets(st.sampled_from(cfg.ids), min_size=1))
+    subset = cfg.subset(ids)
+    positions = [t for t, i in enumerate(cfg.ids) if i in ids]
+    restricted = hdivision.restricted_masks(
+        hdivision.member_masks(cfg), positions, cfg.dim, general_position(cfg)
+    )
+    assert restricted == hdivision.member_masks(subset)
 
 
 def test_degenerate_read_checks_its_count_bounds(monkeypatch):
@@ -370,11 +387,12 @@ def test_duality_trial_enumerates_input_and_image_once(monkeypatch):
 
 def test_cli_demo_enumerates_pentagon_and_shrunk_once(monkeypatch, capsys):
     # the pentagon and the shrunk configuration were enumerated, 2 x 31 LPs;
-    # now only the witnesses of the 6 members separating the pair are solved
+    # now each member set is read once, the pentagon's inside the shrink, and
+    # only the witnesses of the 6 members separating the pair are solved
     counts = _count_work(monkeypatch)
     assert cli.main(["demo", "pentagon"]) == 0
     assert json.loads(capsys.readouterr().out)["ok"]
-    assert counts == {"enumerated": [], "read": [6, 6, 6], "lps": 6}
+    assert counts == {"enumerated": [], "read": [6, 6], "lps": 6}
 
 
 def test_demo_shrunk_member_set_equals_brute_force(pentagon):

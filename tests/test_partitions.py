@@ -5,6 +5,8 @@ from __future__ import annotations
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from hyperpart import (
@@ -154,3 +156,44 @@ def test_pair_separating_sets_are_transversals(dim, n, seed):
     division = hyperplane_division(generate_instance(spec)).division
     for a, b in combinations(sorted(division.support), 2):
         assert is_transversal(division, separating_members(division, a, b))
+
+
+@st.composite
+def _divisions(draw):
+    """Divisions of 2 to 6 ids whose members have one to four blocks, with
+    at most 8 members so that every subfamily can be listed."""
+    ids = range(draw(st.integers(2, 6)))
+    labels = st.lists(st.integers(0, 3), min_size=len(ids), max_size=len(ids))
+    members = []
+    for blocks in draw(st.lists(labels, min_size=1, max_size=8)):
+        groups: dict = {}
+        for x, label in zip(ids, blocks):
+            groups.setdefault(label, []).append(x)
+        members.append(Partition(tuple(tuple(g) for g in groups.values())))
+    return Division(frozenset(ids), tuple(members))
+
+
+@settings(max_examples=150)
+@given(_divisions(), st.data())
+def test_fullness_and_transversals_match_their_definitions(division, data):
+    """Fullness against its pairwise definition; on full divisions,
+    ``is_transversal`` against the literal reading and
+    ``minimalize_transversal`` against its greedy descent by that reading,
+    for a drawn subset and for the whole division."""
+    pairs = combinations(sorted(division.support), 2)
+    assert is_full(division) == all(any(m.separates(a, b) for m in division.members) for a, b in pairs)
+    if not is_full(division):
+        return
+    masks = oracles.full_subfamily_masks(division)
+    drawn = data.draw(st.sets(st.sampled_from(division.members)))
+    assert is_transversal(division, drawn) == oracles.brute_is_transversal(division, drawn, masks)
+    for chosen in (drawn, set(division.members)):
+        if not oracles.brute_is_transversal(division, chosen, masks):
+            continue
+        expected = set(chosen)
+        for member in division.members:
+            if member in expected and oracles.brute_is_transversal(division, expected - {member}, masks):
+                expected.remove(member)
+        assert minimalize_transversal(division, chosen) == tuple(
+            m for m in division.members if m in expected
+        )
