@@ -14,9 +14,9 @@ Degenerate configurations decide each candidate by one witness-free
 Fourier-Motzkin test (``linsolve.infeasible_core``).  By Kirchberger's theorem
 through an anchor (Helly on the halfspace dual), every inseparable
 configuration has an inseparable subset of at most dim+2 points through the
-anchor, so in general position the Kirchberger routes scan first and a hit
+anchor, so the Kirchberger routes scan first on every input and a hit
 decides "inseparable"; the direct LP runs only for the hyperplane of a
-separable configuration.  On degenerate input the direct LP decides first.
+separable configuration.
 
 k colors: deciding whether a family of hyperplanes can split the classes
 pairwise without cutting any class, and — when it cannot — extracting a small
@@ -146,17 +146,12 @@ def helly_dual(config: PointConfig, base_id: int) -> HalfspaceSystem:
 def kirchberger_witness(config: PointConfig, base_id: int) -> Optional[tuple[int, ...]]:
     """None when the configuration is separable along its two colors; otherwise
     the first (smallest, then lexicographic) inseparable subset through the
-    base point with at most dim+2 points.  Such a subset always exists for an
-    inseparable configuration.  In general position the scan alone decides,
-    so a fruitless scan means separable; elsewhere the configuration is
-    decided first, and a fruitless scan is an internal error."""
+    base point with at most dim+2 points.  By Kirchberger's theorem through
+    the anchor every inseparable configuration has one, general position or
+    not, so the anchored scan alone decides on every input."""
     _require_colors(config, most=2)
     config.point(base_id)
-    if config.orientations is not None:
-        return _anchored_witness(config, base_id)
-    if color_separating_hyperplane(config) is not None:
-        return None
-    return _found(_anchored_witness(config, base_id), config, {base_id})
+    return _first_inseparable(config, dict(zip(config.ids, config.colors)), {base_id})
 
 
 @dataclass(frozen=True)
@@ -174,24 +169,18 @@ def kirchberger_routes(config: PointConfig, anchor: int) -> KirchbergerReport:
     through ``anchor``; when both say inseparable, add the anchored witness of
     ``kirchberger_witness``.
 
-    In general position the direct route is the anchored scan, and its LP
-    runs only to produce the hyperplane when the scan finds no witness.
-    Elsewhere the LP decides and the scan runs only after it finds none.
+    The direct route is the anchored scan: a witness decides "inseparable",
+    and the direct LP runs only to produce the hyperplane when there is none.
+    If the LP and the dual then both find no hyperplane, the fruitless scan
+    contradicts Kirchberger's theorem, an internal error.
     """
-    _require_colors(config, most=2)
-    config.point(anchor)
-    witness = _anchored_witness(config, anchor) if config.orientations is not None else None
+    witness = kirchberger_witness(config, anchor)
     direct = None if witness is not None else color_separating_hyperplane(config)
     dual = helly_dual(config, anchor).separating_hyperplane()
     agree = (direct is None) == (dual is None)
-    if direct is None and agree and witness is None:
-        witness = _found(_anchored_witness(config, anchor), config, {anchor})
+    if direct is None and agree:
+        witness = _found(witness, config, {anchor})
     return KirchbergerReport(direct, agree, witness if agree else None)
-
-
-def _anchored_witness(config: PointConfig, anchor: int) -> Optional[tuple[int, ...]]:
-    labels = dict(zip(config.ids, config.colors))
-    return _first_inseparable(config, labels, {anchor})
 
 
 def _found(subset: Optional[tuple[int, ...]], config: PointConfig,

@@ -215,13 +215,9 @@ class PointConfig:
 
     @cached_property
     def integer_points(self) -> tuple[tuple[int, ...], ...]:
-        """The points' coordinates in id order, all scaled by the lcm of their
-        denominators: integers, and the same configuration up to a positive
-        scaling."""
-        den = lcm(*(p.scaled[1] for p in self.points))
-        return tuple(
-            tuple(v * (den // d) for v in ints) for ints, d in (p.scaled for p in self.points)
-        )
+        """The points' coordinates in id order on one common denominator: the
+        same configuration up to a positive scaling."""
+        return _on_one_denominator(self.points)
 
     @cached_property
     def orientations(self) -> Optional[dict[tuple[int, ...], int]]:
@@ -241,10 +237,10 @@ class PointConfig:
         their n-1 difference rows have n-1 pivots.
         """
         n, dim = len(self.points), self.dim
-        if n <= dim:
-            rows = _difference_rows(self.points)
-            return {} if len(_pivot_columns(rows)) == len(rows) else None
         points, ids = self.integer_points, self.ids
+        if n <= dim:
+            rows = [[x - b for x, b in zip(p, points[0])] for p in points[1:]]
+            return {} if len(_pivot_columns(rows)) == len(rows) else None
         flip = (-1) ** (dim - 1)
         table = {}
         for span in combinations(range(n - 1), dim):
@@ -311,10 +307,10 @@ def make_config(
 
 
 def _det(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix: in closed form for sizes 1 and
-    2 (every minor of a normal for dim <= 3), otherwise by fraction-free
-    (Bareiss) elimination, in which every division is exact and the rows are
-    overwritten."""
+    """Determinant of a square integer matrix, one cofactor of a
+    ``_spanned_normal``: in closed form for sizes 1 and 2 (every minor of a
+    normal for dim <= 3), otherwise by fraction-free (Bareiss) elimination,
+    in which every division is exact and the rows are overwritten."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
@@ -369,30 +365,25 @@ def _pivot_columns(rows: list[list[int]]) -> list[int]:
     return pivots
 
 
-def _det_sign(rows: list[list[int]]) -> int:
-    """Sign of the determinant of a square integer matrix (``_det``)."""
-    det = _det(rows)
-    return (det > 0) - (det < 0)
-
-
 def orient(points: Sequence[Point], dim: int) -> int:
-    """Orientation sign of dim+1 points: 0 iff they lie on a common hyperplane."""
+    """Orientation sign of dim+1 points, 0 iff they lie on a common hyperplane,
+    read as the orientation table reads it: (-1)^(dim-1) times the side of
+    the last point from the ``_spanned_normal`` of the others."""
     if len(points) != dim + 1:
         raise DomainError(f"orientation in dimension {dim} needs {dim + 1} points, got {len(points)}")
     for p in points:
         if p.dim != dim:
             raise DomainError(f"point {p.id} has dimension {p.dim}, expected {dim}")
-    return _det_sign(_difference_rows(points))
+    *span, last = _on_one_denominator(points)
+    normal, offset = _spanned_normal(span)
+    value = (-1) ** (dim - 1) * (sum(map(mul, normal, last)) - offset)
+    return (value > 0) - (value < 0)
 
 
-def _difference_rows(points: Sequence[Point]) -> list[list[int]]:
-    """The rows p - points[0] for the other points, each scaled by the
-    positive den_p * den_base."""
-    base, den_base = points[0].scaled
-    return [
-        [x * den_base - b * den for x, b in zip(ints, base)]
-        for ints, den in (p.scaled for p in points[1:])
-    ]
+def _on_one_denominator(points: Sequence[Point]) -> tuple[tuple[int, ...], ...]:
+    """The points' coordinates, all scaled by the lcm of their denominators."""
+    den = lcm(*(p.scaled[1] for p in points))
+    return tuple(tuple(v * (den // d) for v in ints) for ints, d in (p.scaled for p in points))
 
 
 def general_position(config: PointConfig) -> bool:
@@ -401,7 +392,7 @@ def general_position(config: PointConfig) -> bool:
     return config.orientations is not None
 
 
-def radon_signs(config: PointConfig, ids: tuple[int, ...]) -> tuple[int, ...]:
+def radon_signs(config: PointConfig, ids: Sequence[int]) -> tuple[int, ...]:
     """The sign of each point's coefficient in the affine dependence of dim+2
     points of a configuration in general position, ids increasing; other ids
     are a DomainError.
@@ -412,16 +403,16 @@ def radon_signs(config: PointConfig, ids: tuple[int, ...]) -> tuple[int, ...]:
     Radon partition, whose convex hulls meet; every other labelling of the
     points with two labels is strictly separable.
     """
-    table = config.orientations
+    table, key = config.orientations, tuple(ids)
     if table is None:
         raise DomainError("Radon signs need a configuration in general position")
-    if len(ids) != config.dim + 2:
+    if len(key) != config.dim + 2:
         raise DomainError(f"Radon signs in dimension {config.dim} need {config.dim + 2} points")
     try:
-        return tuple((-1) ** t * table[ids[:t] + ids[t + 1:]] for t in range(len(ids)))
+        return tuple((-1) ** t * table[key[:t] + key[t + 1:]] for t in range(len(key)))
     except KeyError:
         raise DomainError(
-            f"Radon signs need increasing ids of the configuration, got {ids}"
+            f"Radon signs need increasing ids of the configuration, got {key}"
         ) from None
 
 

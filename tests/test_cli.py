@@ -408,8 +408,8 @@ _DEGENERATE_D2 = generate_instance(
 )
 _GENERAL_D2 = generate_instance(CampaignSpec(suite="phi", dim=2, n=8, seed=0), 0)
 # Two-color instances for both Kirchberger routes: inseparable in general
-# position (a five-point witness), separable, and inseparable on a planted
-# collinear triple.
+# position (a five-point witness), separable, and inseparable and separable
+# on a planted collinear triple.
 _KIRCHBERGER_D3 = generate_instance(
     CampaignSpec(suite="kirchberger", dim=3, n=12, colors=2, seed=0), 0
 )
@@ -418,6 +418,9 @@ _SEPARABLE_D2 = generate_instance(
 )
 _DEGENERATE_TWO_COLOR = generate_instance(
     CampaignSpec(suite="kirchberger", dim=2, n=9, colors=2, seed=0, degenerate=True), 0
+)
+_SEPARABLE_DEGENERATE = generate_instance(
+    CampaignSpec(suite="kirchberger", dim=2, n=9, colors=2, seed=0, degenerate=True), 32
 )
 
 
@@ -525,6 +528,11 @@ _DEGENERATE_TWO_COLOR = generate_instance(
             "2f854e3ffe65f8190dfb6d09367cf3147c5fede2c28f320012f0e894e151bdb0",
         ),
         (
+            _SEPARABLE_DEGENERATE,
+            ["kirchberger"],
+            "fd6a1d6d609278e4357a395642f2d421043e74c9d9059fdf3a9ef514ef91ffbc",
+        ),
+        (
             generate_instance(CampaignSpec(suite="main", dim=3, n=10, colors=4, seed=0), 0),
             ["witness"],
             "8b30ee605998509dfe168549a238fe6319feb79e01db5cc8d6ec87213f32e9d5",
@@ -556,6 +564,7 @@ _DEGENERATE_TWO_COLOR = generate_instance(
         "kirchberger-d3",
         "kirchberger-separable",
         "kirchberger-degenerate",
+        "kirchberger-degenerate-separable",
         "witness-d3",
         "witness-d3-cap",
     ],

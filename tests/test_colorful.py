@@ -179,6 +179,21 @@ def test_kirchberger_witness_matches_brute_scan(cfg):
 @settings(max_examples=40)
 @example(_COLLINEAR_IN_PLANE)
 @example(_COPLANAR_IN_SPACE)
+@given(degenerate_colored(colors=2))
+def test_kirchberger_routes_match_brute_scan_on_degenerate_input(cfg):
+    """Off general position the anchored scan decides by one feasibility test
+    per candidate, from two points up; it must give the brute scan's witness
+    through every anchor, and the direct LP's hyperplane when separable."""
+    for anchor in cfg.ids:
+        expected = oracles.brute_kirchberger_witness(cfg, anchor)
+        routes = colorful.kirchberger_routes(cfg, anchor)
+        assert routes.routes_agree and routes.witness == expected
+        assert routes.hyperplane == (color_separating_hyperplane(cfg) if expected is None else None)
+
+
+@settings(max_examples=40)
+@example(_COLLINEAR_IN_PLANE)
+@example(_COPLANAR_IN_SPACE)
 @given(degenerate_colored(colors=3))
 def test_witness_cores_match_brute_scan(cfg):
     assume(cfg.k >= 2 and is_partitionable(cfg) is None)
@@ -527,11 +542,18 @@ def test_kirchberger_routes_decide_the_configuration_once(monkeypatch):
     assert counts == {}
     assert routes.hyperplane is None and routes.routes_agree
     assert routes.witness == kirchberger_witness(cfg, 0) == (0, 1, 2, 3)
-    # on degenerate input the direct LP decides, once
+    # on degenerate input the scan decides too: a witness takes no direct LP
     routes = colorful.kirchberger_routes(_COLLINEAR_IN_PLANE, 0)
-    assert counts == {"color_separating_hyperplane": 1}
+    assert counts == {}
     assert routes.hyperplane is None and routes.routes_agree
     assert routes.witness == (0, 1, 2)
+    # and a separable one takes exactly one, for its hyperplane
+    separable = _COLLINEAR_IN_PLANE.with_colors([0, 0, 1, 1])
+    assert not general_position(separable)
+    routes = colorful.kirchberger_routes(separable, 0)
+    assert counts == {"color_separating_hyperplane": 1}
+    assert routes.routes_agree and routes.witness is None
+    assert routes.hyperplane == color_separating_hyperplane(separable) is not None
 
 
 def test_witness_cores_solve_no_lp_in_general_position(monkeypatch):

@@ -78,7 +78,7 @@ def test_general_position():
 def test_orientation_table_holds_every_sign():
     cfg = make_config(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 2)])
     assert cfg.orientations == {
-        ids: orient([cfg.point(i) for i in ids], 3)
+        ids: oracles.fraction_orient([cfg.point(i) for i in ids])
         for ids in combinations(cfg.ids, 4)
     }
     assert len(cfg.orientations) == 5 and 0 not in cfg.orientations.values()
@@ -90,7 +90,7 @@ def grid_configs(draw):
     """Distinct points of a small grid with denominators up to 3, d = 1 to 4
     and n = 1 to d+4, drawn without any general-position filter, so that a
     table that is None on general input, or misses a zero, is compared with
-    ``orient`` too."""
+    the reference orientation too."""
     dim = draw(st.integers(1, 4))
     coord = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
     points = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=dim + 4, unique=True))
@@ -107,9 +107,9 @@ def grid_configs(draw):
 @example(make_config(4, [(0, 0, 0, 0), (1, 2, 3, 4), (2, 4, 6, 8), (0, 1, 0, 0)]))
 def test_orientation_table_matches_orient_in_order(cfg):
     """The table read off spanned hyperplanes holds every dim+1 points'
-    ``orient`` sign, keyed and inserted in ``combinations`` order, and is
-    None exactly when one of them is 0 (with n <= dim: when the points are
-    affinely dependent)."""
+    orientation sign (the Fraction determinant of ``oracles``), keyed and
+    inserted in ``combinations`` order, and is None exactly when one of them
+    is 0 (with n <= dim: when the points are affinely dependent)."""
     table = cfg.orientations
     if len(cfg) <= cfg.dim:
         base = cfg.points[0].coords
@@ -118,7 +118,7 @@ def test_orientation_table_matches_orient_in_order(cfg):
         assert table == ({} if independent else None)
         return
     expected = {
-        ids: orient([cfg.point(i) for i in ids], cfg.dim)
+        ids: oracles.fraction_orient([cfg.point(i) for i in ids])
         for ids in combinations(cfg.ids, cfg.dim + 1)
     }
     if 0 in expected.values():
@@ -138,11 +138,13 @@ def test_radon_signs_of_the_square():
         radon_signs(make_config(2, [(0, 0), (1, 1), (2, 2), (0, 1)]), (0, 1, 2, 3))
 
 
-@pytest.mark.parametrize("ids", [(1, 0, 2, 3), (0, 0, 1, 2), (0, 1, 2, 7)])
+@pytest.mark.parametrize("ids", [(1, 0, 2, 3), (0, 0, 1, 2), (0, 1, 2, 7), [1, 0, 2, 3]])
 def test_radon_signs_need_increasing_ids_of_the_configuration(ids):
     cfg = make_config(2, [(0, 0), (1, 1), (1, 0), (0, 1)])
     with pytest.raises(DomainError, match="increasing ids"):
         radon_signs(cfg, ids)
+    # any sequence of ids will do: a list reads the same signs as the tuple
+    assert radon_signs(cfg, [0, 1, 2, 3]) == radon_signs(cfg, (0, 1, 2, 3))
 
 
 @settings(max_examples=30)
