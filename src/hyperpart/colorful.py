@@ -9,7 +9,8 @@ general position it solves no LP: fewer than dim+2 points are affinely
 independent, hence separable, and dim+2 points are inseparable exactly when
 their labels are their unique Radon partition, whose sides are read from the
 configuration's orientation table (the t-th point's side is the sign of
-(-1)^t times the orientation of the other dim+1, ``geometry.radon_signs``).
+(-1)^t times the orientation of the other dim+1, ``geometry.radon_signs``),
+point by point up to the first label that disagrees.
 Degenerate configurations decide each candidate by one witness-free
 Fourier-Motzkin test (``linsolve.infeasible_core``).  By Kirchberger's theorem
 through an anchor (Helly on the halfspace dual), every inseparable
@@ -32,10 +33,12 @@ masks, read once off the hyperplanes the points span
 questions (the representatives' division, the re-check of an extracted
 witness, every subset of ``smallest_blocked_subset_size``) read the same
 masks restricted to the subset (``hdivision.restricted_masks``): a subset's
-members are the traces of the whole configuration's members.  Only the
-groupings that end up in a certificate are solved for their hyperplanes.  The
-cross-check ``is_partitionable_by_enumeration`` stays independent of the
-member read: it decides each grouping by one Fourier-Motzkin test.
+members are the traces of the whole configuration's members, and its color
+classes the traces of the classes, so no subset configuration is built.
+Only the groupings that end up in a certificate are solved for their
+hyperplanes.  The cross-check ``is_partitionable_by_enumeration`` stays
+independent of the member read: it decides each grouping by one
+Fourier-Motzkin test.
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ from .geometry import (
     Hyperplane,
     PointConfig,
     one_side_hyperplane,
-    radon_signs,
     strict_separate,
 )
 # hyperplane_division stays bound here, unused: perfbench's tracer tests check
@@ -201,30 +203,48 @@ def _first_inseparable(
     ids that meets ``required`` and whose two label classes (labels 0 and 1)
     cannot be strictly separated; None when there is none.
 
-    Only decided, never solved.  A candidate with a single label is skipped,
-    since one class is always separable.  In general position smaller
-    candidates are all separable and are skipped too, and a candidate of
-    dim+2 points is inseparable exactly when its labels split it as its Radon
-    signs do.  Otherwise a candidate is one witness-free feasibility test on
-    its points' separation rows, label 0 on the positive side.  By
-    Kirchberger's theorem the search succeeds whenever such a subset of any
-    size exists.
+    Only decided, never solved.  In general position smaller candidates are
+    all separable and are skipped, and a candidate of dim+2 points is
+    inseparable exactly when its labels split it as its Radon signs do
+    (``_splits_as_radon``).  Otherwise a candidate with a single label is
+    skipped, since one class is always separable, and any other is one
+    witness-free feasibility test on its points' separation rows, label 0 on
+    the positive side.  By Kirchberger's theorem the search succeeds
+    whenever such a subset of any size exists.
     """
-    general = config.orientations is not None
-    for size in range(config.dim + 2 if general else 2, config.dim + 3):
+    table = config.orientations
+    if table is not None:
+        for combo in combinations(config.ids, config.dim + 2):
+            if not required.isdisjoint(combo) and _splits_as_radon(table, combo, labels):
+                return combo
+        return None
+    for size in range(2, config.dim + 3):
         for combo in combinations(config.ids, size):
             if required.isdisjoint(combo) or len({labels[i] for i in combo}) == 1:
                 continue
-            if general:
-                signs = radon_signs(config, combo)
-                first = labels[combo[0]]
-                if all((labels[i] == first) == (s == signs[0]) for i, s in zip(combo, signs)):
-                    return combo
-            elif infeasible_core(
+            if infeasible_core(
                 [config.point(i).separation_rows[labels[i]] for i in combo], config.dim + 1
             ) is not None:
                 return combo
     return None
+
+
+def _splits_as_radon(
+    table: Mapping[tuple[int, ...], int], combo: tuple[int, ...], labels: Mapping[int, int]
+) -> bool:
+    """Whether dim+2 increasing ids of a configuration in general position,
+    with orientation table ``table``, are labelled as their Radon partition.
+    The t-th point's Radon sign is (-1)^t times the orientation of the other
+    dim+1 (``radon_signs``), so it shares the first point's sign exactly
+    when that orientation equals the first's, t even, or differs, t odd.
+    Stops at the first point whose label disagrees; a single label always
+    disagrees somewhere, as both Radon sides are nonempty."""
+    first, sign = labels[combo[0]], table[combo[1:]]
+    for t in range(1, len(combo)):
+        radon_same = (table[combo[:t] + combo[t + 1:]] == sign) == (t % 2 == 0)
+        if (labels[combo[t]] == first) != radon_same:
+            return False
+    return True
 
 
 def extend_partition(partition: Partition, config: PointConfig) -> Partition:
@@ -283,42 +303,57 @@ class _Groupings:
     configuration's).
 
     A grouping is a bitmask of colors, the classes on one side; every other
-    class is on the other side.  Its point mask is taken with the block
-    holding the first point, as the members are, so a grouping and its
-    mirror image are one lookup.
+    class is on the other side.  ``classes`` holds each color's point mask,
+    in color order.  A grouping's point mask is taken with the block holding
+    the first point, as the members are, so a grouping and its mirror image
+    are one lookup.
     """
 
-    def __init__(self, config: PointConfig, members: Optional[frozenset[int]] = None) -> None:
-        self.config = config
-        self.members = member_masks(config) if members is None else members
+    def __init__(self, ids: tuple[int, ...], members: frozenset[int], classes: list[int],
+                 dim: int, general: bool) -> None:
+        self.ids, self.members, self.classes = ids, members, classes
+        self.dim, self.general = dim, general
+        self._everything = (1 << len(ids)) - 1
+
+    @classmethod
+    def of(cls, config: PointConfig) -> "_Groupings":
+        """The table of a colored configuration: one member read."""
         position = {i: t for t, i in enumerate(config.ids)}
-        self._classes = [
+        classes = [
             sum(1 << position[i] for i in ids) for _, ids in sorted(config.color_classes.items())
         ]
-        self._everything = (1 << len(position)) - 1
+        general = config.orientations is not None
+        return cls(config.ids, member_masks(config), classes, config.dim, general)
 
     def realizable(self, plus: int) -> bool:
         """Can a hyperplane put the colors of bitmask ``plus`` on one side and
         every other color on the other?"""
-        mask = sum(points for c, points in enumerate(self._classes) if plus >> c & 1)
+        mask = sum(points for c, points in enumerate(self.classes) if plus >> c & 1)
         return (mask if mask & 1 else self._everything ^ mask) in self.members
 
     def restricted(self, ids: Iterable[int]) -> "_Groupings":
-        """The table of ``config.subset(ids)``, read off this one's members."""
-        subset = self.config.subset(ids)
-        positions = [t for t, i in enumerate(self.config.ids) if i in subset]
-        general = self.config.orientations is not None
-        return _Groupings(subset, restricted_masks(self.members, positions, subset.dim, general))
+        """The table of the subset of ``ids``, read off this one's members:
+        the traces of its members and of its color classes, the empty
+        traces dropped and the rest numbered by their first point, as
+        ``PointConfig.subset`` numbers its colors."""
+        wanted = set(ids)
+        positions = [t for t, i in enumerate(self.ids) if i in wanted]
+        traces = (sum(1 << t for t, at in enumerate(positions) if points >> at & 1)
+                  for points in self.classes)
+        classes = sorted(filter(None, traces), key=lambda points: points & -points)
+        members = restricted_masks(self.members, positions, self.dim, self.general)
+        subset = tuple(self.ids[t] for t in positions)
+        return _Groupings(subset, members, classes, self.dim, self.general)
 
 
 def _pair_groupings(groupings: _Groupings) -> Optional[list[tuple[int, frozenset]]]:
     """Per color pair the first realizable grouping in mask order, as (bitmask
     of its side, pairs it separates); None if a pair has none."""
-    classes = groupings.config.color_classes
-    pairs = list(combinations(sorted(classes), 2))
+    colors = range(len(groupings.classes))
+    pairs = list(combinations(colors, 2))
     entries = []
     for c1, c2 in pairs:
-        free = [c for c in classes if c not in (c1, c2)]
+        free = [c for c in colors if c not in (c1, c2)]
         for mask in range(1 << len(free)):
             plus = 1 << c1 | sum(1 << c for t, c in enumerate(free) if not mask >> t & 1)
             if groupings.realizable(plus):
@@ -330,13 +365,13 @@ def _pair_groupings(groupings: _Groupings) -> Optional[list[tuple[int, frozenset
     return entries
 
 
-def _certificate(groupings: _Groupings) -> Optional[Certificate]:
-    """The body of ``is_partitionable`` on a grouping table: ``_pair_groupings``,
-    a greedy cover, and hyperplanes solved only for the groupings it keeps."""
+def _certificate(config: PointConfig, groupings: _Groupings) -> Optional[Certificate]:
+    """The body of ``is_partitionable`` on the configuration's grouping table:
+    ``_pair_groupings``, a greedy cover, and hyperplanes solved only for the
+    groupings it keeps."""
     entries = _pair_groupings(groupings)
     if entries is None:
         return None
-    config = groupings.config
     classes = config.color_classes
 
     # greedy cover: keep dropping to the entry that settles the most pairs
@@ -377,7 +412,7 @@ def is_partitionable(config: PointConfig) -> Optional[Certificate]:
     color order.
     """
     _require_colors(config)
-    return _certificate(_Groupings(config))
+    return _certificate(config, _Groupings.of(config))
 
 
 def is_partitionable_by_enumeration(config: PointConfig) -> bool:
@@ -411,7 +446,7 @@ def smallest_blocked_subset_size(config: PointConfig) -> Optional[int]:
     stopping at the first hit is exhaustive; each proper subset is only
     decided, on the configuration's grouping table restricted to it.
     """
-    groupings = _Groupings(config)
+    groupings = _Groupings.of(config)
     if _pair_groupings(groupings) is not None:
         return None
     for size in range(3, len(config)):
@@ -456,12 +491,11 @@ def witness_nonpartitionable(config: PointConfig) -> WitnessReport:
     return report
 
 
-def _witness_report(groupings: _Groupings) -> WitnessReport:
+def _witness_report(config: PointConfig, groupings: _Groupings) -> WitnessReport:
     """The body of ``witness_nonpartitionable``, for a configuration that
     ``verify_instance`` decided non-partitionable on the same grouping table.
     The representatives' division and the witness's re-check read that
     table restricted to their points."""
-    config = groupings.config
     classes = config.color_classes
     reps = tuple(min(ids) for _, ids in sorted(classes.items()))
     rep_div = division_of_masks(reps, groupings.restricted(reps).members)
@@ -525,8 +559,8 @@ def verify_instance(config: PointConfig) -> InstanceReport:
     the size bound is produced and re-verified.  Any third outcome raises."""
     _require_colors(config)
     bound = witness_size_bound(config.dim, config.k) if config.k >= 2 else None
-    groupings = _Groupings(config)
-    certificate = _certificate(groupings)
+    groupings = _Groupings.of(config)
+    certificate = _certificate(config, groupings)
     if certificate is not None:
         return InstanceReport(True, certificate, None, bound)
-    return InstanceReport(False, None, _witness_report(groupings), bound)
+    return InstanceReport(False, None, _witness_report(config, groupings), bound)

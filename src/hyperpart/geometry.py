@@ -10,9 +10,10 @@ A configuration computes the orientation sign of each of its dim+1-point
 subsets once, on first use, and keeps them (``PointConfig.orientations``).  The
 table is read off the hyperplanes the points span: with the points on one
 common denominator (``PointConfig.integer_points``), each dim-subset S gets
-the integer cofactor normal and offset of its hyperplane (``_spanned_normal``),
-and the sign of S with one later point p added is (-1)^(dim-1) times the side
-of S's hyperplane that p lies on, one dot product per sign.  The table is None
+the integer cofactor normal and offset of its hyperplane (``_spanned_normal``:
+in closed form in dims 2 and 3, by fraction-free determinants otherwise), and
+the sign of S with one later point p added is (-1)^(dim-1) times the side of
+S's hyperplane that p lies on, one dot product per sign.  The table is None
 when the configuration is not in general position, so ``general_position`` is
 a lookup, and on general-position input the table also decides every labelled
 dim+2-point subset without an LP: its labels must be its unique Radon
@@ -308,15 +309,10 @@ def make_config(
 
 def _det(rows: list[list[int]]) -> int:
     """Determinant of a square integer matrix, one cofactor of a
-    ``_spanned_normal``: in closed form for sizes 1 and 2 (every minor of a
-    normal for dim <= 3), otherwise by fraction-free (Bareiss) elimination,
-    in which every division is exact and the rows are overwritten."""
+    ``_spanned_normal`` in dims 1 and >= 4, by fraction-free (Bareiss)
+    elimination, in which every division is exact and the rows are
+    overwritten."""
     n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        (a, b), (c, d) = rows
-        return a * d - b * c
     sign, prev = 1, 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if rows[r][col]), None)
@@ -341,11 +337,22 @@ def _spanned_normal(points: Sequence[Sequence[int]]) -> tuple[list[int], int]:
     The normal holds the cofactors of the dim-1 difference rows from the
     first point: (-1)^j times their minor without column j.  So for every x,
     normal . x - offset is (-1)^(dim-1) times the determinant of those rows
-    with x minus the first point appended.
+    with x minus the first point appended.  In dim 2 that is the difference
+    row turned by a right angle, in dim 3 the cross product of the two rows;
+    other dims take the minors by ``_det``.
     """
     origin = points[0]
     rows = [[x - o for x, o in zip(p, origin)] for p in points[1:]]
-    normal = [(-1) ** j * _det([row[:j] + row[j + 1:] for row in rows]) for j in range(len(origin))]
+    if len(origin) == 2:
+        ((a, b),) = rows
+        normal = [b, -a]
+    elif len(origin) == 3:
+        (a, b, c), (d, e, f) = rows
+        normal = [b * f - c * e, c * d - a * f, a * e - b * d]
+    else:
+        normal = [
+            (-1) ** j * _det([row[:j] + row[j + 1:] for row in rows]) for j in range(len(origin))
+        ]
     return normal, sum(map(mul, normal, origin))
 
 

@@ -5,18 +5,21 @@ brute force: every bipartition of the ids is handed to the exact separability
 oracle, so the result is exhaustive by construction, and every member comes
 with a checked witness hyperplane.  ``realizable_division`` returns the member
 set alone, with no LP: the partitions of ``member_masks``, which holds each
-member as a point bitmask, read by recursion on flats.  Points that do not
-span R^dim are carried onto coordinates of their span.  Points that do span
-it make every cell of the dual arrangement a pointed cone, so every cell has
-a vertex: a hyperplane spanned by dim affinely independent points (Cover,
-1965; Edelsbrunner, O'Rourke and Seidel, 1986), which on degenerate input may
-hold more of them (Zaslavsky, 1975).  The points off it take their side, and
-the points on it take the sides of the members of their own configuration
-inside it, in dimension dim-1; in general position those are the dim spanning
-points, which take all 2^dim patterns.  The count is checked against
-``partition_count``: equal to it in general position, and otherwise between n
-(the prefix splits along a generic direction, plus the trivial member) and
-``partition_count`` (a perturbation into general position keeps every member).
+member as a point bitmask.  Points that span R^dim make every cell of the
+dual arrangement a pointed cone, so every cell has a vertex: a hyperplane
+spanned by dim affinely independent points (Cover, 1965; Edelsbrunner,
+O'Rourke and Seidel, 1986), which on degenerate input may hold more of them
+(Zaslavsky, 1975).  The points off it take their side, and the points on it
+take the sides of the members of their own configuration inside it, in
+dimension dim-1.  In general position those are the dim spanning points,
+which take all 2^dim patterns, and the side of every other point is a sign
+of the orientation table (``_table_sides``), so no hyperplane is computed
+again.  Otherwise the read recurses on flats (``_flat_sides``), and points
+that do not span R^dim are carried onto coordinates of their span.  The
+count is checked against ``partition_count``: equal to it in general
+position, and otherwise between n (the prefix splits along a generic
+direction, plus the trivial member) and ``partition_count`` (a perturbation
+into general position keeps every member).
 A subset's members are the traces of the configuration's members, so
 ``restricted_masks`` reads them off its masks with no geometry, under the same
 count check.  ``member_witness`` solves one member's witness on its own: the
@@ -145,11 +148,17 @@ def realizable_division(config: PointConfig) -> Division:
 def member_masks(config: PointConfig) -> frozenset[int]:
     """Every hyperplane-realizable partition as a point bitmask, bit t for the
     t-th point in id order, each member by its block holding the first point.
-    Read off the hyperplanes the points span (``_flat_sides``) on one common
-    denominator (``integer_points``), with no LP, and count-checked."""
-    points = [(1 << i, coords) for i, coords in enumerate(config.integer_points)]
-    masks = frozenset(_flat_sides(points, config.dim))
-    return _counted(masks, config.dim, len(points), config.orientations is not None)
+    Read with no LP and count-checked: off the orientation table's signs
+    when the configuration has one with entries (``_table_sides``), else off
+    the hyperplanes the points span (``_flat_sides``) on one common
+    denominator (``integer_points``)."""
+    table, n = config.orientations, len(config)
+    if table:
+        masks = frozenset(_table_sides(table, n, config.dim))
+    else:
+        points = [(1 << i, coords) for i, coords in enumerate(config.integer_points)]
+        masks = frozenset(_flat_sides(points, config.dim))
+    return _counted(masks, config.dim, n, table is not None)
 
 
 def restricted_masks(
@@ -241,6 +250,37 @@ def _flat_sides(points: list[tuple[int, tuple[int, ...]]], dim: int) -> set[int]
         for pattern in inside:
             side = plus | pattern
             sides.add(side if side & head else everything ^ side)
+    return sides
+
+
+def _table_sides(table: dict[tuple[int, ...], int], n: int, dim: int) -> set[int]:
+    """The members of n points in general position, n > dim, from their
+    orientation table, each as the bitmask of its block holding the first
+    point.
+
+    Every dim-subset S spans a hyperplane holding no other point, so each
+    member is a side of one such hyperplane with the points of S taking all
+    2^dim patterns, as in ``_flat_sides``.  An entry of the table, with sign
+    s, holds dim+1 points in id order; the point in slot t lies on the
+    positive side of the ``_spanned_normal`` of the other dim, taken in id
+    order, exactly when s * (-1)^(dim-1) * (-1)^(dim-t) = s * (-1)^(t+1) is
+    positive: (-1)^(dim-1) reads a side off an orientation with the point
+    last, and moving the point from slot t to the end takes dim-t swaps.
+    The entries are walked in the order of ``combinations``, which is the
+    table's order.
+    """
+    bits = [1 << i for i in range(n)]
+    plus = dict.fromkeys(map(sum, combinations(bits, dim)), 0)
+    for combo, sign in zip(combinations(bits, dim + 1), table.values()):
+        whole = sum(combo)
+        for bit in combo[sign > 0::2]:  # positive: the odd slots when s > 0, else the even
+            plus[whole ^ bit] |= bit
+    everything = (1 << n) - 1
+    sides = {everything}
+    for span, above in plus.items():
+        for pattern in _submasks(span):
+            side = above | pattern
+            sides.add(side if side & 1 else everything ^ side)
     return sides
 
 

@@ -6,8 +6,8 @@ member sets are read off the hyperplanes the points span, general position or
 not, so a subcommand that only reads membership solves no LP, and a
 construction solves only the witnesses it reads; brute force would show here
 as thousands of LPs (2^15 - 1 per enumeration).  The orientation tables and
-member reads are counted too, in spanned-hyperplane normals and dim x dim
-determinants.
+member reads are counted too, in spanned-hyperplane normals and the
+determinants taken for them.
 """
 
 from __future__ import annotations
@@ -158,24 +158,24 @@ def test_perturb_of_degenerate_input_solves_no_lp(tmp_path, capsys, solver_calls
 def test_witness_builds_each_table_from_spanned_normals(tmp_path, capsys, geometry_work):
     """``witness`` on the main baseline (d=2, n=16, k=8): the instance's
     orientation table takes one normal per pair of points with a later point,
-    C(15, 2) = 105, and its member read one per spanned line, C(16, 2) = 120.
-    Each normal is two 1 x 1 minors.  No subset is read again: the eight
-    representatives' table and member read, C(7, 2) + C(8, 2) = 49 normals,
-    are a restriction of the instance's members now, and no 2 x 2
-    determinant is left: the tables took one per point triple, C(16, 3) +
-    C(8, 3) = 616."""
+    C(15, 2) = 105, and each normal is the difference row turned by a right
+    angle, with no determinant.  The member read takes no normal: each side
+    of a spanned line is a sign of the table, where it took one normal per
+    line, C(16, 2) = 120, of two 1 x 1 minors each.  No subset is read
+    again: the eight representatives' members are a restriction of the
+    instance's."""
     _, path = _instance(tmp_path, "main", 2, colors=8)
     geometry_work.clear()
     _run(capsys, ["witness", "--input", path])
-    assert geometry_work == {"normals": 105 + 120, "det 1": 2 * (105 + 120)}
+    assert geometry_work == {"normals": 105}
 
 
 def test_kirchberger_builds_its_table_from_spanned_normals(tmp_path, capsys, geometry_work):
     """``kirchberger`` on its baseline (d=3, n=14): the orientation table
-    takes C(13, 3) = 286 normals of three 2 x 2 minors each, and no 3 x 3
-    determinant: the table took one per four points, C(14, 4) = 1,001."""
+    takes C(13, 3) = 286 normals, each the cross product of two difference
+    rows, where it took three 2 x 2 minors, and no determinant."""
     _, path = _instance(tmp_path, "kirchberger", 3, colors=2, n=14)
     geometry_work.clear()
     doc = _run(capsys, ["kirchberger", "--input", path])
     assert doc["witness"] == [0, 1, 2, 9, 11]
-    assert geometry_work == {"normals": 286, "det 2": 3 * 286}
+    assert geometry_work == {"normals": 286}

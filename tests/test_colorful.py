@@ -441,7 +441,7 @@ def test_inseparable_pair_blocks_without_a_grouping_lp(monkeypatch):
     # one member read, on degenerate input too: no grouping LP, no witness LP
     assert counts == {"member_masks": 1}
 
-    table = colorful._Groupings(cfg)
+    table = colorful._Groupings.of(cfg)
     counts.clear()
     assert not table.realizable(0b001)  # {0} | {1, 2} splits the blocked pair
     assert not table.realizable(0b110)  # the same grouping, mirrored
@@ -593,7 +593,7 @@ def _class_points(cfg, mask):
 @given(st.integers(3, 5).flatmap(lambda k: degenerate_colored(colors=k)))
 def test_grouping_table_matches_the_witness_route(cfg):
     """Every grouping gets the answer of the witness-producing route."""
-    table = colorful._Groupings(cfg)
+    table = colorful._Groupings.of(cfg)
     full = (1 << cfg.k) - 1
     for plus in range(1, full):
         expected = strict_separate(_class_points(cfg, plus), _class_points(cfg, full ^ plus), cfg.dim)

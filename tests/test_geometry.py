@@ -317,14 +317,57 @@ def test_orient_matches_the_fraction_determinant(case):
 @example(([[0, 1, 2, 3], [0, 4, 5, 6], [7, 8, 9, 1], [2, 3, 4, 5]], False))
 @example(([[1, 2, 3, 4], [2, 4, 6, 9], [0, 0, 5, 1], [1, 3, 0, 2]], False))  # a zero pivot at column 1
 def test_det_matches_the_cofactor_expansion(case):
-    """Closed forms for sizes 1 and 2, Bareiss for 0, 3 and 4; with ``swap``
-    the first column's top entry is 0, so a size-3 or size-4 matrix takes
-    the row-swap path."""
+    """Bareiss for sizes 0 to 4; with ``swap`` the first column's top entry
+    is 0, so a matrix of size 2 or more takes the row-swap path."""
     rows, swap = case
     if swap and rows:
         rows[0][0] = 0
     expected = oracles.fraction_det(rows)
     assert geometry._det([list(row) for row in rows]) == expected
+
+
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda dim: st.tuples(
+            st.lists(
+                st.lists(st.integers(-9, 9), min_size=dim, max_size=dim),
+                min_size=dim + 1, max_size=dim + 1,
+            ),
+            st.lists(st.integers(-2, 2), min_size=2, max_size=2),
+            st.booleans(),
+        )
+    )
+)
+@example(([[1, 2], [1, 2], [0, 5]], [0, 0], False))  # two equal points of R^2
+@example(([[0, 1, 2], [3, 1, 0], [6, 1, -2], [1, 1, 1]], [0, 0], False))  # collinear in R^3
+@example(([[1, 0, 0, 2], [0, 1, 0, 3], [0, 0, 1, 4], [1, 1, 1, 9], [2, 0, 1, 1]], [1, 1], True))
+def test_spanned_normal_matches_the_fraction_cofactors(case):
+    """The normal is the cofactor vector of the difference rows, whether in
+    closed form (dims 2 and 3) or by ``_det`` (dims 1 and 4), and a point's
+    value is (-1)^(dim-1) times the determinant with its row appended.  With
+    ``dependent`` the last spanning point is moved onto the affine span of
+    the others (onto the first in dim 2), and the normal is zero."""
+    points, weights, dependent = case
+    dim = len(points[0])
+    span, x = points[:dim], points[dim]
+    origin = span[0]
+    if dependent and dim > 1:
+        span[-1] = [
+            o + sum(w * (p[i] - o) for w, p in zip(weights, span[1:-1]))
+            for i, o in enumerate(origin)
+        ]
+    rows = [[a - o for a, o in zip(p, origin)] for p in span[1:]]
+    expected = [
+        (-1) ** j * oracles.fraction_det([row[:j] + row[j + 1:] for row in rows]) for j in range(dim)
+    ]
+    normal, offset = geometry._spanned_normal(span)
+    assert normal == expected
+    assert offset == sum(n * o for n, o in zip(normal, origin))
+    value = sum(n * v for n, v in zip(normal, x)) - offset
+    appended = rows + [[v - o for v, o in zip(x, origin)]]
+    assert value == (-1) ** (dim - 1) * oracles.fraction_det(appended)
+    if dependent and dim > 1:
+        assert not any(normal)
 
 
 @given(
