@@ -35,6 +35,8 @@ witness, every subset of ``smallest_blocked_subset_size``) read the same
 masks restricted to the subset (``hdivision.restricted_masks``): a subset's
 members are the traces of the whole configuration's members, and its color
 classes the traces of the classes, so no subset configuration is built.
+Witness extraction works on color bitmasks (``_witness_report``) and
+builds ``Partition``s only for the members it reports.
 Only the groupings that end up in a certificate are solved for their
 hyperplanes.  The cross-check ``is_partitionable_by_enumeration`` stays
 independent of the member read: it decides each grouping by one
@@ -44,7 +46,9 @@ Fourier-Motzkin test.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from itertools import combinations
+from operator import and_, or_, xor
 from typing import AbstractSet, Iterable, Mapping, Optional
 
 from .counting import witness_size_bound
@@ -58,15 +62,10 @@ from .geometry import (
 # hyperplane_division stays bound here, unused: perfbench's tracer tests check
 # that tracing rebinds it in this module
 from .hdivision import (  # noqa: F401
-    check_witness, division_of_masks, hyperplane_division, member_masks, restricted_masks,
+    check_witness, hyperplane_division, member_masks, restricted_masks, traces,
 )
 from .linsolve import IntRow, feasible_point, infeasible_core
-from .partitions import (
-    Partition,
-    is_transversal,
-    minimalize_transversal,
-    separating_members,
-)
+from .partitions import Partition, minimalize_masks, pair_masks
 
 
 def _require_colors(config: PointConfig, most: Optional[int] = None) -> None:
@@ -325,10 +324,24 @@ class _Groupings:
         general = config.orientations is not None
         return cls(config.ids, member_masks(config), classes, config.dim, general)
 
+    @cached_property
+    def _unions(self) -> list[list[int]]:
+        """Per eight colors, the point mask of each subset of them by its
+        bitmask: 2^8 entries per eight colors, not 2^k."""
+        tables = []
+        for start in range(0, len(self.classes), 8):
+            tables.append([0])
+            for points in self.classes[start:start + 8]:
+                tables[-1] += [mask | points for mask in tables[-1]]
+        return tables
+
     def realizable(self, plus: int) -> bool:
         """Can a hyperplane put the colors of bitmask ``plus`` on one side and
         every other color on the other?"""
-        mask = sum(points for c, points in enumerate(self.classes) if plus >> c & 1)
+        mask = 0
+        for table in self._unions:
+            mask |= table[plus & 255]
+            plus >>= 8
         return (mask if mask & 1 else self._everything ^ mask) in self.members
 
     def restricted(self, ids: Iterable[int]) -> "_Groupings":
@@ -338,9 +351,9 @@ class _Groupings:
         ``PointConfig.subset`` numbers its colors."""
         wanted = set(ids)
         positions = [t for t, i in enumerate(self.ids) if i in wanted]
-        traces = (sum(1 << t for t, at in enumerate(positions) if points >> at & 1)
-                  for points in self.classes)
-        classes = sorted(filter(None, traces), key=lambda points: points & -points)
+        classes = sorted(
+            filter(None, traces(self.classes, positions)), key=lambda points: points & -points
+        )
         members = restricted_masks(self.members, positions, self.dim, self.general)
         subset = tuple(self.ids[t] for t in positions)
         return _Groupings(subset, members, classes, self.dim, self.general)
@@ -494,39 +507,49 @@ def witness_nonpartitionable(config: PointConfig) -> WitnessReport:
 def _witness_report(config: PointConfig, groupings: _Groupings) -> WitnessReport:
     """The body of ``witness_nonpartitionable``, for a configuration that
     ``verify_instance`` decided non-partitionable on the same grouping table.
-    The representatives' division and the witness's re-check read that
-    table restricted to their points."""
-    classes = config.color_classes
-    reps = tuple(min(ids) for _, ids in sorted(classes.items()))
-    rep_div = division_of_masks(reps, groupings.restricted(reps).members)
-    blocking = []
-    for member in rep_div.members:
-        if member.is_trivial:
-            continue  # extends to the trivial partition, always realizable
-        # the extension puts the colors of one block on one side: a grouping
-        if not groupings.realizable(sum(1 << config.color_of(i) for i in member.blocks[0])):
-            blocking.append(member)
-    if not is_transversal(rep_div, blocking):
+    Colors are numbered by first appearance in id order, so representative
+    t is color t's least id, and the representatives' members (the table
+    restricted to them) are color groupings, bit t for color t, scanned in
+    ``Division``'s canonical order.  Only the reported members become
+    ``Partition``s.  The witness's re-check reads the table restricted to it."""
+    reps = tuple(ids[0] for _, ids in sorted(config.color_classes.items()))
+    k = len(reps)
+    colors = range(k)
+    members = sorted(
+        groupings.restricted(reps).members, key=lambda m: [c for c in colors if m >> c & 1]
+    )
+    incident = pair_masks(k)
+    separated = [reduce(xor, (incident[c] for c in colors if m >> c & 1)) for m in members]
+    # a member blocks when its extension, the grouping of its mask, is not
+    # realizable (the trivial member's always is)
+    blocking = sum(1 << i for i, m in enumerate(members) if not groupings.realizable(m))
+    pair_list = list(combinations(colors, 2))
+    minimal = minimalize_masks(separated, blocking, (1 << len(pair_list)) - 1)
+    if minimal is None:
         raise VerificationError(
             "non-extendable members fail to hit every full subdivision"
         )
-    minimal = minimalize_transversal(rep_div, blocking)
+    kept = [i for i in range(len(members)) if minimal >> i & 1]
+    # the pairs separated by every kept member and by no other member
+    inside = reduce(and_, (separated[i] for i in kept))
+    outside = reduce(or_, (s for i, s in enumerate(separated) if not minimal >> i & 1), 0)
     pairs = tuple(
-        (a, b)
-        for a, b in combinations(sorted(reps), 2)
-        if set(separating_members(rep_div, a, b)) == set(minimal)
+        (reps[a], reps[b]) for t, (a, b) in enumerate(pair_list) if (inside & ~outside) >> t & 1
     )
     if not pairs:
         raise VerificationError("minimal transversal is not a separating set of a pair")
 
     rep_set = set(reps)
     cores: dict[Partition, tuple[int, ...]] = {}
-    for member in minimal:
-        first = frozenset(extend_partition(member, config).blocks[0])
-        side_labels = {i: int(i not in first) for i in config.ids}
-        cores[member] = _found(
-            _first_inseparable(config, side_labels, rep_set), config, rep_set
-        )
+    for i in kept:
+        plus = members[i]
+        blocks = ([], [])
+        for c in colors:
+            blocks[not plus >> c & 1].append(reps[c])
+        # label 0 on the points of the colors on the side of color 0
+        side_labels = {j: int(not plus >> c & 1) for j, c in zip(config.ids, config.colors)}
+        member = Partition((tuple(blocks[0]), tuple(blocks[1])))
+        cores[member] = _found(_first_inseparable(config, side_labels, rep_set), config, rep_set)
 
     witness = tuple(sorted(rep_set.union(*cores.values())))
     bound = witness_size_bound(config.dim, config.k)
@@ -537,7 +560,7 @@ def _witness_report(config: PointConfig, groupings: _Groupings) -> WitnessReport
     return WitnessReport(
         witness_ids=witness,
         representatives=reps,
-        transversal=minimal,
+        transversal=tuple(cores),
         transversal_pairs=pairs,
         per_member_sets=cores,
         size_bound=bound,

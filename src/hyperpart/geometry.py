@@ -39,7 +39,7 @@ Scalar = Union[int, str, Fraction]
 
 
 def as_coords(values: Iterable[Scalar]) -> Coords:
-    return tuple(Fraction(v) for v in values)
+    return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
 
 
 @dataclass(frozen=True)

@@ -173,12 +173,23 @@ def restricted_masks(
     its least nonzero distance to a point, misses every point and realizes a
     member with that trace.  So the subset's members are the traces, each by
     its block holding the subset's first point; a one-sided trace is the
-    trivial member.
+    trivial member.  Witness extraction reads its representatives' members
+    here as color bitmasks, building ``Partition``s only for those it reports.
     """
-    traces = (sum(1 << t for t, at in enumerate(positions) if mask >> at & 1) for mask in masks)
     everything = (1 << len(positions)) - 1
-    members = frozenset(trace if trace & 1 else everything ^ trace for trace in traces)
+    members = frozenset(t if t & 1 else everything ^ t for t in traces(masks, positions))
     return _counted(members, dim, len(positions), general)
+
+
+def traces(masks: Iterable[int], positions: Sequence[int]) -> list[int]:
+    """Each mask's bits at increasing ``positions``, the t-th moved to bit t,
+    gathered position by position."""
+    masks = list(masks)
+    gathered = [0] * len(masks)
+    for t, at in enumerate(positions):  # t <= at
+        shift, bit = at - t, 1 << t
+        gathered = [trace | mask >> shift & bit for trace, mask in zip(gathered, masks)]
+    return gathered
 
 
 def _counted(masks: frozenset[int], dim: int, n: int, general: bool) -> frozenset[int]:

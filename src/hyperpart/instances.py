@@ -32,8 +32,9 @@ def parse_rational(text: Any, where: str = "value") -> Fraction:
         raise InvalidConfig(
             f"{where}: {text!r} is not an exact rational (use 'p' or 'p/q')"
         )
+    num, _, den = text.partition("/")
     try:
-        return Fraction(text)
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
     except ValueError as err:
         raise InvalidConfig(f"{where}: {_TOO_LONG}") from err
 

@@ -13,7 +13,7 @@ from functools import cached_property, reduce
 from itertools import combinations
 from math import comb
 from operator import or_, xor
-from typing import Iterable
+from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, InvalidConfig
 
@@ -83,6 +83,16 @@ def restrict(partition: Partition, ids: Iterable[int]) -> Partition:
     return Partition(tuple(b for b in blocks if b))
 
 
+def pair_masks(count: int) -> list[int]:
+    """Per position of ``count`` items, the bitmask of the pairs it is in,
+    bit t for the t-th of ``combinations(range(count), 2)``."""
+    masks = [0] * count
+    for t, (a, b) in enumerate(combinations(range(count), 2)):
+        masks[a] |= 1 << t
+        masks[b] |= 1 << t
+    return masks
+
+
 @dataclass(frozen=True)
 class Division:
     """A support set together with a deduplicated family of partitions of it."""
@@ -107,35 +117,32 @@ class Division:
         return len(self.members)
 
     def __contains__(self, partition: Partition) -> bool:
-        return partition in self._member_set
+        return partition in self._index
 
     @cached_property
-    def _member_set(self) -> frozenset[Partition]:
-        return frozenset(self.members)
+    def _index(self) -> dict[Partition, int]:
+        return {m: i for i, m in enumerate(self.members)}
 
     @cached_property
-    def _separated(self) -> dict[Partition, int]:
-        """Per member, the bitmask of the pairs it separates (bit t for the
-        t-th of ``combinations`` of the sorted support): the pairs with one id
-        in a block, the XOR of its ids' pair masks over each block."""
-        pairs = dict.fromkeys(sorted(self.support), 0)
-        for t, (a, b) in enumerate(combinations(pairs, 2)):
-            pairs[a] |= 1 << t
-            pairs[b] |= 1 << t
-        return {
-            m: reduce(or_, (reduce(xor, map(pairs.get, block)) for block in m.blocks))
+    def _separated(self) -> tuple[int, ...]:
+        """Per member, in order, the bitmask of the pairs it separates (bit t
+        for the t-th of ``combinations`` of the sorted support): the pairs
+        with one id in a block, the XOR of its ids' pair masks over each
+        block."""
+        pairs = dict(zip(sorted(self.support), pair_masks(len(self.support))))
+        return tuple(
+            reduce(or_, (reduce(xor, map(pairs.get, block)) for block in m.blocks))
             for m in self.members
-        }
+        )
 
-    def _separates_all(self, members: Iterable[Partition]) -> bool:
-        """Do ``members`` of the division separate every pair of its ids?"""
-        union = reduce(or_, map(self._separated.get, members), 0)
-        return union == (1 << comb(len(self.support), 2)) - 1
+    @property
+    def _all_pairs(self) -> int:
+        return (1 << comb(len(self.support), 2)) - 1
 
 
 def is_full(division: Division) -> bool:
     """Every pair of distinct support ids is separated by some member."""
-    return division._separates_all(division.members)
+    return reduce(or_, division._separated, 0) == division._all_pairs
 
 
 def separating_members(division: Division, a: int, b: int) -> tuple[Partition, ...]:
@@ -156,6 +163,38 @@ def _check_pair(division: Division, a: int, b: int) -> None:
         raise DomainError(f"ids not in the division support: {sorted(missing)}")
 
 
+def minimalize_masks(separated: Sequence[int], chosen: int, pairs: int) -> Optional[int]:
+    """``is_transversal`` and ``minimalize_transversal`` on bitmasks: per
+    member in canonical order the pairs it separates, all pairs, and the
+    chosen members (bit i for the i-th).  None when the chosen members are
+    no transversal, else the ones the greedy descent keeps; the members
+    outside only grow, so their pairs are one running mask."""
+    whole = outside = 0
+    for i, sep in enumerate(separated):
+        whole |= sep
+        if not chosen >> i & 1:
+            outside |= sep
+    if whole != pairs:
+        raise DomainError("transversals are defined for full divisions only")
+    if outside == pairs:
+        return None
+    for i, sep in enumerate(separated):
+        if chosen >> i & 1 and outside | sep != pairs:
+            chosen ^= 1 << i
+            outside |= sep
+    return chosen
+
+
+def _descend(division: Division, subset: Iterable[Partition]) -> Optional[int]:
+    """``minimalize_masks`` on the members of ``subset``."""
+    chosen = 0
+    for member in subset:
+        if member not in division._index:
+            raise DomainError("subset contains partitions outside the division")
+        chosen |= 1 << division._index[member]
+    return minimalize_masks(division._separated, chosen, division._all_pairs)
+
+
 def is_transversal(division: Division, subset: Iterable[Partition]) -> bool:
     """Does the subset meet every full subdivision?
 
@@ -164,12 +203,7 @@ def is_transversal(division: Division, subset: Iterable[Partition]) -> bool:
     conversely any avoided full subdivision lives inside the complement and
     forces it full.)
     """
-    chosen = set(subset)
-    if not chosen <= division._member_set:
-        raise DomainError("subset contains partitions outside the division")
-    if not is_full(division):
-        raise DomainError("transversals are defined for full divisions only")
-    return not division._separates_all(m for m in division.members if m not in chosen)
+    return _descend(division, subset) is not None
 
 
 def minimalize_transversal(
@@ -183,15 +217,10 @@ def minimalize_transversal(
     supersets, the result admits no removable member at all, i.e. it is
     inclusion-minimal.
     """
-    chosen = set(transversal)
-    if not is_transversal(division, chosen):
+    kept = _descend(division, transversal)
+    if kept is None:
         raise DomainError("the given subset is not a transversal")
-    outside = [m for m in division.members if m not in chosen]
-    for member in division.members:
-        if member in chosen and not division._separates_all(outside + [member]):
-            chosen.remove(member)
-            outside.append(member)
-    return tuple(m for m in division.members if m in chosen)
+    return tuple(m for i, m in enumerate(division.members) if kept >> i & 1)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,10 @@ the exception: they ask the package's witness-producing separation oracle
 about every candidate (the scans rebuild each one as a configuration, the
 filter tests every bipartition through ``hyperplane_division``), a different
 route through the solver than the decide-only scans, the grouping table and
-the grouping enumeration they are compared with.  The deletion-fibre check
+the grouping enumeration they are compared with.  The witness report built
+on ``Partition``s and a ``Division`` is the package's own extraction as it
+stood before it moved to color bitmasks; the rewrite must return the same
+report.  The deletion-fibre check
 enumerates a configuration with and without one point through the package
 and checks that restriction maps the one onto the other, at most two to one.
 The Fraction kernel near the end is the package's own elimination,
@@ -45,12 +48,18 @@ from hyperpart import (
     PointConfig,
     VerificationError,
     color_separating_hyperplane,
+    extend_partition,
     hyperplane_division,
+    is_transversal,
+    minimalize_transversal,
     restrict,
     separating_members,
     strict_separate,
     validate_certificate,
+    witness_size_bound,
 )
+from hyperpart.colorful import WitnessReport, _first_inseparable, _found, _pair_groupings
+from hyperpart.hdivision import division_of_masks
 
 
 def _rat(x) -> Rational:
@@ -193,6 +202,61 @@ def brute_partitionable_by_enumeration(config: PointConfig) -> bool:
     return all(
         any(m.separates(classes[c1][0], classes[c2][0]) for m in respecting)
         for c1, c2 in combinations(colors, 2)
+    )
+
+
+def partition_witness_report(config: PointConfig, groupings) -> WitnessReport:
+    """``colorful._witness_report`` as it stood before it worked on color
+    bitmasks: the representatives' division built as ``Partition``s, the
+    blocking set, transversal test and greedy descent on that ``Division``,
+    the separating pairs by ``separating_members`` and each core's labels by
+    ``extend_partition``.  The grouping table is ``colorful._Groupings`` of
+    the configuration, which must be non-partitionable."""
+    classes = config.color_classes
+    reps = tuple(min(ids) for _, ids in sorted(classes.items()))
+    rep_div = division_of_masks(reps, groupings.restricted(reps).members)
+    blocking = []
+    for member in rep_div.members:
+        if member.is_trivial:
+            continue  # extends to the trivial partition, always realizable
+        # the extension puts the colors of one block on one side: a grouping
+        if not groupings.realizable(sum(1 << config.color_of(i) for i in member.blocks[0])):
+            blocking.append(member)
+    if not is_transversal(rep_div, blocking):
+        raise VerificationError(
+            "non-extendable members fail to hit every full subdivision"
+        )
+    minimal = minimalize_transversal(rep_div, blocking)
+    pairs = tuple(
+        (a, b)
+        for a, b in combinations(sorted(reps), 2)
+        if set(separating_members(rep_div, a, b)) == set(minimal)
+    )
+    if not pairs:
+        raise VerificationError("minimal transversal is not a separating set of a pair")
+
+    rep_set = set(reps)
+    cores: dict[Partition, tuple[int, ...]] = {}
+    for member in minimal:
+        first = frozenset(extend_partition(member, config).blocks[0])
+        side_labels = {i: int(i not in first) for i in config.ids}
+        cores[member] = _found(
+            _first_inseparable(config, side_labels, rep_set), config, rep_set
+        )
+
+    witness = tuple(sorted(rep_set.union(*cores.values())))
+    bound = witness_size_bound(config.dim, config.k)
+    if len(witness) > bound:
+        raise VerificationError(f"witness has {len(witness)} points, bound is {bound}")
+    if _pair_groupings(groupings.restricted(witness)) is not None:
+        raise VerificationError("extracted witness is partitionable")
+    return WitnessReport(
+        witness_ids=witness,
+        representatives=reps,
+        transversal=minimal,
+        transversal_pairs=pairs,
+        per_member_sets=cores,
+        size_bound=bound,
     )
 
 

@@ -21,6 +21,7 @@ import hyperpart.cli as cli
 import hyperpart.colorful as colorful
 import hyperpart.geometry as geometry
 import hyperpart.hdivision as hdivision
+import hyperpart.partitions as partitions
 from hyperpart import (
     CampaignSpec,
     emit_instance,
@@ -28,6 +29,7 @@ from hyperpart import (
     generate_instance,
     realizable_division,
     separating_members,
+    witness_nonpartitionable,
 )
 
 
@@ -168,6 +170,35 @@ def test_witness_builds_each_table_from_spanned_normals(tmp_path, capsys, geomet
     geometry_work.clear()
     _run(capsys, ["witness", "--input", path])
     assert geometry_work == {"normals": 105}
+
+
+def test_witness_builds_partitions_for_the_reported_transversal_only(monkeypatch):
+    """``witness_nonpartitionable`` on the main baseline (d=2, n=16, k=8)
+    works on color bitmasks: it builds one ``Partition`` per member of the
+    reported minimal transversal, 9, and no ``Division``.  Building the
+    representatives' division took 29 partitions and a division, and the
+    core labels 9 more.  The representatives' members and the witness's
+    re-check are still two restrictions of the instance's member masks."""
+    config = generate_instance(CampaignSpec(suite="main", dim=2, n=16, colors=8, seed=0), 0)
+    counts = Counter()
+    for cls in (partitions.Partition, partitions.Division):
+        original = cls.__post_init__
+
+        def counted(self, original=original, name=cls.__name__):
+            counts[name] += 1
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    restricted = colorful.restricted_masks
+
+    def counted_restricted(*args):
+        counts["restricted_masks"] += 1
+        return restricted(*args)
+
+    monkeypatch.setattr(colorful, "restricted_masks", counted_restricted)
+    report = witness_nonpartitionable(config)
+    assert len(report.transversal) == 9
+    assert counts == {"Partition": 9, "restricted_masks": 2}
 
 
 def test_kirchberger_builds_its_table_from_spanned_normals(tmp_path, capsys, geometry_work):

@@ -4,6 +4,7 @@ bounded witnesses."""
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -264,6 +265,36 @@ def test_witness_cores_match_brute_scan_in_general_position(cfg):
         first = frozenset(extend_partition(member, cfg).blocks[0])
         labels = {i: int(i not in first) for i in cfg.ids}
         assert core == oracles.brute_inseparable_core(cfg, labels, set(report.representatives))
+
+
+def _assert_same_witness_report(cfg):
+    """The bitmask extraction returns the ``Partition``-based report field by
+    field, the cores in the same order."""
+    table = colorful._Groupings.of(cfg)
+    expected = oracles.partition_witness_report(cfg, table)
+    report = colorful._witness_report(cfg, table)
+    for field in fields(colorful.WitnessReport):
+        assert getattr(report, field.name) == getattr(expected, field.name), field.name
+    assert list(report.per_member_sets.items()) == list(expected.per_member_sets.items())
+
+
+@settings(max_examples=30)
+@given(_radon_colored(colors=3))
+def test_mask_witness_report_matches_the_partition_report_in_general_position(cfg):
+    _assert_same_witness_report(cfg)
+
+
+@settings(max_examples=30)
+@given(st.sampled_from((2, 3)), st.integers(6, 10), st.integers(2, 6),
+       st.integers(0, 10**6), st.integers(0, 3))
+def test_mask_witness_report_matches_the_partition_report_on_degenerate_draws(
+    dim, n, colors, seed, trial
+):
+    spec = CampaignSpec(suite="main", dim=dim, n=n, colors=colors, seed=seed, degenerate=True)
+    cfg = generate_instance(spec, trial)
+    assume(is_partitionable(cfg) is None)
+    assert not general_position(cfg)
+    _assert_same_witness_report(cfg)
 
 
 def test_extend_partition():
@@ -598,6 +629,22 @@ def test_grouping_table_matches_the_witness_route(cfg):
     for plus in range(1, full):
         expected = strict_separate(_class_points(cfg, plus), _class_points(cfg, full ^ plus), cfg.dim)
         assert table.realizable(plus) == (expected is not None)
+
+
+def test_grouping_table_past_eight_colors():
+    """Ten colors: a grouping's point mask is the union of two table entries,
+    one for colors 0-7 and one for colors 8-9, and every seventh grouping
+    gets the answer of the witness-producing route."""
+    cfg = generate_instance(CampaignSpec(suite="main", dim=2, n=12, colors=10, seed=0), 0)
+    table = colorful._Groupings.of(cfg)
+    assert [len(unions) for unions in table._unions] == [256, 4]
+    full = (1 << cfg.k) - 1
+    answers = set()
+    for plus in range(1, full, 7):
+        expected = strict_separate(_class_points(cfg, plus), _class_points(cfg, full ^ plus), cfg.dim)
+        assert table.realizable(plus) == (expected is not None)
+        answers.add(expected is not None)
+    assert answers == {False, True}
 
 
 def test_verify_instance_at_the_d3_cap(monkeypatch):

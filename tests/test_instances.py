@@ -5,12 +5,14 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperpart import (
@@ -23,7 +25,7 @@ from hyperpart import (
     parse_instance,
 )
 from hyperpart.cli import main
-from hyperpart.instances import parse_rational, rational_str
+from hyperpart.instances import _TOO_LONG, parse_rational, rational_str
 
 
 def test_rational_grammar():
@@ -44,6 +46,41 @@ def test_rational_grammar():
 def test_rational_str_round_trip():
     for f in (Fraction(0), Fraction(-3), Fraction(22, 7), Fraction(-5, 4)):
         assert parse_rational(rational_str(f)) == f
+
+
+_DIGITS = st.text("0123456789", min_size=1, max_size=400)
+_GRAMMAR = st.builds(
+    lambda minus, num, den: minus + num + den,
+    st.sampled_from(("", "-")),
+    _DIGITS,
+    st.one_of(st.just(""), st.builds(lambda lead, rest: f"/{lead}{rest}",
+                                     st.sampled_from("123456789"), st.text("0123456789", max_size=399))),
+)
+
+
+@settings(max_examples=200)
+@example("-0")
+@example("0/7")
+@example("-000120/8")
+@example("0000")
+@example("9" * 300 + "/" + "7" * 350)
+@given(_GRAMMAR)
+def test_grammar_strings_parse_as_fraction_does(text):
+    """Every string of the grammar, leading zeros and integers of hundreds
+    of digits included, is the ``Fraction`` that ``Fraction`` reads."""
+    assert parse_rational(text) == Fraction(text)
+
+
+def test_rational_digit_limit_and_what_int_alone_would_accept():
+    limit = sys.get_int_max_str_digits()
+    for text in ("1" * (limit + 1), "1/" + "1" * (limit + 1)):
+        with pytest.raises(InvalidConfig, match=re.escape(_TOO_LONG)):
+            parse_rational(text)
+    # int() reads both; the grammar does not
+    assert int("1_0") == 10 and int("\u0661") == 1
+    for text in ("1_0", "\u0661", "1/1_0", "\u0661/2"):
+        with pytest.raises(InvalidConfig, match="not an exact rational"):
+            parse_rational(text)
 
 
 def test_parse_minimal_document():

@@ -25,6 +25,7 @@ from hyperpart import (
     restrict,
     separating_members,
 )
+from hyperpart.partitions import minimalize_masks
 
 
 def test_partition_canonical_form():
@@ -196,4 +197,31 @@ def test_fullness_and_transversals_match_their_definitions(division, data):
                 expected.remove(member)
         assert minimalize_transversal(division, chosen) == tuple(
             m for m in division.members if m in expected
+        )
+
+
+@settings(max_examples=150)
+@given(_divisions(), st.data())
+def test_mask_routine_is_the_transversal_test_and_descent(division, data):
+    """``minimalize_masks`` on separated-pair masks read here off
+    ``Partition.separates``, for a drawn subset: None exactly when
+    ``is_transversal`` says no, else the members ``minimalize_transversal``
+    keeps; DomainError on a division that is not full, as both raise."""
+    members = division.members
+    pairs = list(combinations(sorted(division.support), 2))
+    separated = [sum(1 << t for t, (a, b) in enumerate(pairs) if m.separates(a, b)) for m in members]
+    drawn = data.draw(st.sets(st.sampled_from(members)))
+    chosen = sum(1 << i for i, m in enumerate(members) if m in drawn)
+    everything = (1 << len(pairs)) - 1
+    if not is_full(division):
+        with pytest.raises(DomainError):
+            minimalize_masks(separated, chosen, everything)
+        with pytest.raises(DomainError):
+            is_transversal(division, drawn)
+        return
+    kept = minimalize_masks(separated, chosen, everything)
+    assert (kept is not None) == is_transversal(division, drawn)
+    if kept is not None:
+        assert tuple(m for i, m in enumerate(members) if kept >> i & 1) == minimalize_transversal(
+            division, drawn
         )
