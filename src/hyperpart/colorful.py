@@ -11,13 +11,14 @@ their labels are their unique Radon partition, whose sides are read from the
 configuration's orientation table (the t-th point's side is the sign of
 (-1)^t times the orientation of the other dim+1, ``geometry.radon_signs``),
 point by point up to the first label that disagrees.
-Degenerate configurations decide each candidate by one witness-free
-Fourier-Motzkin test (``linsolve.infeasible_core``).  By Kirchberger's theorem
-through an anchor (Helly on the halfspace dual), every inseparable
-configuration has an inseparable subset of at most dim+2 points through the
-anchor, so the Kirchberger routes scan first on every input and a hit
-decides "inseparable"; the direct LP runs only for the hyperplane of a
-separable configuration.
+Degenerate configurations decide each candidate of three points or more (two
+distinct points are always separable) by one witness-free feasibility test
+of its halfspace dual through its first point (``_separable``), in dim
+unknowns.  By Kirchberger's theorem through an anchor (Helly on the
+halfspace dual), every inseparable configuration has an inseparable subset
+of at most dim+2 points through the anchor, so the Kirchberger routes scan
+first on every input and a hit decides "inseparable"; the direct LP runs
+only for the hyperplane of a separable configuration.
 
 k colors: deciding whether a family of hyperplanes can split the classes
 pairwise without cutting any class, and — when it cannot — extracting a small
@@ -40,7 +41,7 @@ builds ``Partition``s only for the members it reports.
 Only the groupings that end up in a certificate are solved for their
 hyperplanes.  The cross-check ``is_partitionable_by_enumeration`` stays
 independent of the member read: it decides each grouping by one
-Fourier-Motzkin test.
+feasibility test of its halfspace dual (``_separable``).
 """
 
 from __future__ import annotations
@@ -49,12 +50,13 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations
 from operator import and_, or_, xor
-from typing import AbstractSet, Iterable, Mapping, Optional
+from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
 
 from .counting import witness_size_bound
 from .errors import DomainError, VerificationError
 from .geometry import (
     Hyperplane,
+    Point,
     PointConfig,
     one_side_hyperplane,
     strict_separate,
@@ -64,7 +66,7 @@ from .geometry import (
 from .hdivision import (  # noqa: F401
     check_witness, hyperplane_division, member_masks, restricted_masks, traces,
 )
-from .linsolve import IntRow, feasible_point, infeasible_core
+from .linsolve import IntRow, feasible_point, is_feasible
 from .partitions import Partition, minimalize_masks, pair_masks
 
 
@@ -98,9 +100,11 @@ class HalfspaceSystem:
     open halfspace of admissible normals: points colored like the base must
     stay on its side (normal . a < 1), the rest must not (normal . a > 1).
     Each is an integer row of a strict system, scaled by the denominators of
-    the point and the base.  The system has a common point exactly when the
-    configuration is separable along the colors — that is Helly's theorem
-    territory, and deciding it exactly is a plain feasibility question.
+    the point and the base (``_dual_rows``).  The system has a common point
+    exactly when the configuration is separable along the colors — that is
+    Helly's theorem territory, and deciding it exactly is a plain
+    feasibility question, in dim unknowns where the direct separation
+    system has dim+1.
     """
 
     config: PointConfig
@@ -126,22 +130,35 @@ class HalfspaceSystem:
         return plane
 
 
-def helly_dual(config: PointConfig, base_id: int) -> HalfspaceSystem:
-    _require_colors(config, most=2)
-    base, base_den = config.point(base_id).scaled
-    base_color = config.color_of(base_id)
+def _dual_rows(points: Sequence[Point], sides: Sequence, anchor: Point) -> tuple[IntRow, ...]:
+    """The rows of the halfspace dual through ``anchor``, one of ``points``,
+    whose side labels are ``sides``: one row per other point, in order."""
+    base, base_den = anchor.scaled
+    base_side = sides[points.index(anchor)]
     rows = []
-    for p in config.points:
-        if p.id == base_id:
+    for p, side in zip(points, sides):
+        if p.id == anchor.id:
             continue
         ints, den = p.scaled
         scale = den * base_den
         shifted = tuple(x * base_den - b * den for x, b in zip(ints, base))  # a * scale
-        if config.color_of(p.id) == base_color:
+        if side == base_side:
             rows.append((shifted, scale))                      # normal . a < 1
         else:
             rows.append((tuple(-x for x in shifted), -scale))  # normal . a > 1
-    return HalfspaceSystem(config, base_id, tuple(rows))
+    return tuple(rows)
+
+
+def _separable(points: Sequence[Point], sides: Sequence, dim: int) -> bool:
+    """Whether the points of each side label can be strictly separated from
+    the rest, decided on the halfspace dual through the first point."""
+    return is_feasible(_dual_rows(points, sides, points[0]), dim, strict=True)
+
+
+def helly_dual(config: PointConfig, base_id: int) -> HalfspaceSystem:
+    _require_colors(config, most=2)
+    rows = _dual_rows(config.points, config.colors, config.point(base_id))
+    return HalfspaceSystem(config, base_id, rows)
 
 
 def kirchberger_witness(config: PointConfig, base_id: int) -> Optional[tuple[int, ...]]:
@@ -205,10 +222,11 @@ def _first_inseparable(
     Only decided, never solved.  In general position smaller candidates are
     all separable and are skipped, and a candidate of dim+2 points is
     inseparable exactly when its labels split it as its Radon signs do
-    (``_splits_as_radon``).  Otherwise a candidate with a single label is
-    skipped, since one class is always separable, and any other is one
-    witness-free feasibility test on its points' separation rows, label 0 on
-    the positive side.  By Kirchberger's theorem the search succeeds
+    (``_splits_as_radon``).  Otherwise the scan starts at three points, as
+    two distinct points are always separable; a candidate with a single
+    label is skipped, since one class is always separable, and any other is
+    one witness-free feasibility test of its halfspace dual through its first
+    point (``_separable``).  By Kirchberger's theorem the search succeeds
     whenever such a subset of any size exists.
     """
     table = config.orientations
@@ -217,13 +235,12 @@ def _first_inseparable(
             if not required.isdisjoint(combo) and _splits_as_radon(table, combo, labels):
                 return combo
         return None
-    for size in range(2, config.dim + 3):
+    for size in range(3, config.dim + 3):
         for combo in combinations(config.ids, size):
             if required.isdisjoint(combo) or len({labels[i] for i in combo}) == 1:
                 continue
-            if infeasible_core(
-                [config.point(i).separation_rows[labels[i]] for i in combo], config.dim + 1
-            ) is not None:
+            if not _separable([config.point(i) for i in combo], [labels[i] for i in combo],
+                              config.dim):
                 return combo
     return None
 
@@ -433,17 +450,14 @@ def is_partitionable_by_enumeration(config: PointConfig) -> bool:
     partitions that keep every color class whole, and ask whether they
     separate every color pair.  Such a partition is a two-sided color
     grouping, so the 2^(k-1)-1 nontrivial groupings with color 0 on side A
-    are each decided by one witness-free Fourier-Motzkin test
-    (``linsolve.infeasible_core``), side A positive; the member set, which
-    the grouping table reads, is not used."""
+    are each decided by one witness-free feasibility test of the halfspace
+    dual through the first point, which has color 0 (``_separable``); the
+    member set, which the grouping table reads, is not used."""
     _require_colors(config)
     realizable = [  # side A's colors: the odd bitmasks, less all colors (trivial)
         plus
         for plus in range(1, (1 << config.k) - 1, 2)
-        if infeasible_core(
-            [p.separation_rows[not plus >> c & 1] for p, c in zip(config.points, config.colors)],
-            config.dim + 1,
-        ) is None
+        if _separable(config.points, [plus >> c & 1 for c in config.colors], config.dim)
     ]
     return all(
         any((plus >> c1 ^ plus >> c2) & 1 for plus in realizable)

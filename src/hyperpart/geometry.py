@@ -188,9 +188,6 @@ class PointConfig:
         except KeyError:
             raise DomainError(f"no point with id {id}") from None
 
-    def __contains__(self, id: int) -> bool:
-        return id in self._by_id
-
     @property
     def k(self) -> int:
         """Number of distinct colors (0 when uncolored)."""

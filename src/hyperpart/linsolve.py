@@ -10,39 +10,24 @@ compares bounds by cross-multiplication over one common denominator of the
 values already fixed.  A rational is formed only for a chosen witness
 coordinate.
 
-Two entries, two eliminations.  ``feasible_point`` decides a closed or a
-strict system and back-substitutes a witness from the full elimination,
-which keeps every derived row but the looser of two parallel ones.
-``infeasible_core`` only decides closed systems, for the partitionability
-cross-check (one test per color grouping) and the inseparable-subset scan on
-degenerate input, which would throw a witness away: a feasible system has no core,
-None.  Each of its rows carries its origin set, the bitmask of the input rows
-it was combined from, and after k eliminations a derived row with more than
-k+1 origins is dropped (Chernikov's rule): it is implied by rows with fewer
-origins, so the projection does not change.  A parallel row is dropped only
-when a row at least as tight comes from a subset of its origins; keeping just
-the tighter one would lose the rows that a pruned contradiction is built
-from.  On a contradiction the origin set is a Farkas core: at most nvars+1
-input rows that are infeasible alone, which for separation rows is an
-inseparable subset of at most dim+2 points (Kirchberger).
+One elimination, two entries.  ``feasible_point`` back-substitutes a witness
+from the elimination's stages; ``is_feasible`` only asks whether the
+elimination got through, for the callers that would throw a witness away
+(the partitionability cross-check and the inseparable-subset scan on
+degenerate input).
 
-Both eliminations step the same way.  At variable j every row's first j
-coefficients are zero.  A row whose coefficient at j is zero too is carried
-over as it is: it is reduced already, and distinct from the other rows.  Each
-row with a positive coefficient at j is combined with each row with a
-negative one over the variables after j only, since the combination's first
-j+1 coefficients are zero by construction.  The combined rows, and the input
-rows of either entry, pass in bulk through one reduction (``_reduced``: each
-row divided by the gcd of its entries, a constant row settled) into the
-path's merge of parallel rows: the witness path keeps the tighter
-(``_keep_tighter``), the decide path goes by origin sets
-(``_keep_by_origins``).
-
-Only the decide path prunes.  The pruned stages have the same projections,
-so back-substitution through them would pick the same values, but moving the
-witness path (every enumeration) onto them waits on the benchmark harness: a
-faster enumeration runs more passes in its fixed time and keeps each pass's
-output, which reads as a memory regression.
+At variable j every row's first j coefficients are zero.  A row whose
+coefficient at j is zero too is carried over as it is: it is reduced
+already, and distinct from the other rows.  Each row with a positive
+coefficient at j is combined with each row with a negative one over the
+variables after j only, since the combination's first j+1 coefficients are
+zero by construction.  The combined rows, and the input rows, pass in bulk
+through one reduction (``_reduced``: each row divided by the gcd of its
+entries, a constant row settled) into one merge of parallel rows, which
+keeps the tighter (``_keep_tighter``).  Nothing is pruned: a smaller stage
+would leave the witnesses as they are, but a faster enumeration runs more
+passes in the benchmark's fixed time and keeps each pass's output, which
+reads as a memory regression.
 """
 
 from __future__ import annotations
@@ -65,52 +50,34 @@ def scale_to_integers(values: Sequence) -> tuple[tuple[int, ...], int]:
 
 
 def _reduced(rows, zeros=(), strict=False):
-    """Each ``(tail, rhs, origins)`` of ``rows`` as the row ``zeros + tail``
-    divided by the gcd of its entries.  A constant row that holds (``0 <=
-    rhs``, or ``0 < rhs`` in a strict system) is dropped; one that fails
-    raises ``_Contradiction``."""
-    for tail, rhs, origins in rows:
+    """Each ``(tail, rhs)`` of ``rows`` as the row ``zeros + tail`` divided
+    by the gcd of its entries.  A constant row that holds (``0 <= rhs``, or
+    ``0 < rhs`` in a strict system) is dropped; one that fails raises
+    ``_Contradiction``."""
+    for tail, rhs in rows:
         g = gcd(*tail)
         if not g:
             if rhs < 0 or (rhs == 0 and strict):
-                raise _Contradiction(origins)
+                raise _Contradiction
             continue
         g = gcd(g, rhs)
         if g > 1:
-            yield zeros + tuple([c // g for c in tail]), rhs // g, origins
+            yield zeros + tuple([c // g for c in tail]), rhs // g
         else:
-            yield zeros + tuple(tail), rhs, origins
+            yield zeros + tuple(tail), rhs
 
 
 def _keep_tighter(rows, new) -> None:
     """Add the reduced rows of ``new`` to ``coeffs -> rhs``; of two parallel
     rows the tighter one is kept, in the place of the first."""
-    for coeffs, rhs, _ in new:
+    for coeffs, rhs in new:
         old = rows.get(coeffs)
         if old is None or rhs < old:
             rows[coeffs] = rhs
 
 
-def _keep_by_origins(rows, new) -> None:
-    """Add the reduced rows of ``new`` to ``coeffs -> [(rhs, origins)]``.  A
-    row is dropped when a parallel row at least as tight comes from a subset
-    of its origins, and it drops the parallel rows it dominates in the same
-    way."""
-    for coeffs, rhs, origins in new:
-        kept = rows.get(coeffs)
-        if kept is None:
-            rows[coeffs] = [(rhs, origins)]
-        elif not any(r <= rhs and not o & ~origins for r, o in kept):
-            kept[:] = [(r, o) for r, o in kept if r < rhs or origins & ~o]
-            kept.append((rhs, origins))
-
-
 class _Contradiction(Exception):
-    """A violated constant row, raised with the origin set it came from."""
-
-    def __init__(self, origins: Optional[int]) -> None:
-        super().__init__(origins)
-        self.origins = origins
+    """A violated constant row."""
 
 
 def _eliminate(rows, j, strict):
@@ -127,7 +94,7 @@ def _eliminate(rows, j, strict):
         else:
             out[coeffs] = rhs
     _keep_tighter(out, _reduced((
-        ([a * n + b * p for p, n in zip(pt, nt)], a * nr + b * pr, None)
+        ([a * n + b * p for p, n in zip(pt, nt)], a * nr + b * pr)
         for a, pt, pr in pos
         for b, nt, nr in neg
     ), (0,) * (j + 1), strict))
@@ -178,22 +145,16 @@ def _pick(lo, up, strict) -> Fraction:
     return Fraction(lo[0] * up[1] + up[0] * lo[1], 2 * lo[1] * up[1])
 
 
-def _checked(rows_in: Iterable[IntRow], nvars: int) -> list[IntRow]:
-    """The rows as a list, each checked to have ``nvars`` coefficients."""
-    rows = list(rows_in)
-    for coeffs, _ in rows:
+def _load(rows_in: Iterable[IntRow], nvars: int, strict: bool) -> Optional[dict]:
+    """The deduplicated system, or None if a constant row fails; each row
+    must have ``nvars`` coefficients."""
+    rows_in = list(rows_in)
+    for coeffs, _ in rows_in:
         if len(coeffs) != nvars:
             raise ValueError(f"expected {nvars} coefficients, got {len(coeffs)}")
-    return rows
-
-
-def _load(rows_in: Iterable[IntRow], nvars: int, strict: bool) -> Optional[dict]:
-    """The deduplicated system, or None if a constant row fails."""
     rows: dict = {}
     try:
-        _keep_tighter(rows, _reduced(
-            ((*row, None) for row in _checked(rows_in, nvars)), strict=strict
-        ))
+        _keep_tighter(rows, _reduced(rows_in, strict=strict))
     except _Contradiction:
         return None
     return rows
@@ -215,54 +176,10 @@ def _elimination(rows: Optional[dict], nvars: int, strict: bool) -> Optional[tup
     return None if _empty(*bounds, strict) else (stages, bounds)
 
 
-def _eliminate_traced(rows, j, limit):
-    """Project out variable j, dropping derived rows with more than ``limit``
-    origins; raises ``_Contradiction`` on a violated constant row."""
-    out = {}
-    pos, neg = [], []
-    for coeffs, kept in rows.items():
-        c = coeffs[j]
-        if c > 0:
-            pos.extend((c, coeffs[j + 1:], *row) for row in kept)
-        elif c < 0:
-            neg.extend((-c, coeffs[j + 1:], *row) for row in kept)
-        else:
-            out[coeffs] = list(kept)
-    _keep_by_origins(out, _reduced((
-        ([a * n + b * p for p, n in zip(pt, nt)], a * nr + b * pr, po | no)
-        for a, pt, pr, po in pos
-        for b, nt, nr, no in neg
-        if (po | no).bit_count() <= limit
-    ), (0,) * (j + 1)))
-    return out
-
-
-def _traced_core(rows: list, nvars: int) -> Optional[int]:
-    """The origin set of a contradiction of the closed system, or None when
-    it is feasible."""
-    stage: dict = {}
-    try:
-        _keep_by_origins(stage, _reduced((*row, 1 << i) for i, row in enumerate(rows)))
-        for j in range(nvars - 1):
-            stage = _eliminate_traced(stage, j, j + 2)
-        tightest = {coeffs: min(rhs for rhs, _ in kept) for coeffs, kept in stage.items()}
-        if not _empty(*_interval(tightest, nvars - 1, ()), False):
-            return None
-        _eliminate_traced(stage, nvars - 1, nvars + 1)
-    except _Contradiction as found:
-        return found.origins
-    raise VerificationError("empty last interval but no contradiction within the origin limit")
-
-
-def infeasible_core(rows: Iterable[IntRow], nvars: int) -> Optional[tuple[int, ...]]:
-    """Decide the closed system without building a witness: None when it is
-    feasible, otherwise the increasing positions of at most nvars+1 input
-    rows that are infeasible on their own."""
-    rows = _checked(rows, nvars)
-    origins = _traced_core(rows, nvars)
-    if origins is None:
-        return None
-    return tuple(i for i in range(len(rows)) if origins >> i & 1)
+def is_feasible(rows: Iterable[IntRow], nvars: int, *, strict: bool) -> bool:
+    """Whether the system has a solution, decided by the elimination of
+    ``feasible_point`` without back-substitution."""
+    return _elimination(_load(rows, nvars, strict), nvars, strict) is not None
 
 
 def feasible_point(

@@ -24,8 +24,9 @@ integer elimination loops at the very end are the package's as they stood
 before they combined only the nonzero tail of two rows and inserted derived
 rows in bulk, with their own copies of the row conversion, bounds and picks
 of the kernel that still carried a strictness flag on every row; on systems
-of one strictness the rewritten loops must keep the same rows, points and
-cores.  Slow on purpose; keep inputs tiny.
+of one strictness the rewritten loops must keep the same rows and points.
+The halfspace dual's rows are rebuilt there in rationals, straight from the
+coordinates.  Slow on purpose; keep inputs tiny.
 """
 
 from __future__ import annotations
@@ -526,14 +527,6 @@ def fraction_value_at(plane: Hyperplane, coords: Sequence) -> Fraction:
 # kernel whose rows each carried a strictness flag.
 
 
-class _Contradiction(Exception):
-    """A violated constant row, raised with the origin set it came from."""
-
-    def __init__(self, origins: Optional[int]) -> None:
-        super().__init__(origins)
-        self.origins = origins
-
-
 def _to_int_row(coeffs: Sequence, rhs, strict: bool):
     """The row over integers; a row already in integers is passed through."""
     if type(rhs) is int and all(type(c) is int for c in coeffs):
@@ -629,75 +622,6 @@ def _int_eliminate(rows, j):
     return out
 
 
-def _int_add_traced(rows, coeffs, rhs, strict, origins) -> None:
-    """Insert a row with its origin set into ``coeffs -> [(rhs, strict,
-    origins)]``.  The row is dropped when a parallel row at least as tight
-    comes from a subset of its origins, and it drops the parallel rows it
-    dominates in the same way; a violated constant row raises."""
-    reduced: dict = {}
-    if not _int_add_row(reduced, coeffs, rhs, strict):  # the witness path's normalisation
-        raise _Contradiction(origins)
-    if not reduced:
-        return  # a constant row that holds
-    [(coeffs, (rhs, strict))] = reduced.items()
-    kept = rows.get(coeffs)
-    if kept is None:
-        rows[coeffs] = [(rhs, strict, origins)]
-        return
-    for r, s, o in kept:
-        if not o & ~origins and (r < rhs or (r == rhs and (s or not strict))):
-            return
-    kept[:] = [
-        (r, s, o) for r, s, o in kept
-        if origins & ~o or r < rhs or (r == rhs and s and not strict)
-    ]
-    kept.append((rhs, strict, origins))
-
-
-def _int_eliminate_traced(rows, j, limit):
-    """Project out variable j, dropping derived rows with more than ``limit``
-    origins; raises ``_Contradiction`` on a violated constant row."""
-    out = {}
-    pos, neg = [], []
-    for coeffs, kept in rows.items():
-        c = coeffs[j]
-        if c == 0:
-            out[coeffs] = list(kept)
-        else:
-            (pos if c > 0 else neg).extend((coeffs, *row) for row in kept)
-    for pc, pr, ps, po in pos:
-        a = pc[j]
-        for nc, nr, ns, no in neg:
-            origins = po | no
-            if origins.bit_count() > limit:
-                continue
-            b = nc[j]  # b < 0
-            coeffs = tuple(a * ni - b * pi for pi, ni in zip(pc, nc))
-            _int_add_traced(out, coeffs, a * nr - b * pr, ps or ns, origins)
-    return out
-
-
-def _int_traced_core(rows: list, nvars: int) -> Optional[int]:
-    """The origin set of a contradiction, or None when the system is
-    feasible; a derived row with too many origins is dropped."""
-    stage: dict = {}
-    try:
-        for i, (coeffs, rhs, strict) in enumerate(rows):
-            _int_add_traced(stage, coeffs, rhs, strict, 1 << i)
-        for j in range(nvars - 1):
-            stage = _int_eliminate_traced(stage, j, j + 2)
-        tightest: dict = {}
-        for coeffs, kept in stage.items():
-            for rhs, strict, _ in kept:
-                _int_add_row(tightest, coeffs, rhs, strict)
-        if not _empty(*_interval(tightest, nvars - 1, ())):
-            return None
-        _int_eliminate_traced(stage, nvars - 1, nvars + 1)
-    except _Contradiction as found:
-        return found.origins
-    raise VerificationError("empty last interval but no contradiction within the origin limit")
-
-
 def _int_load(rows_in, nvars: int) -> Optional[dict]:
     rows: dict = {}
     for coeffs, rhs, strict in rows_in:
@@ -739,14 +663,19 @@ def int_feasible_point(constraints, nvars: int):
     return tuple(values)
 
 
-def int_infeasible_core(rows, nvars: int) -> Optional[tuple[int, ...]]:
-    """The core ``linsolve.infeasible_core`` must return for a system of one
-    strictness, or None."""
-    rows = list(rows)
-    origins = _int_traced_core(rows, nvars)
-    if origins is None:
-        return None
-    return tuple(i for i in range(len(rows)) if origins >> i & 1)
+def dual_rows(points: Sequence[Point], sides: Sequence, anchor: Point) -> list:
+    """The rational rows of the halfspace dual through ``anchor``: for every
+    other point p, in order, ``(p - anchor, 1)`` (normal . (p - anchor) < 1)
+    when p's side label is the anchor's, ``(anchor - p, -1)`` (> 1)
+    otherwise."""
+    anchor_side = {p.id: side for p, side in zip(points, sides)}[anchor.id]
+    rows = []
+    for p, side in zip(points, sides):
+        if p.id != anchor.id:
+            shifted = tuple(x - b for x, b in zip(p.coords, anchor.coords))
+            sign = 1 if side == anchor_side else -1
+            rows.append((tuple(sign * x for x in shifted), sign))
+    return rows
 
 
 def int_helly_plane(config: PointConfig, base_id: int) -> Optional[Hyperplane]:
@@ -756,15 +685,7 @@ def int_helly_plane(config: PointConfig, base_id: int) -> Optional[Hyperplane]:
     as the package does."""
     base = config.point(base_id)
     base_color = config.color_of(base_id)
-    rows = []
-    for p in config.points:
-        if p.id == base_id:
-            continue
-        shifted = tuple(x - b for x, b in zip(p.coords, base.coords))
-        if config.color_of(p.id) == base_color:
-            rows.append((shifted, 1, True))
-        else:
-            rows.append((tuple(-x for x in shifted), -1, True))
+    rows = [(*row, True) for row in dual_rows(config.points, config.colors, base)]
     lam = int_feasible_point(rows, config.dim)
     if lam is None:
         return None

@@ -47,7 +47,7 @@ def solver_calls(monkeypatch):
         return counted
 
     for module, name in ((geometry, "feasible_point"), (colorful, "feasible_point"),
-                         (colorful, "infeasible_core")):
+                         (colorful, "is_feasible")):
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     route = cli.is_partitionable_by_enumeration
 
@@ -121,7 +121,7 @@ def test_partitionable_route_solves_no_lp(tmp_path, capsys, solver_calls):
     _, path = _instance(tmp_path, "main", 3, colors=8)
     doc = _run(capsys, ["partitionable", "--input", path])
     assert doc["routes_agree"] and not doc["partitionable"]
-    assert solver_calls == {"route infeasible_core": 127}
+    assert solver_calls == {"route is_feasible": 127}
 
 
 def test_transversals_solve_no_lp(tmp_path, capsys, solver_calls):

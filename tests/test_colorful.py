@@ -183,8 +183,9 @@ def test_kirchberger_witness_matches_brute_scan(cfg):
 @given(degenerate_colored(colors=2))
 def test_kirchberger_routes_match_brute_scan_on_degenerate_input(cfg):
     """Off general position the anchored scan decides by one feasibility test
-    per candidate, from two points up; it must give the brute scan's witness
-    through every anchor, and the direct LP's hyperplane when separable."""
+    per candidate, from three points up; it must give the brute scan's
+    witness, which starts at two, through every anchor, and the direct LP's
+    hyperplane when separable."""
     for anchor in cfg.ids:
         expected = oracles.brute_kirchberger_witness(cfg, anchor)
         routes = colorful.kirchberger_routes(cfg, anchor)
@@ -203,6 +204,37 @@ def test_witness_cores_match_brute_scan(cfg):
         first = frozenset(extend_partition(member, cfg).blocks[0])
         labels = {i: int(i not in first) for i in cfg.ids}
         assert core == oracles.brute_inseparable_core(cfg, labels, set(report.representatives))
+
+
+def _decision_sizes(monkeypatch):
+    """Count the scan's decisions by candidate size: the halfspace dual
+    through a candidate's first point has one row per other point."""
+    sizes = Counter()
+    decide = colorful.is_feasible
+
+    def recorded(rows, nvars, *, strict):
+        sizes[len(rows) + 1] += 1
+        return decide(rows, nvars, strict=strict)
+
+    monkeypatch.setattr(colorful, "is_feasible", recorded)
+    return sizes
+
+
+@pytest.mark.parametrize("dim, trial, expected", [
+    (2, 0, {3: 84, 4: 17}),
+    (3, 2, {3: 84, 4: 420, 5: 80}),
+])
+def test_degenerate_scan_decides_no_pair(monkeypatch, dim, trial, expected):
+    """Two distinct points are always strictly separable, so the degenerate
+    scan starts at three points.  Starting at two took 8 pair decisions per
+    call on these n=16 trials, and the witness is still the brute scan's."""
+    spec = CampaignSpec(suite="kirchberger", dim=dim, n=16, colors=2, seed=0, degenerate=True)
+    cfg = generate_instance(spec, trial)
+    assert not general_position(cfg)
+    sizes = _decision_sizes(monkeypatch)
+    routes = colorful.kirchberger_routes(cfg, cfg.ids[0])
+    assert sizes == expected
+    assert routes.witness == oracles.brute_kirchberger_witness(cfg, cfg.ids[0]) is not None
 
 
 @st.composite
@@ -463,7 +495,7 @@ def test_inseparable_pair_blocks_without_a_grouping_lp(monkeypatch):
     )
     counts = Counter()
     _counting(monkeypatch, colorful, "strict_separate", counts)
-    _counting(monkeypatch, colorful, "infeasible_core", counts)
+    _counting(monkeypatch, colorful, "is_feasible", counts)
     _counting(monkeypatch, colorful, "member_masks", counts)
     _counting(monkeypatch, geometry, "feasible_point", counts)
     _counting(monkeypatch, colorful, "feasible_point", counts)
@@ -496,7 +528,7 @@ def test_work_counts_at_the_cli_caps(monkeypatch):
     counts = Counter()
     _counting(monkeypatch, geometry, "feasible_point", counts)
     _counting(monkeypatch, colorful, "feasible_point", counts)
-    _counting(monkeypatch, colorful, "infeasible_core", counts)
+    _counting(monkeypatch, colorful, "is_feasible", counts)
     _counting(monkeypatch, colorful, "member_masks", counts)
     _counting(monkeypatch, colorful, "restricted_masks", counts)
     assert is_partitionable(cfg) is None
@@ -518,11 +550,11 @@ def test_enumeration_route_solves_one_lp_per_grouping(monkeypatch):
     cfg = generate_instance(CampaignSpec(suite="main", dim=2, n=16, colors=8, seed=0), 0)
     counts = Counter()
     _counting(monkeypatch, colorful, "strict_separate", counts)
-    _counting(monkeypatch, colorful, "infeasible_core", counts)
+    _counting(monkeypatch, colorful, "is_feasible", counts)
     _counting(monkeypatch, colorful, "member_masks", counts)
     _counting(monkeypatch, geometry, "feasible_point", counts)
     assert not is_partitionable_by_enumeration(cfg)
-    assert counts == {"infeasible_core": 127}
+    assert counts == {"is_feasible": 127}
 
     degenerate = generate_instance(
         CampaignSpec(suite="main", dim=2, n=10, colors=5, seed=0, degenerate=True), 0
@@ -530,7 +562,7 @@ def test_enumeration_route_solves_one_lp_per_grouping(monkeypatch):
     assert not general_position(degenerate) and degenerate.k == 5
     counts.clear()
     is_partitionable_by_enumeration(degenerate)
-    assert counts == {"infeasible_core": 15}
+    assert counts == {"is_feasible": 15}
 
 
 def test_bound_search_solves_no_hyperplane(monkeypatch):
@@ -540,7 +572,7 @@ def test_bound_search_solves_no_hyperplane(monkeypatch):
     spec = CampaignSpec(suite="bound-search", dim=2, n=8, colors=3, trials=20)
     counts = Counter()
     _counting(monkeypatch, colorful, "strict_separate", counts)
-    _counting(monkeypatch, colorful, "infeasible_core", counts)
+    _counting(monkeypatch, colorful, "is_feasible", counts)
     _counting(monkeypatch, colorful, "member_masks", counts)
     _counting(monkeypatch, geometry, "feasible_point", counts)
     report = bound_search(spec)
@@ -554,7 +586,7 @@ def test_verify_instance_decides_once(monkeypatch):
     )
     assert general_position(cfg)
     counts = Counter()
-    _counting(monkeypatch, colorful, "infeasible_core", counts)
+    _counting(monkeypatch, colorful, "is_feasible", counts)
     _counting(monkeypatch, colorful, "member_masks", counts)
     _counting(monkeypatch, colorful, "restricted_masks", counts)
     report = verify_instance(cfg)
@@ -594,7 +626,7 @@ def test_witness_cores_solve_no_lp_in_general_position(monkeypatch):
     lookup, takes none either."""
     cfg = generate_instance(CampaignSpec(suite="main", dim=2, n=16, colors=8, seed=0), 0)
     counts = Counter()
-    _counting(monkeypatch, colorful, "infeasible_core", counts)
+    _counting(monkeypatch, colorful, "is_feasible", counts)
     report = witness_nonpartitionable(cfg)
     assert counts == {}
     assert report.witness_ids == (0, 1, 2, 3, 4, 5, 6, 8, 9, 12, 13, 14)
@@ -607,7 +639,7 @@ def test_kirchberger_routes_at_the_caps_solve_no_direct_lp(monkeypatch):
     cfg = generate_instance(CampaignSpec(suite="kirchberger", dim=3, n=14, colors=2, seed=0), 0)
     counts = Counter()
     _counting(monkeypatch, colorful, "color_separating_hyperplane", counts)
-    _counting(monkeypatch, colorful, "infeasible_core", counts)
+    _counting(monkeypatch, colorful, "is_feasible", counts)
     _counting(monkeypatch, colorful, "feasible_point", counts)
     routes = colorful.kirchberger_routes(cfg, cfg.ids[0])
     assert counts == {"feasible_point": 1}
@@ -654,7 +686,7 @@ def test_verify_instance_at_the_d3_cap(monkeypatch):
     member read decides every grouping, with no LP."""
     cfg = generate_instance(CampaignSpec(suite="main", dim=3, n=16, colors=8, seed=0), 0)
     counts = Counter()
-    _counting(monkeypatch, colorful, "infeasible_core", counts)
+    _counting(monkeypatch, colorful, "is_feasible", counts)
     _counting(monkeypatch, colorful, "member_masks", counts)
     report = verify_instance(cfg)
     assert not report.partitionable

@@ -6,18 +6,18 @@ from fractions import Fraction
 from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from hyperpart import Point, VerificationError
+from hyperpart.colorful import _dual_rows
 from hyperpart.linsolve import (
     _elimination,
     _load,
     _pick,
-    _traced_core,
     feasible_point,
-    infeasible_core,
+    is_feasible,
     scale_to_integers,
 )
 from strategies import degenerate_colored
@@ -139,8 +139,7 @@ def test_returned_points_always_satisfy(raw, strict):
     point = feasible_point(rows, 2, strict=strict)
     if point is not None:
         assert _satisfies(point, rows, strict)
-    if not strict:
-        assert (infeasible_core(rows, 2) is None) == (point is not None)
+    assert is_feasible(rows, 2, strict=strict) == (point is not None)
 
 
 def test_pick_on_an_empty_interval_is_an_internal_fault():
@@ -197,7 +196,7 @@ def test_separation_systems_match_the_fraction_kernel(case):
     rows = [p.separation_rows[0 if positive else 1] for p, positive in zip(points, sides)]
     expected = oracles.fraction_feasible_point(_flagged(rows, False), dim + 1)
     assert feasible_point(rows, dim + 1, strict=False) == expected
-    assert (infeasible_core(rows, dim + 1) is None) == (expected is not None)
+    assert is_feasible(rows, dim + 1, strict=False) == (expected is not None)
 
 
 _small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -242,8 +241,7 @@ def test_uniform_systems_match_the_fraction_kernel(case):
     expected = oracles.fraction_feasible_point(constraints, nvars)
     rows = [_int_row(coeffs, rhs) for coeffs, rhs, _ in constraints]
     assert feasible_point(rows, nvars, strict=strict) == expected
-    if not strict:
-        assert (infeasible_core(rows, nvars) is None) == (expected is not None)
+    assert is_feasible(rows, nvars, strict=strict) == (expected is not None)
 
 
 def test_parallel_dedup_trap_stays_infeasible():
@@ -258,19 +256,20 @@ def test_parallel_dedup_trap_stays_infeasible():
     pos = [Point(i, xy) for i, xy in enumerate([(-3, 1), (-2, 1), (1, 1)])]
     rows = [p.separation_rows[0] for p in pos] + [Point(3, (-1, 1)).separation_rows[1]]
     assert feasible_point(rows, 3, strict=False) is None
-    assert infeasible_core(rows, 3) == (0, 2, 3)
+    assert not is_feasible(rows, 3, strict=False)
 
 
-def _unpruned_feasible(rows, nvars) -> bool:
-    return _elimination(_load(rows, nvars, False), nvars, False) is not None
+def _rational(row):
+    """An integer row of the halfspace dual divided by its right-hand side's
+    magnitude: ``(shifted, 1)`` or ``(-shifted, -1)``."""
+    coeffs, rhs = row
+    scale = abs(rhs)
+    return tuple(Fraction(c, scale) for c in coeffs), rhs // scale
 
 
-def _check_core(rows, nvars, core) -> None:
-    """A core is at most nvars+1 increasing positions whose rows alone are
-    infeasible under the unpruned elimination."""
-    assert len(core) <= nvars + 1
-    assert list(core) == sorted(set(core)) and all(0 <= i < len(rows) for i in core)
-    assert not _unpruned_feasible([rows[i] for i in core], nvars)
+_SQUARE_AND_CENTRE = [Point(i, xy) for i, xy in enumerate([(1, 1), (0, 0), (2, 0), (0, 2), (2, 2)])]
+_ON_A_LINE = [Point(i, (i, 2 * i)) for i in range(4)]
+_ON_A_LINE_IN_SPACE = [Point(i, (i, 2 * i, -i)) for i in range(4)]
 
 
 @given(
@@ -282,65 +281,41 @@ def _check_core(rows, nvars, core) -> None:
         )
     )
 )
+# through the first point the anchor is alone on its side, through any other
+# the other side is one point: inseparable with the centre, separable with a corner
+@example((2, _SQUARE_AND_CENTRE, [True, False, False, False, False]))
+@example((2, _SQUARE_AND_CENTRE, [False, True, False, False, False]))
+@example((2, _SQUARE_AND_CENTRE, [False, True, False, False, True]))  # a diagonal
+@example((2, _ON_A_LINE, [True, False, True, True]))  # all collinear: interleaved
+@example((2, _ON_A_LINE, [True, True, False, False]))  # and split
+@example((3, _ON_A_LINE_IN_SPACE, [False, True, True, False]))
+@example((3, _ON_A_LINE_IN_SPACE, [False, False, True, True]))
 @settings(max_examples=120)
-def test_pruned_decisions_match_on_degenerate_separation_systems(case):
-    """Separation rows of point sets with many points on a line or a plane:
-    the pruned decision agrees with the unpruned elimination and with the
-    sympy hull oracle, and a core is a Kirchberger subset of at most dim+2
-    points whose two sides are inseparable."""
+def test_anchored_decisions_match_on_degenerate_separation_systems(case):
+    """Point sets with many points on a line or a plane: through every
+    anchor, the halfspace dual's decision in dim unknowns agrees with the
+    sympy hull oracle and with the margin-form separation system in dim+1,
+    and the dual's rows are the oracle's rational rows, scaled."""
     dim, points, sides = case
+    sides = sides[:len(points)]
     rows = [p.separation_rows[0 if positive else 1] for p, positive in zip(points, sides)]
-    core = infeasible_core(rows, dim + 1)
     plus = [p.coords for p, positive in zip(points, sides) if positive]
     minus = [p.coords for p, positive in zip(points, sides) if not positive]
     separable = not plus or not minus or oracles.strictly_separable(plus, minus)
-    assert (core is None) == separable == _unpruned_feasible(rows, dim + 1)
-    if core is not None:
-        _check_core(rows, dim + 1, core)
-        picked = [(points[i].coords, sides[i]) for i in core]
-        assert not oracles.strictly_separable(
-            [c for c, positive in picked if positive],
-            [c for c, positive in picked if not positive],
-        )
+    assert is_feasible(rows, dim + 1, strict=False) == separable
+    for anchor in points:
+        dual = _dual_rows(points, sides, anchor)
+        assert [_rational(row) for row in dual] == oracles.dual_rows(points, sides, anchor)
+        assert is_feasible(dual, dim, strict=True) == separable
 
 
-@given(
-    st.integers(min_value=1, max_value=3).flatmap(
-        lambda nvars: st.tuples(
-            st.just(nvars),
-            st.lists(st.integers(min_value=-2, max_value=2), min_size=nvars, max_size=nvars),
-            st.lists(
-                st.tuples(
-                    st.lists(st.integers(min_value=-3, max_value=3), min_size=nvars, max_size=nvars),
-                    st.sampled_from([-2, -1, 0, 0, 1]),
-                ),
-                max_size=9,
-            ),
-        )
-    )
-)
-@settings(max_examples=300)
-def test_cores_of_closed_systems(case):
-    """Closed integer rows near a planted point: the pruned decision agrees
-    with the unpruned elimination, and a core is at most nvars+1 rows that
-    are infeasible alone."""
-    nvars, planted, raw = case
-    rows = [
-        (tuple(coeffs), sum(c * x for c, x in zip(coeffs, planted)) + slack)
-        for coeffs, slack in raw
-    ]
-    core = infeasible_core(rows, nvars)
-    assert (core is None) == _unpruned_feasible(rows, nvars)
-    if core is not None:
-        _check_core(rows, nvars, core)
-
-
-def test_core_of_a_violated_constant_row_is_that_row():
+def test_a_violated_constant_row_decides_infeasible():
     rows = [((1, 0), 5), ((0, 0), -1), ((0, 1), 5)]
-    assert infeasible_core(rows, 2) == (1,)
-    assert infeasible_core([((1,), 1), ((-1,), -2)], 1) == (0, 1)
-    assert infeasible_core([((1,), 1), ((-1,), -1)], 1) is None
-    assert infeasible_core([], 2) is None
+    assert not is_feasible(rows, 2, strict=False)
+    assert not is_feasible([((1,), 1), ((-1,), -2)], 1, strict=False)
+    assert is_feasible([((1,), 1), ((-1,), -1)], 1, strict=False)
+    assert not is_feasible([((1,), 1), ((-1,), -1)], 1, strict=True)
+    assert is_feasible([], 2, strict=False)
 
 
 # --- the elimination loops against the reference loops ---------------------
@@ -379,14 +354,6 @@ def _loop_systems(draw):
     return nvars, strict, draw(st.permutations(rows))
 
 
-def _outcome(solve, *args):
-    """What a solver returns, or the fault it raises."""
-    try:
-        return solve(*args)
-    except VerificationError as err:
-        return repr(err)
-
-
 @settings(max_examples=400)
 @given(
     _loop_systems()
@@ -397,10 +364,9 @@ def _outcome(solve, *args):
     )
 )
 def test_elimination_loops_match_the_reference_loops(case):
-    """The same rows in the same order at every stage, the same bounds and
-    the same point as the loops that inserted one row per call and flagged
-    each row's strictness, and on closed systems the same Farkas core (cores
-    steer the grouping table's pruning)."""
+    """The same rows in the same order at every stage, the same bounds, the
+    same point and the same decision as the loops that inserted one row per
+    call and flagged each row's strictness."""
     nvars, strict, rows = case
     flagged = _flagged(rows, strict)
     found = _elimination(_load(rows, nvars, strict), nvars, strict)
@@ -412,8 +378,4 @@ def test_elimination_loops_match_the_reference_loops(case):
         ]
         assert found[1] == tuple(None if b is None else b[:2] for b in expected[1])
     assert feasible_point(rows, nvars, strict=strict) == oracles.int_feasible_point(flagged, nvars)
-    if not strict:
-        assert infeasible_core(rows, nvars) == oracles.int_infeasible_core(flagged, nvars)
-        assert _outcome(_traced_core, rows, nvars) == _outcome(
-            oracles._int_traced_core, flagged, nvars
-        )
+    assert is_feasible(rows, nvars, strict=strict) == (expected is not None)
