@@ -58,6 +58,7 @@ from .geometry import (
     Hyperplane,
     Point,
     PointConfig,
+    general_position,
     one_side_hyperplane,
     strict_separate,
 )
@@ -229,8 +230,8 @@ def _first_inseparable(
     point (``_separable``).  By Kirchberger's theorem the search succeeds
     whenever such a subset of any size exists.
     """
-    table = config.orientations
-    if table is not None:
+    if general_position(config):
+        table = config.orientations
         for combo in combinations(config.ids, config.dim + 2):
             if not required.isdisjoint(combo) and _splits_as_radon(table, combo, labels):
                 return combo
@@ -338,8 +339,8 @@ class _Groupings:
         classes = [
             sum(1 << position[i] for i in ids) for _, ids in sorted(config.color_classes.items())
         ]
-        general = config.orientations is not None
-        return cls(config.ids, member_masks(config), classes, config.dim, general)
+        return cls(config.ids, member_masks(config), classes, config.dim,
+                   general_position(config))
 
     @cached_property
     def _unions(self) -> list[list[int]]:

@@ -6,18 +6,19 @@ arithmetic, so there is no epsilon anywhere in this module.  They run on the
 cached integer forms (``Point.scaled``, ``Hyperplane.scaled``): a rational is
 formed only for a value that is returned.
 
-A configuration computes the orientation sign of each of its dim+1-point
-subsets once, on first use, and keeps them (``PointConfig.orientations``).  The
-table is read off the hyperplanes the points span: with the points on one
-common denominator (``PointConfig.integer_points``), each dim-subset S gets
-the integer cofactor normal and offset of its hyperplane (``_spanned_normal``:
-in closed form in dims 2 and 3, by fraction-free determinants otherwise), and
-the sign of S with one later point p added is (-1)^(dim-1) times the side of
-S's hyperplane that p lies on, one dot product per sign.  The table is None
-when the configuration is not in general position, so ``general_position`` is
-a lookup, and on general-position input the table also decides every labelled
-dim+2-point subset without an LP: its labels must be its unique Radon
-partition, whose sides are the signs of ``radon_signs``.
+A configuration computes its chirotope once, on first use, and keeps it
+(``PointConfig.orientations``): the orientation sign of every dim+1 points,
+zeros included (Björner, Las Vergnas, Sturmfels, White and Ziegler, *Oriented
+Matroids*, 1999, §3.5).  The table is read off the hyperplanes the points
+span: with the points on one common denominator (``integer_points``), each
+dim-subset S gets the integer cofactor normal and offset of its hyperplane
+(``_spanned_normal``: in closed form in dims 2 and 3, by fraction-free
+determinants otherwise), and the sign of S with one later point p added is
+(-1)^(dim-1) times the side of S's hyperplane that p lies on, one dot product
+per sign (``_chirotope``).  General position is "no zero in the table"
+(``general_position``), and on general-position input the table also decides
+every labelled dim+2-point subset without an LP: its labels must be its
+unique Radon partition, whose sides are the signs of ``radon_signs``.
 """
 
 from __future__ import annotations
@@ -218,38 +219,13 @@ class PointConfig:
         return _on_one_denominator(self.points)
 
     @cached_property
-    def orientations(self) -> Optional[dict[tuple[int, ...], int]]:
-        """The orientation sign of every dim+1 points, keyed by their ids in
-        increasing order (in the order of ``combinations``); None when the
-        configuration is not in general position.
-
-        Each dim+1 points are a dim-subset S and one point p after S's last
-        id.  The orientation is the determinant of the difference rows from
-        S's first point, and expanding it along p's row gives (-1)^(dim-1)
-        times normal . p - offset, with S's cofactor normal and offset from
-        ``_spanned_normal`` on ``integer_points``: one normal per S and one
-        dot product per sign.
-
-        Fewer than dim+1 points have no orientation to record: they are in
-        general position when they are affinely independent, that is when
-        their n-1 difference rows have n-1 pivots.
-        """
-        n, dim = len(self.points), self.dim
-        points, ids = self.integer_points, self.ids
-        if n <= dim:
-            rows = [[x - b for x, b in zip(p, points[0])] for p in points[1:]]
-            return {} if len(_pivot_columns(rows)) == len(rows) else None
-        flip = (-1) ** (dim - 1)
-        table = {}
-        for span in combinations(range(n - 1), dim):
-            normal, offset = _spanned_normal([points[i] for i in span])
-            key = tuple(ids[i] for i in span)
-            for j in range(span[-1] + 1, n):
-                value = sum(map(mul, normal, points[j])) - offset
-                if not value:
-                    return None
-                table[key + (ids[j],)] = flip if value > 0 else -flip
-        return table
+    def orientations(self) -> dict[tuple[int, ...], int]:
+        """The configuration's chirotope: the orientation sign of every dim+1
+        points, 0 when they lie on a common hyperplane, keyed by their ids in
+        increasing order and inserted in the order of ``combinations``
+        (``_chirotope`` on ``integer_points``).  Empty when n <= dim."""
+        return dict(zip(combinations(self.ids, self.dim + 1),
+                        _chirotope(self.integer_points, self.dim)))
 
     def subset(self, ids: Iterable[int]) -> "PointConfig":
         """Restriction to the given ids (colors relabeled canonically)."""
@@ -353,6 +329,27 @@ def _spanned_normal(points: Sequence[Sequence[int]]) -> tuple[list[int], int]:
     return normal, sum(map(mul, normal, origin))
 
 
+def _chirotope(points: Sequence[Sequence[int]], dim: int) -> list[int]:
+    """The orientation sign of every dim+1 of the integer points of R^dim, in
+    the order of ``combinations``.
+
+    Each dim+1 points are a dim-subset S and one point p after S's last.  The
+    orientation is the determinant of the difference rows from S's first
+    point, and expanding it along p's row gives (-1)^(dim-1) times
+    normal . p - offset, with S's ``_spanned_normal``: one normal per S and
+    one dot product per sign.  A dependent S has a zero normal, so all its
+    signs are 0.
+    """
+    flip = (-1) ** (dim - 1)
+    signs = []
+    for span in combinations(range(len(points) - 1), dim):
+        normal, offset = _spanned_normal([points[i] for i in span])
+        for p in points[span[-1] + 1:]:
+            value = sum(map(mul, normal, p)) - offset
+            signs.append(flip if value > 0 else -flip if value else 0)
+    return signs
+
+
 def _pivot_columns(rows: list[list[int]]) -> list[int]:
     """The pivot columns of integer rows brought to echelon form: the rows
     restricted to them have the rows' full rank."""
@@ -391,24 +388,31 @@ def _on_one_denominator(points: Sequence[Point]) -> tuple[tuple[int, ...], ...]:
 
 
 def general_position(config: PointConfig) -> bool:
-    """True iff no dim+1 points lie on a common hyperplane and, with fewer
-    than dim+1 points, the points are affinely independent."""
-    return config.orientations is not None
+    """True iff no dim+1 points lie on a common hyperplane, that is, no sign
+    of the orientation table is 0; with fewer than dim+1 points, iff the
+    points are affinely independent: their n-1 difference rows from the
+    first have n-1 pivots."""
+    if len(config) > config.dim:
+        return 0 not in config.orientations.values()
+    points = config.integer_points
+    rows = [[x - b for x, b in zip(p, points[0])] for p in points[1:]]
+    return len(_pivot_columns(rows)) == len(rows)
 
 
 def radon_signs(config: PointConfig, ids: Sequence[int]) -> tuple[int, ...]:
     """The sign of each point's coefficient in the affine dependence of dim+2
-    points of a configuration in general position, ids increasing; other ids
-    are a DomainError.
+    points of a configuration in general position (``general_position``), ids
+    increasing; other ids, or a configuration with a zero orientation, are a
+    DomainError.
 
     By Cramer's rule the coefficient of the t-th point is proportional to
-    (-1)^t times the orientation of the other dim+1, and in general position
-    none is zero.  The points of either sign are the two sides of the unique
-    Radon partition, whose convex hulls meet; every other labelling of the
-    points with two labels is strictly separable.
+    (-1)^t times the orientation of the other dim+1, an entry of the table,
+    and in general position none is zero.  The points of either sign are the
+    two sides of the unique Radon partition, whose convex hulls meet; every
+    other labelling of the points with two labels is strictly separable.
     """
     table, key = config.orientations, tuple(ids)
-    if table is None:
+    if not general_position(config):
         raise DomainError("Radon signs need a configuration in general position")
     if len(key) != config.dim + 2:
         raise DomainError(f"Radon signs in dimension {config.dim} need {config.dim + 2} points")

@@ -11,13 +11,14 @@ spanned by dim affinely independent points (Cover, 1965; Edelsbrunner,
 O'Rourke and Seidel, 1986), which on degenerate input may hold more of them
 (Zaslavsky, 1975).  The points off it take their side, and the points on it
 take the sides of the members of their own configuration inside it, in
-dimension dim-1.  In general position those are the dim spanning points,
-which take all 2^dim patterns, and the side of every other point is a sign
-of the orientation table (``_table_sides``), so no hyperplane is computed
-again.  Otherwise the read recurses on flats (``_flat_sides``), and points
-that do not span R^dim are carried onto coordinates of their span.  The
-count is checked against ``partition_count``: equal to it in general
-position, and otherwise between n (the prefix splits along a generic
+dimension dim-1.  One read (``_flat_sides``) serves every input: every side
+and every "on" is a sign of the orientation table, zeros included, so no
+hyperplane of the configuration is computed again.  A hyperplane holding
+only its dim spanning points gives them all 2^dim patterns; a flat holding
+more is read as a configuration of its own, and points that do not span
+R^dim are carried onto coordinates of their span, with a table of their
+own.  The count is checked against ``partition_count``: equal to it in
+general position, and otherwise between n (the prefix splits along a generic
 direction, plus the trivial member) and ``partition_count`` (a perturbation
 into general position keeps every member).
 A subset's members are the traces of the configuration's members, so
@@ -46,7 +47,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .counting import min_transversal_size, partition_count
@@ -55,8 +55,8 @@ from .geometry import (
     Hyperplane,
     Point,
     PointConfig,
+    _chirotope,
     _pivot_columns,
-    _spanned_normal,
     general_position,
     one_side_hyperplane,
     realize,
@@ -148,17 +148,12 @@ def realizable_division(config: PointConfig) -> Division:
 def member_masks(config: PointConfig) -> frozenset[int]:
     """Every hyperplane-realizable partition as a point bitmask, bit t for the
     t-th point in id order, each member by its block holding the first point.
-    Read with no LP and count-checked: off the orientation table's signs
-    when the configuration has one with entries (``_table_sides``), else off
-    the hyperplanes the points span (``_flat_sides``) on one common
-    denominator (``integer_points``)."""
-    table, n = config.orientations, len(config)
-    if table:
-        masks = frozenset(_table_sides(table, n, config.dim))
-    else:
-        points = [(1 << i, coords) for i, coords in enumerate(config.integer_points)]
-        masks = frozenset(_flat_sides(points, config.dim))
-    return _counted(masks, config.dim, n, table is not None)
+    Read with no LP off the configuration's orientation table
+    (``_flat_sides`` on ``integer_points``), on every input, and
+    count-checked."""
+    points = [(1 << i, coords) for i, coords in enumerate(config.integer_points)]
+    masks = frozenset(_flat_sides(points, config.dim, config.orientations.values()))
+    return _counted(masks, config.dim, len(points), general_position(config))
 
 
 def restricted_masks(
@@ -213,85 +208,66 @@ def division_of_masks(ids: tuple[int, ...], masks: Iterable[int]) -> Division:
     return Division(frozenset(ids), tuple(members))
 
 
-def _flat_sides(points: list[tuple[int, tuple[int, ...]]], dim: int) -> set[int]:
+def _flat_sides(
+    points: list[tuple[int, tuple[int, ...]]], dim: int, signs: Iterable[int]
+) -> set[int]:
     """The members of distinct integer points in R^dim, each as the bitmask of
-    its block holding the first point's bit; a point is ``(bit, coords)``.
+    its block holding the first point's bit; a point is ``(bit, coords)`` and
+    ``signs`` is their orientation table in the order of ``combinations``.
 
-    Points that do not affinely span R^dim are carried onto the coordinates
-    where their differences have pivots, which is one-to-one on their span;
-    a hyperplane of R^dim meets the span in a hyperplane of it or misses it.
+    Points with no nonzero sign do not affinely span R^dim: they are carried
+    onto the coordinates where their differences have pivots, which is
+    one-to-one on their span, and read there off a table of their own; a
+    hyperplane of R^dim meets the span in a hyperplane of it or misses it.
     Points that span R^dim make every cell of the dual arrangement a pointed
-    cone, so each cell has a vertex: a hyperplane H spanned by dim of the
-    points.  Off H a point takes its side of H; the points on H take the
-    sides of any member of their own, found in dimension dim-1 by dropping a
-    coordinate where H's normal is nonzero (with exactly dim points on H,
-    that is every pattern).  A small tilt of H realizes each combination.
+    cone, so each cell has a vertex: a hyperplane H spanned by a dim-subset
+    S.  A sign s holds dim+1 points in id order; the point in slot t lies on
+    the positive side of the ``_spanned_normal`` of the other dim, taken in
+    id order, exactly when s * (-1)^(dim-1) * (-1)^(dim-t) = s * (-1)^(t+1)
+    is positive ((-1)^(dim-1) reads a side off an orientation with the
+    point last, and moving the point from slot t to the end takes dim-t
+    swaps), and on H when s is 0.  A dependent S has every point on its
+    hyperplane and is skipped.  Off H a point takes its side of H; the
+    points on H take the sides of any member of their own: with exactly dim
+    of them (S) every pattern, with more the members of the flat, read by
+    the same carry.  A small tilt of H realizes each combination.
     """
-    everything = sum(bit for bit, _ in points)
-    head, base = points[0]
-    pivots = _pivot_columns([[x - b for x, b in zip(coords, base)] for _, coords in points[1:]])
-    if len(pivots) < dim:
+    bits = [bit for bit, _ in points]
+    everything = sum(bits)
+    if not any(signs):
+        base = points[0][1]
+        pivots = _pivot_columns([[x - b for x, b in zip(coords, base)] for _, coords in points[1:]])
         if not pivots:
             return {everything}
-        span = [(bit, tuple(coords[j] for j in pivots)) for bit, coords in points]
-        return _flat_sides(span, len(pivots))
-    sides = {everything}
-    spanned = set()
-    for span in combinations(points, dim):
-        normal, offset = _spanned_normal([coords for _, coords in span])
-        if not any(normal):
-            continue
-        plus = on = 0
-        for bit, coords in points:
-            value = sum(map(mul, normal, coords)) - offset
-            if value > 0:
-                plus |= bit
-            elif not value:
-                on |= bit
-        if on in spanned:
-            continue
-        spanned.add(on)
-        if on.bit_count() == dim:
-            inside = _submasks(on)
-        else:
-            j = next(j for j, v in enumerate(normal) if v)
-            flat = [(bit, coords[:j] + coords[j + 1:]) for bit, coords in points if bit & on]
-            # either block of a member on H's positive side: both orientations of H
-            inside = [m for first in _flat_sides(flat, dim - 1) for m in (first, on ^ first)]
-        for pattern in inside:
-            side = plus | pattern
-            sides.add(side if side & head else everything ^ side)
-    return sides
-
-
-def _table_sides(table: dict[tuple[int, ...], int], n: int, dim: int) -> set[int]:
-    """The members of n points in general position, n > dim, from their
-    orientation table, each as the bitmask of its block holding the first
-    point.
-
-    Every dim-subset S spans a hyperplane holding no other point, so each
-    member is a side of one such hyperplane with the points of S taking all
-    2^dim patterns, as in ``_flat_sides``.  An entry of the table, with sign
-    s, holds dim+1 points in id order; the point in slot t lies on the
-    positive side of the ``_spanned_normal`` of the other dim, taken in id
-    order, exactly when s * (-1)^(dim-1) * (-1)^(dim-t) = s * (-1)^(t+1) is
-    positive: (-1)^(dim-1) reads a side off an orientation with the point
-    last, and moving the point from slot t to the end takes dim-t swaps.
-    The entries are walked in the order of ``combinations``, which is the
-    table's order.
-    """
-    bits = [1 << i for i in range(n)]
+        carried = [(bit, tuple(coords[j] for j in pivots)) for bit, coords in points]
+        table = _chirotope([coords for _, coords in carried], len(pivots))
+        return _flat_sides(carried, len(pivots), table)
     plus = dict.fromkeys(map(sum, combinations(bits, dim)), 0)
-    for combo, sign in zip(combinations(bits, dim + 1), table.values()):
+    on = {span: span for span in plus}
+    for combo, sign in zip(combinations(bits, dim + 1), signs):
         whole = sum(combo)
-        for bit in combo[sign > 0::2]:  # positive: the odd slots when s > 0, else the even
-            plus[whole ^ bit] |= bit
-    everything = (1 << n) - 1
+        if sign:
+            for bit in combo[sign > 0::2]:  # positive: the odd slots when s > 0, else the even
+                plus[whole ^ bit] |= bit
+        else:
+            for bit in combo:
+                on[whole ^ bit] |= bit
     sides = {everything}
+    flats = set()
     for span, above in plus.items():
-        for pattern in _submasks(span):
+        flat = on[span]
+        if flat == span:
+            inside = _submasks(span)
+        elif flat == everything or flat in flats:
+            continue
+        else:
+            flats.add(flat)
+            members = _flat_sides([p for p in points if p[0] & flat], dim, ())  # no span: carried
+            # either block of a member on H's positive side: both orientations of H
+            inside = [m for first in members for m in (first, flat ^ first)]
+        for pattern in inside:
             side = above | pattern
-            sides.add(side if side & 1 else everything ^ side)
+            sides.add(side if side & bits[0] else everything ^ side)
     return sides
 
 
@@ -493,7 +469,7 @@ def perturb(config: PointConfig, seed: int) -> PerturbResult:
     realizable.  The offset magnitude halves on each failed attempt."""
     if len(config) < 2:
         raise DomainError("perturbation needs at least two points")
-    original = realizable_division(config)
+    original = member_masks(config)
     rng = random.Random(f"perturb:{seed}")
     for attempt in range(1, MAX_PLACEMENT_ATTEMPTS + 1):
         den = 1 << (15 + attempt)
@@ -516,8 +492,8 @@ def perturb(config: PointConfig, seed: int) -> PerturbResult:
             continue
         if not general_position(candidate):
             continue
-        moved = realizable_division(candidate)
-        if all(member in moved for member in original.members):
+        moved = member_masks(candidate)  # the same ids in the same order: bit for bit
+        if original <= moved:
             return PerturbResult(candidate, attempt, len(original), len(moved))
     raise DomainError(
         f"no general-position perturbation preserved all partitions in "

@@ -77,7 +77,6 @@ def geometry_work(monkeypatch):
         return det(rows)
 
     monkeypatch.setattr(geometry, "_spanned_normal", counted_normal)
-    monkeypatch.setattr(hdivision, "_spanned_normal", counted_normal)
     monkeypatch.setattr(geometry, "_det", counted_det)
     return counts
 
@@ -170,6 +169,29 @@ def test_witness_builds_each_table_from_spanned_normals(tmp_path, capsys, geomet
     geometry_work.clear()
     _run(capsys, ["witness", "--input", path])
     assert geometry_work == {"normals": 105}
+
+
+@pytest.mark.parametrize("degenerate, work", [
+    (False, {"normals": 455}), (True, {"normals": 520, "det 0": 26}),
+])
+def test_member_read_takes_one_table_and_the_flats_tables(geometry_work, degenerate, work):
+    """The member read of phi d=3, n=16 takes the instance's orientation
+    table, one normal per point triple with a later point, C(15, 3) = 455,
+    and in general position nothing more.  With the planted collinear
+    triple the table holds zeros, and each hyperplane through more than
+    three points is read as a flat of its own, carried onto its span with a
+    small table: 65 more normals, 26 of them of a point on a line, the
+    empty determinant.  A read that gave the table up at its first zero and
+    took a normal per point triple, C(16, 3) = 560, plus its flats' took
+    678 normals and 39 empty determinants."""
+    config = generate_instance(
+        CampaignSpec(suite="phi", dim=3, n=16, seed=0, degenerate=degenerate), 0
+    )
+    config = config.subset(config.ids)  # the same points, no table yet
+    geometry_work.clear()
+    assert len(hdivision.member_masks(config)) >= 16
+    assert geometry_work == work
+    assert general_position(config) != degenerate
 
 
 def test_witness_builds_partitions_for_the_reported_transversal_only(monkeypatch):

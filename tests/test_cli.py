@@ -407,6 +407,9 @@ _DEGENERATE_D2 = generate_instance(
     CampaignSpec(suite="phi", dim=2, n=9, seed=0, degenerate=True), 0
 )
 _GENERAL_D2 = generate_instance(CampaignSpec(suite="phi", dim=2, n=8, seed=0), 0)
+_DEGENERATE_D3 = generate_instance(
+    CampaignSpec(suite="phi", dim=3, n=9, seed=0, degenerate=True), 0
+)
 # Two-color instances for both Kirchberger routes: inseparable in general
 # position (a five-point witness), separable, and inseparable and separable
 # on a planted collinear triple.
@@ -542,6 +545,21 @@ _SEPARABLE_DEGENERATE = generate_instance(
             ["witness"],
             "4f8b4db8db6311c6e2974beeb695bf1b611e11c289fb206ea89c4765394ebaa4",
         ),
+        (
+            _PHI_D3,
+            ["transversals"],
+            "1b4f58f62c8fa025385cff7a100db990078b63e4becbc15cbc6a051cb568b605",
+        ),
+        (
+            _DEGENERATE_D2,
+            ["transversals"],
+            "214a744faed6462b1ea52eb7d2eeae7786a2bf6f23d41b458a40b35f12672e19",
+        ),
+        (
+            _DEGENERATE_D3,
+            ["sep", "--a", "0", "--b", "1"],
+            "9da7b6bd2512e0de0d6dec8aeb7d7a8ba672648e733fb8898e73ffd7ed5b9a52",
+        ),
     ],
     ids=[
         "partitionable",
@@ -567,6 +585,9 @@ _SEPARABLE_DEGENERATE = generate_instance(
         "kirchberger-degenerate-separable",
         "witness-d3",
         "witness-d3-cap",
+        "transversals-d3",
+        "transversals-degenerate",
+        "sep-degenerate-d3",
     ],
 )
 def test_golden_report_bytes(tmp_path, capsys, config, argv, digest):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from sympy import Matrix, Rational
 
 import hyperpart.geometry as geometry
-import hyperpart.hdivision as hdivision
 import oracles
 from strategies import degenerate_configs, general_configs
 from hyperpart import (
@@ -76,21 +75,26 @@ def test_general_position():
 
 
 def test_orientation_table_holds_every_sign():
-    cfg = make_config(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 2)])
-    assert cfg.orientations == {
-        ids: oracles.fraction_orient([cfg.point(i) for i in ids])
-        for ids in combinations(cfg.ids, 4)
-    }
-    assert len(cfg.orientations) == 5 and 0 not in cfg.orientations.values()
-    assert make_config(2, [(0, 0), (1, 0), (2, 0), (0, 1)]).orientations is None
+    """The table is the chirotope: every dim+1 points' sign, zeros included,
+    and general position is "no zero"."""
+    general = make_config(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 2)])
+    collinear = make_config(2, [(0, 0), (1, 0), (2, 0), (0, 1)])
+    for cfg in (general, collinear):
+        assert cfg.orientations == {
+            ids: oracles.fraction_orient([cfg.point(i) for i in ids])
+            for ids in combinations(cfg.ids, cfg.dim + 1)
+        }
+        assert general_position(cfg) == (0 not in cfg.orientations.values())
+    assert len(general.orientations) == 5 and general_position(general)
+    assert collinear.orientations == {(0, 1, 2): 0, (0, 1, 3): 1, (0, 2, 3): 1, (1, 2, 3): 1}
 
 
 @st.composite
 def grid_configs(draw):
     """Distinct points of a small grid with denominators up to 3, d = 1 to 4
     and n = 1 to d+4, drawn without any general-position filter, so that a
-    table that is None on general input, or misses a zero, is compared with
-    the reference orientation too."""
+    table that misses a zero, or reads one where there is none, is compared
+    with the reference orientation too."""
     dim = draw(st.integers(1, 4))
     coord = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
     points = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=dim + 4, unique=True))
@@ -107,24 +111,23 @@ def grid_configs(draw):
 @example(make_config(4, [(0, 0, 0, 0), (1, 2, 3, 4), (2, 4, 6, 8), (0, 1, 0, 0)]))
 def test_orientation_table_matches_orient_in_order(cfg):
     """The table read off spanned hyperplanes holds every dim+1 points'
-    orientation sign (the Fraction determinant of ``oracles``), keyed and
-    inserted in ``combinations`` order, and is None exactly when one of them
-    is 0 (with n <= dim: when the points are affinely dependent)."""
+    orientation sign (the Fraction determinant of ``oracles``), zeros
+    included, keyed and inserted in ``combinations`` order; it is empty when
+    n <= dim.  General position is "no zero in the table", and with n <= dim
+    the points' affine independence."""
     table = cfg.orientations
-    if len(cfg) <= cfg.dim:
-        base = cfg.points[0].coords
-        rows = [[Rational(x - b) for x, b in zip(p.coords, base)] for p in cfg.points[1:]]
-        independent = not rows or Matrix(rows).rank() == len(rows)
-        assert table == ({} if independent else None)
-        return
     expected = {
         ids: oracles.fraction_orient([cfg.point(i) for i in ids])
         for ids in combinations(cfg.ids, cfg.dim + 1)
     }
-    if 0 in expected.values():
-        assert table is None
+    assert list(table.items()) == list(expected.items())
+    if len(cfg) <= cfg.dim:
+        base = cfg.points[0].coords
+        rows = [[Rational(x - b) for x, b in zip(p.coords, base)] for p in cfg.points[1:]]
+        assert table == {}
+        assert general_position(cfg) == (not rows or Matrix(rows).rank() == len(rows))
     else:
-        assert list(table.items()) == list(expected.items())
+        assert general_position(cfg) == (0 not in expected.values())
 
 
 def test_radon_signs_of_the_square():
@@ -415,7 +418,6 @@ def test_kirchberger_campaign_computes_each_orientation_once(monkeypatch):
         return normal(points)
 
     monkeypatch.setattr(geometry, "_spanned_normal", counted)
-    monkeypatch.setattr(hdivision, "_spanned_normal", counted)
     report = run_suite(CampaignSpec(suite="kirchberger", dim=3, n=7, colors=2, trials=24))
     assert report["ok"]
     assert calls[0] <= 480

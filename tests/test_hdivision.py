@@ -158,6 +158,15 @@ def test_degenerate_member_set_is_the_enumeration(monkeypatch):
     3, [(-2, -3, -2), (-2, 5, 1), (-1, 4, 1), (0, -2, -2), (2, 1, 1), (3, 0, 1), (8, 2, -2)]
 ))
 @example(make_config(2, [(0, 0), (1, 1), (2, 2)]))
+# a collinear triple, a dependent triple of a configuration spanning R^3
+@example(make_config(3, [(0, 0, 0), (1, 1, 1), (2, 2, 2), (1, 0, 0), (0, 1, 3)]))
+@example(make_config(3, [  # five coplanar points and three off their plane
+    (0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 3, 0), (1, 1, 1), (0, 1, -2), (3, 1, 2)
+]))
+@example(make_config(2, [(t, t) for t in range(6)] + [(0, 1), (3, -1)]))  # six on a line
+@example(make_config(3, [  # one point on the plane of three others
+    (0, 0, 0), (2, 0, 0), (0, 2, 0), (1, 3, 0), (0, 0, 1), (1, 2, 3)
+]))
 @given(degenerate_configs())
 def test_degenerate_member_set_read_off_the_spanned_hyperplanes_equals_enumeration(cfg):
     assert not general_position(cfg)
@@ -187,9 +196,9 @@ def test_degenerate_read_checks_its_count_bounds(monkeypatch):
     eight_on_a_line = make_config(2, [(t, 0) for t in range(8)] + [(0, 1)])
     flat_sides = hdivision._flat_sides
 
-    def free_on_flats(points, dim):
+    def free_on_flats(points, dim, signs):
         if dim == 2:
-            return flat_sides(points, dim)
+            return flat_sides(points, dim, signs)
         everything = sum(bit for bit, _ in points)
         return set(hdivision._submasks(everything))
 
