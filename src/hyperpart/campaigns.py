@@ -20,8 +20,9 @@ from .colorful import (
 from .counting import max_transversal_size, partition_count, witness_size_bound
 from .errors import DomainError, VerificationError
 from .generator import CampaignSpec, generate_instance, generate_pair
-from .hdivision import hyperplane_division, projective_flip, realizable_division
-from .partitions import minimal_transversals
+from .hdivision import hyperplane_division, member_masks, projective_flip
+from .instances import config_doc
+from .partitions import minimal_separating_sets, separating_sets
 
 SUITES = ("phi", "kirchberger", "main", "duality", "eta-bound")
 
@@ -93,9 +94,9 @@ def _trial_duality(spec: CampaignSpec, trial: int) -> dict:
 
 def _trial_eta_bound(spec: CampaignSpec, trial: int) -> dict:
     config = generate_instance(spec, trial)
-    sizes = [t.size for t in minimal_transversals(realizable_division(config))]
+    found = minimal_separating_sets(separating_sets(member_masks(config), config.ids))
     bound = max_transversal_size(spec.dim, spec.n)
-    largest = max(sizes) if sizes else 0
+    largest = max(members.bit_count() for _, members in found)
     return {
         "trial": trial,
         "largest_minimal_transversal": largest,
@@ -140,13 +141,17 @@ def _run_trials(
     spec: CampaignSpec, trial_fn: Callable[[CampaignSpec, int], dict]
 ) -> list[dict]:
     """Every trial's record; a trial that raises ``VerificationError`` is
-    recorded as failed with its message."""
+    recorded as failed with its message.  A failed record carries the
+    trial's instance document, so it replays after the generator changes."""
     results = []
     for trial in range(spec.trials):
         try:
-            results.append(trial_fn(spec, trial))
+            record = trial_fn(spec, trial)
         except VerificationError as err:
-            results.append({"trial": trial, "ok": False, "error": str(err)})
+            record = {"trial": trial, "ok": False, "error": str(err)}
+        if not record["ok"]:
+            record["instance"] = config_doc(generate_instance(spec, trial))
+        results.append(record)
     return results
 
 

@@ -6,7 +6,9 @@ deterministic JSON to stdout (or ``--output``), and sets the exit status: 1
 on bad input or usage, 2 on a failed verification (raised, or recorded in the
 report as a top-level ``routes_agree`` or ``ok`` that is false), else 0.
 Output is plain JSON with no terminal styling, so ``NO_COLOR`` has nothing to
-override.
+override.  ``sep`` and ``transversals`` read the member masks directly and
+build no ``Partition``: each member's partition doc is built once, and every
+place the report lists the member refers to that one list.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from .generator import CampaignSpec, generate_instance
 from .geometry import PointConfig, general_position
 from .hdivision import (
     hyperplane_division,
+    ordered_members,
     perturb,
     projective_flip,
-    realizable_division,
     shrink_to_min,
 )
 from .instances import (
@@ -43,7 +45,14 @@ from .instances import (
     partition_doc,
     rational_str,
 )
-from .partitions import minimal_transversals, nonseparating_members, separating_members
+from .partitions import (
+    at_bits,
+    minimal_separating_sets,
+    minimal_transversals,
+    pair_positions,
+    separating_sets,
+    separating_members,
+)
 from .pentagon import (
     ADJACENT_VERTEX_PAIR,
     CENTER_VERTEX_PAIR,
@@ -147,35 +156,35 @@ def _cmd_enumerate(args: argparse.Namespace) -> dict:
 
 
 def _cmd_sep(args: argparse.Namespace) -> dict:
-    division = realizable_division(_load(args))
-    separating = separating_members(division, args.a, args.b)
-    nonseparating = nonseparating_members(division, args.a, args.b)
+    config = _load(args)
+    members = ordered_members(config)
+    p, q = pair_positions(config.ids, args.a, args.b)
+    separating, nonseparating = [], []
+    for first, blocks in members:
+        (separating if (first >> p ^ first >> q) & 1 else nonseparating).append(blocks)
     return {
         "command": "sep",
         "pair": [args.a, args.b],
         "separating_count": len(separating),
         "nonseparating_count": len(nonseparating),
-        "separating": [partition_doc(m) for m in separating],
-        "nonseparating": [partition_doc(m) for m in nonseparating],
+        "separating": separating,
+        "nonseparating": nonseparating,
     }
 
 
 def _cmd_transversals(args: argparse.Namespace) -> dict:
-    division = realizable_division(_load(args))
-    found = minimal_transversals(division)
-    sizes = [t.size for t in found]
+    config = _load(args)
+    firsts, docs = zip(*ordered_members(config))
+    found = minimal_separating_sets(separating_sets(firsts, config.ids))
+    sizes = [members.bit_count() for _, members in found]
     return {
         "command": "transversals",
-        "count": len(division),
-        "min_size": min(sizes) if sizes else None,
-        "max_size": max(sizes) if sizes else None,
+        "count": len(firsts),
+        "min_size": min(sizes),
+        "max_size": max(sizes),
         "minimal_transversals": [
-            {
-                "pair": list(t.pair),
-                "size": t.size,
-                "members": [partition_doc(m) for m in t.members],
-            }
-            for t in found
+            {"pair": list(pair), "size": size, "members": at_bits(docs, members)}
+            for (pair, members), size in zip(found, sizes)
         ],
     }
 

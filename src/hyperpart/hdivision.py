@@ -23,7 +23,9 @@ direction, plus the trivial member) and ``partition_count`` (a perturbation
 into general position keeps every member).
 A subset's members are the traces of the configuration's members, so
 ``restricted_masks`` reads them off its masks with no geometry, under the same
-count check.  ``member_witness`` solves one member's witness on its own: the
+count check.  ``ordered_members`` lists the masks in the division's canonical
+order with their blocks, for the reports that build no ``Partition``.
+``member_witness`` solves one member's witness on its own: the
 system ``hyperplane_division`` builds for that member, hence the same
 hyperplane.
 
@@ -65,6 +67,7 @@ from .geometry import (
 from .partitions import (
     Division,
     Partition,
+    at_bits,
     nonseparating_members,
     separating_members,
 )
@@ -154,6 +157,20 @@ def member_masks(config: PointConfig) -> frozenset[int]:
     points = [(1 << i, coords) for i, coords in enumerate(config.integer_points)]
     masks = frozenset(_flat_sides(points, config.dim, config.orientations.values()))
     return _counted(masks, config.dim, len(points), general_position(config))
+
+
+def ordered_members(config: PointConfig) -> list[tuple[int, list[list[int]]]]:
+    """``member_masks`` in the canonical order of ``realizable_division``'s
+    members, each with its blocks as lists of ids: the block holding the
+    first point, then the rest unless it is empty.  Members differ in their
+    first blocks, so these order them as the block tuples do."""
+    ids = config.ids
+    everything = (1 << len(ids)) - 1
+    split = sorted(
+        (at_bits(ids, first), at_bits(ids, everything ^ first), first)
+        for first in member_masks(config)
+    )
+    return [(first, [inside, rest] if rest else [inside]) for inside, rest, first in split]
 
 
 def restricted_masks(

@@ -6,6 +6,9 @@ Schema: ``{"dim": int, "points": [{"id": int, "coords": [rational ...],
 with a decimal point is rejected — there is no rounding anywhere.  Either all
 points carry a color or none do; labels become dense numeric color ids in
 first-appearance order.
+
+Reports go out through ``dumps_doc``, one join-based encoder whose bytes are
+``json.dumps`` with an indent of 2, newline-terminated.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ from .partitions import Partition
 _RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?\Z")
 # Python refuses to convert longer integers to and from decimal text.
 _TOO_LONG = f"an integer has more than {sys.get_int_max_str_digits()} digits"
+_QUOTE = json.encoder.encode_basestring_ascii
+_INTS = frozenset((int,))
 
 
 def parse_rational(text: Any, where: str = "value") -> Fraction:
@@ -135,5 +140,58 @@ def partition_doc(partition: Partition) -> list[list[int]]:
 
 
 def dumps_doc(doc: Any) -> str:
-    """Canonical serialization: same document, same bytes."""
-    return json.dumps(doc, indent=2, ensure_ascii=True) + "\n"
+    """Canonical serialization: same document, same bytes.
+
+    The bytes are those of ``json.dumps(doc, indent=2, ensure_ascii=True)``
+    and a newline, written by joins: strings go through the C routine
+    ``json`` quotes them with, and a list of ints is one join.  Any other
+    list seen a second time at one depth (its text depends on the indent)
+    is read from then on from a memo keyed by identity and depth, so a
+    report that lists one member's partition doc in many transversals
+    encodes it twice, however many transversals list it.  A report holds dicts with
+    str keys, lists, tuples, strs, ints, bools and None; no report holds a
+    float, a ``Fraction`` or a set, and those, like a key that is not a
+    str, are a TypeError.
+    """
+    return _encode(doc, 0, {}) + "\n"
+
+
+def _encode(value: Any, depth: int, memo: dict[tuple[int, int], Optional[str]]) -> str:
+    if isinstance(value, str):
+        return _QUOTE(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = "\n" + "  " * (depth + 1)
+        outer = inner[:-2]
+        if _INTS.issuperset(map(type, value)):
+            return f"[{inner}{(',' + inner).join(map(int.__repr__, value))}{outer}]"
+        key = (id(value), depth)
+        text = memo.get(key)
+        if text is None:
+            items = (',' + inner).join([_encode(item, depth + 1, memo) for item in value])
+            text = f"[{inner}{items}{outer}]"
+            # kept from the second sighting on: keeping the text at the first
+            # would hold every unshared list's text to the end of the call
+            memo[key] = text if key in memo else None
+        return text
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = "\n" + "  " * (depth + 1)
+        outer = inner[:-2]
+        items = []
+        for name, item in value.items():
+            if not isinstance(name, str):
+                raise TypeError(f"keys must be str, not {type(name).__name__}")
+            items.append(f"{_QUOTE(name)}: {_encode(item, depth + 1, memo)}")
+        return f"{{{inner}{(',' + inner).join(items)}{outer}}}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

@@ -4,18 +4,27 @@ Everything here is pure combinatorics over point ids; geometry enters only
 through which divisions get built.  Partitions and divisions are kept in a
 canonical order (blocks sorted by least id, members sorted by block tuples) so
 that structural equality is set equality and every scan is deterministic.
+
+Separation and transversals run on bitmasks: a set of members is an int, bit
+i for the i-th in canonical order, so inclusion is ``a & b == a``.  A
+division's members hold the pairs they separate (``Division._separated``);
+bipartitions given as first-block masks over points hold them as columns
+(``separating_sets``).  One routine, ``minimal_separating_sets``, picks the
+minimal transversals out of either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import combinations
+from itertools import combinations, compress
 from math import comb
 from operator import or_, xor
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, TypeVar
 
 from .errors import DomainError, InvalidConfig
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -146,21 +155,36 @@ def is_full(division: Division) -> bool:
 
 
 def separating_members(division: Division, a: int, b: int) -> tuple[Partition, ...]:
-    _check_pair(division, a, b)
-    return tuple(m for m in division.members if m.separates(a, b))
+    bit = _pair_bit(division, a, b)
+    return tuple(m for m, pairs in zip(division.members, division._separated) if pairs & bit)
 
 
 def nonseparating_members(division: Division, a: int, b: int) -> tuple[Partition, ...]:
-    _check_pair(division, a, b)
-    return tuple(m for m in division.members if not m.separates(a, b))
+    bit = _pair_bit(division, a, b)
+    return tuple(m for m, pairs in zip(division.members, division._separated) if not pairs & bit)
 
 
-def _check_pair(division: Division, a: int, b: int) -> None:
+def pair_positions(ids: Sequence[int], a: int, b: int) -> tuple[int, int]:
+    """The positions of ids a and b in ``ids``; DomainError unless they are
+    two distinct ids among them."""
     if a == b:
         raise DomainError("separation is defined for two distinct ids")
-    missing = {a, b} - division.support
+    missing = {a, b}.difference(ids)
     if missing:
         raise DomainError(f"ids not in the division support: {sorted(missing)}")
+    return ids.index(a), ids.index(b)
+
+
+def _pair_bit(division: Division, a: int, b: int) -> int:
+    """The bit of pair (a, b) in ``Division._separated``."""
+    n = len(division.support)
+    p, q = sorted(pair_positions(sorted(division.support), a, b))
+    return 1 << (p * (2 * n - p - 1) // 2 + q - p - 1)
+
+
+def at_bits(items: Sequence[_T], mask: int) -> list[_T]:
+    """The items at the set bits of ``mask``, in order."""
+    return list(compress(items, map("1".__eq__, bin(mask)[:1:-1])))
 
 
 def minimalize_masks(separated: Sequence[int], chosen: int, pairs: int) -> Optional[int]:
@@ -234,26 +258,63 @@ class MinimalTransversal:
 
 
 def minimal_transversals(division: Division) -> tuple[MinimalTransversal, ...]:
-    """All inclusion-minimal transversals, each tagged with a realizing pair.
+    """All inclusion-minimal transversals, each tagged with a realizing pair:
+    ``minimal_separating_sets`` on the members separating each pair, read
+    off ``Division._separated``."""
+    members = division.members
+    pairs = list(combinations(sorted(division.support), 2))
+    separating = [0] * len(pairs)
+    for i, separated in enumerate(division._separated):
+        for t in at_bits(range(len(pairs)), separated):
+            separating[t] |= 1 << i
+    return tuple(
+        MinimalTransversal(pair, tuple(at_bits(members, found)))
+        for pair, found in minimal_separating_sets(zip(pairs, separating))
+    )
+
+
+def separating_sets(
+    firsts: Iterable[int], ids: Sequence[int]
+) -> list[tuple[tuple[int, int], int]]:
+    """Every pair of ``ids``, in the order of ``combinations``, with the
+    bitmask of the bipartitions separating it (bit i for the i-th of
+    ``firsts``), from each bipartition's first block as a bitmask over the
+    positions of ``ids``.  With ``col[p]`` the bipartitions whose first block
+    holds position p, pair (p, q)'s set is ``col[p] ^ col[q]``; the trivial
+    member's first block holds every position, so it separates no pair."""
+    cols = [0] * len(ids)
+    for i, first in enumerate(firsts):
+        for p in at_bits(range(len(ids)), first):
+            cols[p] |= 1 << i
+    return [
+        ((ids[p], ids[q]), cols[p] ^ cols[q]) for p, q in combinations(range(len(ids)), 2)
+    ]
+
+
+def minimal_separating_sets(
+    separating: Iterable[tuple[tuple[int, int], int]],
+) -> list[tuple[tuple[int, int], int]]:
+    """The minimal transversals, from every pair in increasing order with
+    the bitmask of the members separating it: the inclusion-minimal distinct
+    sets, each with the first pair that has it, ordered by size, then pair.
 
     The separating sets of pairs are always transversals, minimal transversals
     are separating sets of pairs, and a pair's set is a minimal transversal
-    exactly when no other pair's set is properly contained in it — so the
-    inclusion-minimal distinct separating sets are the answer.
+    exactly when no other pair's set is properly contained in it.  DomainError
+    with no pair (fewer than two ids), or with a pair no member separates
+    (the members are not full).
     """
-    if len(division.support) < 2:
+    first_pair: dict[int, tuple[int, int]] = {}
+    for pair, members in separating:
+        first_pair.setdefault(members, pair)
+    if not first_pair:
         raise DomainError("minimal transversals need at least two support ids")
-    if not is_full(division):
+    if 0 in first_pair:
         raise DomainError("transversals are defined for full divisions only")
-    by_set: dict[frozenset[Partition], tuple[int, int]] = {}
-    for a, b in combinations(sorted(division.support), 2):
-        key = frozenset(separating_members(division, a, b))
-        by_set.setdefault(key, (a, b))
-    found = []
-    for key, pair in by_set.items():
-        if not any(other < key for other in by_set):
-            found.append(
-                MinimalTransversal(pair, tuple(m for m in division.members if m in key))
-            )
-    found.sort(key=lambda t: (t.size, t.pair))
-    return tuple(found)
+    found = [
+        (pair, key)
+        for key, pair in first_pair.items()
+        if not any(other & key == other != key for other in first_pair)
+    ]
+    found.sort(key=lambda f: (f[1].bit_count(), f[0]))
+    return found

@@ -9,7 +9,9 @@ the exception: they ask the package's witness-producing separation oracle
 about every candidate (the scans rebuild each one as a configuration, the
 filter tests every bipartition through ``hyperplane_division``), a different
 route through the solver than the decide-only scans, the grouping table and
-the grouping enumeration they are compared with.  The witness report built
+the grouping enumeration they are compared with.  The minimal transversals
+scanned pair by pair off ``Partition.separates`` are the package's own as they
+stood before they moved to member bitmasks.  The witness report built
 on ``Partition``s and a ``Division`` is the package's own extraction as it
 stood before it moved to color bitmasks; the rewrite must return the same
 report.  The deletion-fibre check
@@ -44,6 +46,7 @@ from hyperpart import (
     Division,
     DomainError,
     Hyperplane,
+    MinimalTransversal,
     Partition,
     Point,
     PointConfig,
@@ -284,6 +287,28 @@ def full_subfamily_masks(division: Division) -> list[int]:
         if all(bits & mask for bits in sep_bits):
             full.append(mask)
     return full
+
+
+def scan_minimal_transversals(division: Division) -> tuple[MinimalTransversal, ...]:
+    """``minimal_transversals`` as it stood before it moved to bitmasks: each
+    pair's separating set scanned off ``Partition.separates`` as a frozenset,
+    the first pair kept per distinct set, and the sets with no proper subset
+    among them, ordered by size, then pair."""
+    if len(division.support) < 2:
+        raise DomainError("minimal transversals need at least two support ids")
+    by_set: dict[frozenset[Partition], tuple[int, int]] = {}
+    for a, b in combinations(sorted(division.support), 2):
+        key = frozenset(m for m in division.members if m.separates(a, b))
+        if not key:
+            raise DomainError("transversals are defined for full divisions only")
+        by_set.setdefault(key, (a, b))
+    found = [
+        MinimalTransversal(pair, tuple(m for m in division.members if m in key))
+        for key, pair in by_set.items()
+        if not any(other < key for other in by_set)
+    ]
+    found.sort(key=lambda t: (t.size, t.pair))
+    return tuple(found)
 
 
 def brute_is_transversal(

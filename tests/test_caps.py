@@ -81,6 +81,21 @@ def geometry_work(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def constructions(monkeypatch):
+    """Counts of the ``Partition``s and ``Division``s built."""
+    counts = Counter()
+    for cls in (partitions.Partition, partitions.Division):
+        original = cls.__post_init__
+
+        def counted(self, original=original, name=cls.__name__):
+            counts[name] += 1
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    return counts
+
+
 def _instance(tmp_path, suite, dim, colors=0, degenerate=False, n=16):
     config = generate_instance(
         CampaignSpec(suite=suite, dim=dim, n=n, colors=colors, seed=0, degenerate=degenerate), 0
@@ -194,7 +209,7 @@ def test_member_read_takes_one_table_and_the_flats_tables(geometry_work, degener
     assert general_position(config) != degenerate
 
 
-def test_witness_builds_partitions_for_the_reported_transversal_only(monkeypatch):
+def test_witness_builds_partitions_for_the_reported_transversal_only(monkeypatch, constructions):
     """``witness_nonpartitionable`` on the main baseline (d=2, n=16, k=8)
     works on color bitmasks: it builds one ``Partition`` per member of the
     reported minimal transversal, 9, and no ``Division``.  Building the
@@ -202,25 +217,32 @@ def test_witness_builds_partitions_for_the_reported_transversal_only(monkeypatch
     core labels 9 more.  The representatives' members and the witness's
     re-check are still two restrictions of the instance's member masks."""
     config = generate_instance(CampaignSpec(suite="main", dim=2, n=16, colors=8, seed=0), 0)
-    counts = Counter()
-    for cls in (partitions.Partition, partitions.Division):
-        original = cls.__post_init__
-
-        def counted(self, original=original, name=cls.__name__):
-            counts[name] += 1
-            original(self)
-
-        monkeypatch.setattr(cls, "__post_init__", counted)
     restricted = colorful.restricted_masks
 
     def counted_restricted(*args):
-        counts["restricted_masks"] += 1
+        constructions["restricted_masks"] += 1
         return restricted(*args)
 
     monkeypatch.setattr(colorful, "restricted_masks", counted_restricted)
     report = witness_nonpartitionable(config)
     assert len(report.transversal) == 9
-    assert counts == {"Partition": 9, "restricted_masks": 2}
+    assert constructions == {"Partition": 9, "restricted_masks": 2}
+
+
+@pytest.mark.parametrize("degenerate, members", [(False, 576), (True, 562)])
+@pytest.mark.parametrize("command", ["sep", "transversals"])
+def test_member_reports_build_no_partition(tmp_path, capsys, constructions, command, degenerate, members):
+    """``sep`` and ``transversals`` on phi d=3, n=16 read the member masks
+    and build no ``Partition`` and no ``Division``, where they built one
+    ``Partition`` per member and a ``Division`` of them."""
+    _, path = _instance(tmp_path, "phi", 3, degenerate=degenerate)
+    extra = ["--a", "0", "--b", "1"] if command == "sep" else []
+    doc = _run(capsys, [command, "--input", path] + extra)
+    if command == "sep":
+        assert doc["separating_count"] + doc["nonseparating_count"] == members
+    else:
+        assert doc["count"] == members
+    assert constructions == {}
 
 
 def test_kirchberger_builds_its_table_from_spanned_normals(tmp_path, capsys, geometry_work):

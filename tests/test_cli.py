@@ -14,8 +14,10 @@ from hyperpart import (
     emit_instance,
     generate_instance,
     make_config,
+    parse_instance,
 )
 from hyperpart.cli import main
+from hyperpart.instances import config_doc
 
 
 @pytest.fixture
@@ -145,8 +147,9 @@ def test_bound_search(capsys):
 
 
 def test_bound_search_records_a_failed_trial(monkeypatch, capsys):
-    """A trial that raises VerificationError is listed with its message, the
-    other trials read as they do without it, and the CLI exits 2."""
+    """A trial that raises VerificationError is listed with its message and
+    its instance document, the other trials read as they do without it, and
+    the CLI exits 2."""
     import hyperpart.campaigns as campaigns
 
     argv = ["bound-search", "--trials", "3", "--n", "7", "--colors", "3", "--seed", "5"]
@@ -166,9 +169,27 @@ def test_bound_search_records_a_failed_trial(monkeypatch, capsys):
     assert code == 2
     assert doc["results"][1] == {
         "trial": 1, "ok": False, "error": "synthetic postcondition breach",
+        "instance": config_doc(calls[1]),
     }
     assert [doc["results"][t] for t in (0, 2)] == [clean["results"][t] for t in (0, 2)]
     assert clean["ok"] and (doc["passed"], doc["failed"], doc["ok"]) == (2, 1, False)
+
+
+def test_failed_trials_replay_from_their_instance_documents(monkeypatch, capsys):
+    """A trial whose record reads ``ok`` false without raising carries its
+    instance too, and the document parses back to the configuration the
+    trial ran on: the eta-bound suite's degenerate instance, against a bound
+    of 0 that every trial exceeds."""
+    import hyperpart.campaigns as campaigns
+
+    monkeypatch.setattr(campaigns, "max_transversal_size", lambda dim, n: 0)
+    argv = ["verify", "--suite", "eta-bound", "--dim", "2", "--n", "5", "--trials", "2", "--seed", "3"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 2
+    spec = CampaignSpec(suite="eta-bound", dim=2, n=5, trials=2, seed=3, degenerate=True)
+    for trial, record in enumerate(json.loads(out)["results"]):
+        assert record["ok"] is False and "error" not in record
+        assert parse_instance(json.dumps(record["instance"])) == generate_instance(spec, trial)
 
 
 def test_output_file(tmp_path, capsys, quad_file):
@@ -410,6 +431,12 @@ _GENERAL_D2 = generate_instance(CampaignSpec(suite="phi", dim=2, n=8, seed=0), 0
 _DEGENERATE_D3 = generate_instance(
     CampaignSpec(suite="phi", dim=3, n=9, seed=0, degenerate=True), 0
 )
+# The phi instances at the caps: the largest transversals reports (9.8 and
+# 9.5 MB), where each member is listed in many transversals.
+_PHI_CAP = generate_instance(CampaignSpec(suite="phi", dim=3, n=16, seed=0), 0)
+_DEGENERATE_CAP = generate_instance(
+    CampaignSpec(suite="phi", dim=3, n=16, seed=0, degenerate=True), 0
+)
 # Two-color instances for both Kirchberger routes: inseparable in general
 # position (a five-point witness), separable, and inseparable and separable
 # on a planted collinear triple.
@@ -560,6 +587,26 @@ _SEPARABLE_DEGENERATE = generate_instance(
             ["sep", "--a", "0", "--b", "1"],
             "9da7b6bd2512e0de0d6dec8aeb7d7a8ba672648e733fb8898e73ffd7ed5b9a52",
         ),
+        (
+            _PHI_CAP,
+            ["transversals"],
+            "2ee548728e15e74b9a73087331b3b94c3e1eeb185b995491034f8aadfa4ed396",
+        ),
+        (
+            _DEGENERATE_CAP,
+            ["transversals"],
+            "f183ef70193e0d9e6ac7876ea0acbd71ce56d2664e6009c23839b20186f2c343",
+        ),
+        (
+            _PHI_CAP,
+            ["sep", "--a", "0", "--b", "1"],
+            "86bb21360ca9845717dac0228a5c6b36ede4981a6853fb9ada080205070af4d2",
+        ),
+        (
+            _DEGENERATE_CAP,
+            ["sep", "--a", "0", "--b", "1"],
+            "05a3d0a740c899ce2d5facc0a4de5a0632e1d11cb10043f5e30d891c9ed9ba71",
+        ),
     ],
     ids=[
         "partitionable",
@@ -588,6 +635,10 @@ _SEPARABLE_DEGENERATE = generate_instance(
         "transversals-d3",
         "transversals-degenerate",
         "sep-degenerate-d3",
+        "transversals-cap",
+        "transversals-degenerate-cap",
+        "sep-cap",
+        "sep-degenerate-cap",
     ],
 )
 def test_golden_report_bytes(tmp_path, capsys, config, argv, digest):

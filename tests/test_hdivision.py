@@ -369,7 +369,7 @@ def _count_work(monkeypatch):
 
     for module in (hdivision, cli, campaigns):
         monkeypatch.setattr(module, "hyperplane_division", enumerated)
-        monkeypatch.setattr(module, "realizable_division", counted_read)
+    monkeypatch.setattr(hdivision, "realizable_division", counted_read)
     monkeypatch.setattr(geometry, "feasible_point", counted_solve)
     return counts
 

@@ -25,7 +25,7 @@ from hyperpart import (
     parse_instance,
 )
 from hyperpart.cli import main
-from hyperpart.instances import _TOO_LONG, parse_rational, rational_str
+from hyperpart.instances import _TOO_LONG, dumps_doc, parse_rational, rational_str
 
 
 def test_rational_grammar():
@@ -159,6 +159,52 @@ def test_emit_is_deterministic_and_readable():
     assert text == emit_instance(cfg)
     doc = json.loads(text)
     assert doc["points"][1] == {"id": 1, "coords": ["1/3"], "color": "c1"}
+
+
+# Report-shaped documents: every scalar a report holds (big and negative
+# ints, bools beside 0 and 1, None, strings with non-ASCII and control
+# characters) in nested dicts, lists and tuples, empty ones included.
+_REPORT_SCALARS = (
+    st.none() | st.booleans() | st.integers(-1, 1) | st.integers(-(10**40), 10**40)
+    | st.text(max_size=8) | st.sampled_from(["\x00\x1f\t\n\"\\", "é≠😀", "\u2028"])
+)
+_REPORT_DOCS = st.recursive(
+    _REPORT_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=30,
+)
+_BLOCKS = st.lists(st.lists(st.integers(-3, 20), min_size=1, max_size=4), min_size=1, max_size=3)
+
+
+@st.composite
+def _shared_docs(draw):
+    """A report-shaped document holding one list of int lists (a member's
+    partition doc) three times at one depth, and another at three depths."""
+    same, mixed = draw(_BLOCKS), draw(_BLOCKS)
+    return {
+        "rest": draw(_REPORT_DOCS),
+        "same": [same, same, {"again": None}, same],
+        "mixed": [mixed, [mixed, [mixed]]],
+    }
+
+
+@settings(max_examples=300)
+@given(_REPORT_DOCS | _shared_docs())
+def test_dumps_doc_writes_the_bytes_of_json_dumps(doc):
+    """The encoder's bytes are ``json.dumps(indent=2, ensure_ascii=True)``'s
+    and a newline, with shared lists too: a memo keyed by identity alone
+    would write the list at its first depth's indent at the others."""
+    assert dumps_doc(doc) == json.dumps(doc, indent=2, ensure_ascii=True) + "\n"
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), {1, 2}, 0.5, float("nan"), {1: "one"}])
+def test_dumps_doc_refuses_what_no_report_holds(value):
+    """A Fraction, a set, a float or a dict with a key that is not a str,
+    alone or nested, is a TypeError."""
+    for doc in (value, {"a": [1, value]}, [[value]]):
+        with pytest.raises(TypeError):
+            dumps_doc(doc)
 
 
 # --- fuzzing ---------------------------------------------------------------

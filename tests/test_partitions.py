@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from itertools import combinations
 
 import pytest
@@ -25,7 +26,14 @@ from hyperpart import (
     restrict,
     separating_members,
 )
-from hyperpart.partitions import minimalize_masks
+from hyperpart.hdivision import division_of_masks, ordered_members
+from hyperpart.partitions import (
+    at_bits,
+    minimal_separating_sets,
+    minimalize_masks,
+    separating_sets,
+)
+from strategies import degenerate_configs, general_configs
 
 
 def test_partition_canonical_form():
@@ -177,14 +185,24 @@ def _divisions(draw):
 @settings(max_examples=150)
 @given(_divisions(), st.data())
 def test_fullness_and_transversals_match_their_definitions(division, data):
-    """Fullness against its pairwise definition; on full divisions,
+    """Fullness against its pairwise definition, and each pair's
+    (non)separating members against ``Partition.separates``; on full
+    divisions, ``minimal_transversals`` against the Partition scan,
     ``is_transversal`` against the literal reading and
     ``minimalize_transversal`` against its greedy descent by that reading,
     for a drawn subset and for the whole division."""
-    pairs = combinations(sorted(division.support), 2)
+    pairs = list(combinations(sorted(division.support), 2))
     assert is_full(division) == all(any(m.separates(a, b) for m in division.members) for a, b in pairs)
+    for a, b in pairs:
+        assert separating_members(division, b, a) == tuple(m for m in division.members if m.separates(a, b))
+        assert nonseparating_members(division, a, b) == tuple(
+            m for m in division.members if not m.separates(a, b)
+        )
     if not is_full(division):
+        with pytest.raises(DomainError, match="full divisions only"):
+            minimal_transversals(division)
         return
+    assert minimal_transversals(division) == oracles.scan_minimal_transversals(division)
     masks = oracles.full_subfamily_masks(division)
     drawn = data.draw(st.sets(st.sampled_from(division.members)))
     assert is_transversal(division, drawn) == oracles.brute_is_transversal(division, drawn, masks)
@@ -225,3 +243,28 @@ def test_mask_routine_is_the_transversal_test_and_descent(division, data):
         assert tuple(m for i, m in enumerate(members) if kept >> i & 1) == minimalize_transversal(
             division, drawn
         )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(general_configs(), degenerate_configs()), st.data())
+def test_mask_transversals_match_the_partition_scan(config, data):
+    """``minimal_separating_sets`` on the columns of the member masks, in
+    ``ordered_members``' order, against the Partition scan of the division of
+    those masks: the same pairs, sizes, and members in order.  A drawn
+    subfamily of the members, which need not be full, gets the same
+    transversals or the same error."""
+    members = ordered_members(config)
+    kept = data.draw(st.sets(st.integers(0, len(members) - 1)))
+    for family in (members, [members[i] for i in sorted(kept)]):
+        firsts = [first for first, _ in family]
+        partitions = [Partition(tuple(map(tuple, blocks))) for _, blocks in family]
+        try:
+            expected = oracles.scan_minimal_transversals(division_of_masks(config.ids, firsts))
+        except DomainError as err:
+            with pytest.raises(DomainError, match=re.escape(str(err))):
+                minimal_separating_sets(separating_sets(firsts, config.ids))
+            continue
+        found = minimal_separating_sets(separating_sets(firsts, config.ids))
+        assert [(pair, chosen.bit_count(), tuple(at_bits(partitions, chosen))) for pair, chosen in found] == [
+            (t.pair, t.size, t.members) for t in expected
+        ]
