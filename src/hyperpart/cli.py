@@ -28,7 +28,7 @@ from .colorful import (
 )
 from .counting import counting_summary, min_transversal_size, partition_count
 from .errors import DomainError, HyperpartError, InvalidConfig, VerificationError
-from .generator import CampaignSpec, generate_instance
+from .generator import CampaignSpec
 from .geometry import PointConfig, general_position
 from .hdivision import (
     hyperplane_division,

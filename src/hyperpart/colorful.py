@@ -62,11 +62,10 @@ from .geometry import (
     one_side_hyperplane,
     strict_separate,
 )
-# hyperplane_division stays bound here, unused: perfbench's tracer tests check
-# that tracing rebinds it in this module
-from .hdivision import (  # noqa: F401
-    check_witness, hyperplane_division, member_masks, restricted_masks, traces,
-)
+from .hdivision import check_witness, member_masks, restricted_masks, traces
+# bound here, unused: perfbench's tracer tests check that tracing rebinds it
+# in this module
+from .hdivision import hyperplane_division  # noqa: F401
 from .linsolve import IntRow, feasible_point, is_feasible
 from .partitions import Partition, minimalize_masks, pair_masks
 

@@ -15,12 +15,13 @@ dimension dim-1.  One read (``_flat_sides``) serves every input: every side
 and every "on" is a sign of the orientation table, zeros included, so no
 hyperplane of the configuration is computed again.  A hyperplane holding
 only its dim spanning points gives them all 2^dim patterns; a flat holding
-more is read as a configuration of its own, and points that do not span
-R^dim are carried onto coordinates of their span, with a table of their
-own.  The count is checked against ``partition_count``: equal to it in
-general position, and otherwise between n (the prefix splits along a generic
-direction, plus the trivial member) and ``partition_count`` (a perturbation
-into general position keeps every member).
+more is read as a configuration of its own, once per read however many
+spanned hyperplanes hold it, and points that do not span R^dim are carried
+onto coordinates of their span, with a table of their own.  The count is
+checked against ``partition_count``: equal to it in general position, and
+otherwise between n (the prefix splits along a generic direction, plus the
+trivial member) and ``partition_count`` (a perturbation into general
+position keeps every member).
 A subset's members are the traces of the configuration's members, so
 ``restricted_masks`` reads them off its masks with no geometry, under the same
 count check.  ``ordered_members`` lists the masks in the division's canonical
@@ -152,10 +153,10 @@ def member_masks(config: PointConfig) -> frozenset[int]:
     """Every hyperplane-realizable partition as a point bitmask, bit t for the
     t-th point in id order, each member by its block holding the first point.
     Read with no LP off the configuration's orientation table
-    (``_flat_sides`` on ``integer_points``), on every input, and
-    count-checked."""
+    (``_flat_sides`` on ``integer_points``), on every input, each flat once,
+    and count-checked."""
     points = [(1 << i, coords) for i, coords in enumerate(config.integer_points)]
-    masks = frozenset(_flat_sides(points, config.dim, config.orientations.values()))
+    masks = frozenset(_flat_sides(points, config.dim, config.orientations.values(), {}))
     return _counted(masks, config.dim, len(points), general_position(config))
 
 
@@ -226,11 +227,14 @@ def division_of_masks(ids: tuple[int, ...], masks: Iterable[int]) -> Division:
 
 
 def _flat_sides(
-    points: list[tuple[int, tuple[int, ...]]], dim: int, signs: Iterable[int]
+    points: list[tuple[int, tuple[int, ...]]], dim: int, signs: Iterable[int],
+    read: dict[int, set[int]],
 ) -> set[int]:
     """The members of distinct integer points in R^dim, each as the bitmask of
     its block holding the first point's bit; a point is ``(bit, coords)`` and
     ``signs`` is their orientation table in the order of ``combinations``.
+    ``read`` holds the members of every flat read so far in this read of a
+    configuration, by the flat's point mask.
 
     Points with no nonzero sign do not affinely span R^dim: they are carried
     onto the coordinates where their differences have pivots, which is
@@ -247,7 +251,9 @@ def _flat_sides(
     hyperplane and is skipped.  Off H a point takes its side of H; the
     points on H take the sides of any member of their own: with exactly dim
     of them (S) every pattern, with more the members of the flat, read by
-    the same carry.  A small tilt of H realizes each combination.
+    the same carry once, however many hyperplanes hold it (a collinear
+    triple lies in a plane through each other point).  A small tilt of H
+    realizes each combination.
     """
     bits = [bit for bit, _ in points]
     everything = sum(bits)
@@ -256,9 +262,9 @@ def _flat_sides(
         pivots = _pivot_columns([[x - b for x, b in zip(coords, base)] for _, coords in points[1:]])
         if not pivots:
             return {everything}
-        carried = [(bit, tuple(coords[j] for j in pivots)) for bit, coords in points]
-        table = _chirotope([coords for _, coords in carried], len(pivots))
-        return _flat_sides(carried, len(pivots), table)
+        points = [(bit, tuple(coords[j] for j in pivots)) for bit, coords in points]
+        dim = len(pivots)
+        signs = _chirotope([coords for _, coords in points], dim)
     plus = dict.fromkeys(map(sum, combinations(bits, dim)), 0)
     on = {span: span for span in plus}
     for combo, sign in zip(combinations(bits, dim + 1), signs):
@@ -279,7 +285,9 @@ def _flat_sides(
             continue
         else:
             flats.add(flat)
-            members = _flat_sides([p for p in points if p[0] & flat], dim, ())  # no span: carried
+            members = read.get(flat)
+            if members is None:  # no span: carried
+                members = read[flat] = _flat_sides([p for p in points if p[0] & flat], dim, (), read)
             # either block of a member on H's positive side: both orientations of H
             inside = [m for first in members for m in (first, flat ^ first)]
         for pattern in inside:

@@ -143,55 +143,71 @@ def dumps_doc(doc: Any) -> str:
     """Canonical serialization: same document, same bytes.
 
     The bytes are those of ``json.dumps(doc, indent=2, ensure_ascii=True)``
-    and a newline, written by joins: strings go through the C routine
-    ``json`` quotes them with, and a list of ints is one join.  Any other
-    list seen a second time at one depth (its text depends on the indent)
-    is read from then on from a memo keyed by identity and depth, so a
-    report that lists one member's partition doc in many transversals
-    encodes it twice, however many transversals list it.  A report holds dicts with
-    str keys, lists, tuples, strs, ints, bools and None; no report holds a
-    float, a ``Fraction`` or a set, and those, like a key that is not a
-    str, are a TypeError.
+    and a newline.  Each value is written by its exact type, and each list
+    or dict by one join of its pieces, with the indent of each depth made
+    once per call: strings go through the C routine ``json`` quotes them
+    with, and a list of ints is one join.  Any other list seen a second
+    time at one depth (its text depends on the indent) is read from then on
+    from that depth's memo, keyed by identity, and a list looks each of its
+    items up there before it encodes one.  So a report that lists one
+    member's partition doc in many transversals encodes it twice and then
+    takes one dict lookup per listing.  A report holds dicts with str keys,
+    lists, tuples, strs, ints, bools and None; no report holds a float, a
+    ``Fraction``, a set or a subclass of a type it holds, and those, like a
+    key that is not a str, are a TypeError.
     """
-    return _encode(doc, 0, {}) + "\n"
+    return _encode(doc, 0, _Levels()) + "\n"
 
 
-def _encode(value: Any, depth: int, memo: dict[tuple[int, int], Optional[str]]) -> str:
-    if isinstance(value, str):
+class _Levels(dict):
+    """Per depth, made at its first use: the indent (a newline and two spaces
+    per level) and the memo of list texts by identity."""
+
+    def __missing__(self, depth: int) -> tuple[str, dict[int, Optional[str]]]:
+        self[depth] = level = ("\n" + "  " * depth, {})
+        return level
+
+
+def _encode(value: Any, depth: int, levels: _Levels) -> str:
+    kind = type(value)
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner, below = levels[depth + 1]
+        outer, seen = levels[depth]
+        if _INTS.issuperset(map(type, value)):
+            return f"[{inner}{(',' + inner).join(map(int.__repr__, value))}{outer}]"
+        text = seen.get(id(value))
+        if text is None:
+            look = below.get
+            pieces = ["," + inner] * (2 * len(value) + 1)
+            pieces[0], pieces[-1] = "[" + inner, outer + "]"
+            depth += 1
+            pieces[1::2] = [look(id(item)) or _encode(item, depth, levels) for item in value]
+            text = "".join(pieces)
+            # kept from the second sighting on: keeping the text at the first
+            # would hold every unshared list's text to the end of the call
+            seen[id(value)] = text if id(value) in seen else None
+        return text
+    if kind is str:
         return _QUOTE(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = levels[depth + 1][0]
+        pieces = ["{" + inner]
+        for name, item in value.items():
+            if not isinstance(name, str):
+                raise TypeError(f"keys must be str, not {type(name).__name__}")
+            pieces += (_QUOTE(name), ": ", _encode(item, depth + 1, levels), "," + inner)
+        pieces[-1] = levels[depth][0] + "}"
+        return "".join(pieces)
     if value is None:
         return "null"
     if value is True:
         return "true"
     if value is False:
         return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = "\n" + "  " * (depth + 1)
-        outer = inner[:-2]
-        if _INTS.issuperset(map(type, value)):
-            return f"[{inner}{(',' + inner).join(map(int.__repr__, value))}{outer}]"
-        key = (id(value), depth)
-        text = memo.get(key)
-        if text is None:
-            items = (',' + inner).join([_encode(item, depth + 1, memo) for item in value])
-            text = f"[{inner}{items}{outer}]"
-            # kept from the second sighting on: keeping the text at the first
-            # would hold every unshared list's text to the end of the call
-            memo[key] = text if key in memo else None
-        return text
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = "\n" + "  " * (depth + 1)
-        outer = inner[:-2]
-        items = []
-        for name, item in value.items():
-            if not isinstance(name, str):
-                raise TypeError(f"keys must be str, not {type(name).__name__}")
-            items.append(f"{_QUOTE(name)}: {_encode(item, depth + 1, memo)}")
-        return f"{{{inner}{(',' + inner).join(items)}{outer}}}"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")

@@ -12,7 +12,6 @@ import functools
 import random
 import time
 from fractions import Fraction
-from itertools import combinations
 
 import oracles
 from conftest import record_acceptance

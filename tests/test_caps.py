@@ -187,16 +187,18 @@ def test_witness_builds_each_table_from_spanned_normals(tmp_path, capsys, geomet
 
 
 @pytest.mark.parametrize("degenerate, work", [
-    (False, {"normals": 455}), (True, {"normals": 520, "det 0": 26}),
+    (False, {"normals": 455}), (True, {"normals": 496, "det 0": 2}),
 ])
 def test_member_read_takes_one_table_and_the_flats_tables(geometry_work, degenerate, work):
     """The member read of phi d=3, n=16 takes the instance's orientation
     table, one normal per point triple with a later point, C(15, 3) = 455,
     and in general position nothing more.  With the planted collinear
-    triple the table holds zeros, and each hyperplane through more than
-    three points is read as a flat of its own, carried onto its span with a
-    small table: 65 more normals, 26 of them of a point on a line, the
-    empty determinant.  A read that gave the table up at its first zero and
+    triple the table holds zeros, and each of the 13 planes through the
+    triple and one more point is read as a flat of its own, carried onto
+    its span with a small table of 3 normals.  The triple is a flat of each
+    of those planes and is read once: 2 normals of a point on a line, the
+    empty determinant.  Reading it once per plane took 520 normals and 26
+    empty determinants; a read that gave the table up at its first zero and
     took a normal per point triple, C(16, 3) = 560, plus its flats' took
     678 normals and 39 empty determinants."""
     config = generate_instance(
@@ -207,6 +209,28 @@ def test_member_read_takes_one_table_and_the_flats_tables(geometry_work, degener
     assert len(hdivision.member_masks(config)) >= 16
     assert geometry_work == work
     assert general_position(config) != degenerate
+
+
+def test_member_read_reads_each_flat_once(monkeypatch):
+    """The degenerate member read of phi d=3, n=16 calls ``_flat_sides``
+    once per point mask: once on the instance and once on each flat, the
+    13 planes through the planted collinear triple and the triple itself.
+    It took 53 calls for those 15 masks, 26 of them on the triple: two per
+    plane through it, one to carry it onto its line and one to read it
+    there."""
+    config = generate_instance(CampaignSpec(suite="phi", dim=3, n=16, seed=0, degenerate=True), 0)
+    calls = Counter()
+    flat_sides = hdivision._flat_sides
+
+    def counted(points, *rest):
+        calls[sum(bit for bit, _ in points)] += 1
+        return flat_sides(points, *rest)
+
+    monkeypatch.setattr(hdivision, "_flat_sides", counted)
+    hdivision.member_masks(config)
+    assert len(calls) == 15
+    assert set(calls.values()) == {1}
+    assert sorted(mask.bit_count() for mask in calls) == [3] + [4] * 13 + [16]
 
 
 def test_witness_builds_partitions_for_the_reported_transversal_only(monkeypatch, constructions):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import random
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -29,7 +28,6 @@ from hyperpart import (
     generate_instance,
     hyperplane_division,
     make_config,
-    max_transversal_size,
     min_transversal_size,
     member_witness,
     minimal_transversals,
@@ -196,9 +194,9 @@ def test_degenerate_read_checks_its_count_bounds(monkeypatch):
     eight_on_a_line = make_config(2, [(t, 0) for t in range(8)] + [(0, 1)])
     flat_sides = hdivision._flat_sides
 
-    def free_on_flats(points, dim, signs):
-        if dim == 2:
-            return flat_sides(points, dim, signs)
+    def free_on_flats(points, dim, signs, read):
+        if any(signs):  # the configuration's own read; a flat comes with no table
+            return flat_sides(points, dim, signs, read)
         everything = sum(bit for bit, _ in points)
         return set(hdivision._submasks(everything))
 

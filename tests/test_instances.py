@@ -180,12 +180,18 @@ _BLOCKS = st.lists(st.lists(st.integers(-3, 20), min_size=1, max_size=4), min_si
 @st.composite
 def _shared_docs(draw):
     """A report-shaped document holding one list of int lists (a member's
-    partition doc) three times at one depth, and another at three depths."""
+    partition doc) three times at one depth, and another at three depths,
+    as a list item, a dict value and a tuple item, next to an equal but
+    distinct list at the depths where a list looks its items up in the
+    memo."""
     same, mixed = draw(_BLOCKS), draw(_BLOCKS)
+    twin = [list(block) for block in mixed]
     return {
         "rest": draw(_REPORT_DOCS),
         "same": [same, same, {"again": None}, same],
         "mixed": [mixed, [mixed, [mixed]]],
+        "placed": {"value": mixed, "beside": [twin, (mixed, twin), [twin, mixed]]},
+        "after": [twin, mixed, (twin, mixed, (mixed,))],
     }
 
 
