@@ -4,21 +4,18 @@ Two colors: separation by a single hyperplane, its exact halfspace dual (whose
 nonempty intersection encodes separability of subsets through a designated
 point), and extraction of small inseparable subsets by a decide-only scan.
 
-The scan looks for the first inseparable subset of at most dim+2 points.  In
-general position it solves no LP: fewer than dim+2 points are affinely
-independent, hence separable, and dim+2 points are inseparable exactly when
-their labels are their unique Radon partition, whose sides are read from the
-configuration's orientation table (the t-th point's side is the sign of
-(-1)^t times the orientation of the other dim+1, ``geometry.radon_signs``),
-point by point up to the first label that disagrees.
-Degenerate configurations decide each candidate of three points or more (two
-distinct points are always separable) by one witness-free feasibility test
-of its halfspace dual through its first point (``_separable``), in dim
-unknowns.  By Kirchberger's theorem through an anchor (Helly on the
-halfspace dual), every inseparable configuration has an inseparable subset
+The scan looks for the first inseparable subset of at most dim+2 points and
+decides each candidate from orientation signs alone, with no solver
+(Björner, Las Vergnas, Sturmfels, White and Ziegler, *Oriented Matroids*,
+1999, §3.4-3.5).  A candidate of m points spanning dimension r is separable
+when m <= r+1; when m = r+2 its labels must follow the signs of its one
+affine dependence, which Cramer's rule reads off a table of orientations;
+when m >= r+3 a smaller candidate decides first.  By Kirchberger's theorem
+through an anchor, every inseparable configuration has an inseparable subset
 of at most dim+2 points through the anchor, so the Kirchberger routes scan
 first on every input and a hit decides "inseparable"; the direct LP runs
-only for the hyperplane of a separable configuration.
+only for the hyperplane of a separable configuration, and the LP on the
+halfspace dual (Helly's theorem) confirms either answer.
 
 k colors: deciding whether a family of hyperplanes can split the classes
 pairwise without cutting any class, and — when it cannot — extracting a small
@@ -58,6 +55,8 @@ from .geometry import (
     Hyperplane,
     Point,
     PointConfig,
+    _carried,
+    _chirotope,
     general_position,
     one_side_hyperplane,
     strict_separate,
@@ -219,46 +218,63 @@ def _first_inseparable(
     ids that meets ``required`` and whose two label classes (labels 0 and 1)
     cannot be strictly separated; None when there is none.
 
-    Only decided, never solved.  In general position smaller candidates are
-    all separable and are skipped, and a candidate of dim+2 points is
-    inseparable exactly when its labels split it as its Radon signs do
-    (``_splits_as_radon``).  Otherwise the scan starts at three points, as
-    two distinct points are always separable; a candidate with a single
-    label is skipped, since one class is always separable, and any other is
-    one witness-free feasibility test of its halfspace dual through its first
-    point (``_separable``).  By Kirchberger's theorem the search succeeds
-    whenever such a subset of any size exists.
+    Decided from signs, never solved.  A candidate of m points spanning
+    dimension r is separable when m <= r+1 and skipped when m >= r+3, since
+    Kirchberger's theorem inside its span gives a smaller inseparable
+    candidate through each of its points.  At m = r+2 its labels must follow
+    its affine dependence (``_splits_as_radon``): on the configuration's
+    table for dim+2 points (all 0 when r < dim), else on the chirotope of the
+    points carried onto their span (``geometry._carried``), unless a nonzero
+    sign shows dim+1 points independent.  In general position every smaller
+    candidate is independent, so the scan starts at dim+2 points; otherwise
+    at three, as two distinct points are always separable.  By Kirchberger's
+    theorem the search succeeds whenever such a subset of any size exists.
     """
-    if general_position(config):
-        table = config.orientations
-        for combo in combinations(config.ids, config.dim + 2):
-            if not required.isdisjoint(combo) and _splits_as_radon(table, combo, labels):
-                return combo
-        return None
-    for size in range(3, config.dim + 3):
+    table, top, general = config.orientations, config.dim + 2, general_position(config)
+    coords = {} if general else dict(zip(config.ids, config.integer_points))
+    for size in range(top if general else 3, top + 1):
         for combo in combinations(config.ids, size):
-            if required.isdisjoint(combo) or len({labels[i] for i in combo}) == 1:
+            if required.isdisjoint(combo):
                 continue
-            if not _separable([config.point(i) for i in combo], [labels[i] for i in combo],
-                              config.dim):
+            if size == top:
+                signs = table
+            elif size == top - 1 and table[combo]:
+                continue
+            else:
+                carried = _carried([coords[i] for i in combo])
+                rank = len(carried[0])
+                if size != rank + 2:
+                    continue
+                signs = dict(zip(combinations(combo, rank + 1), _chirotope(carried, rank)))
+            if _splits_as_radon(signs, combo, labels):
                 return combo
     return None
 
 
 def _splits_as_radon(
     table: Mapping[tuple[int, ...], int], combo: tuple[int, ...], labels: Mapping[int, int]
-) -> bool:
-    """Whether dim+2 increasing ids of a configuration in general position,
-    with orientation table ``table``, are labelled as their Radon partition.
-    The t-th point's Radon sign is (-1)^t times the orientation of the other
-    dim+1 (``radon_signs``), so it shares the first point's sign exactly
-    when that orientation equals the first's, t even, or differs, t odd.
-    Stops at the first point whose label disagrees; a single label always
-    disagrees somewhere, as both Radon sides are nonempty."""
-    first, sign = labels[combo[0]], table[combo[1:]]
-    for t in range(1, len(combo)):
-        radon_same = (table[combo[:t] + combo[t + 1:]] == sign) == (t % 2 == 0)
-        if (labels[combo[t]] == first) != radon_same:
+) -> Optional[bool]:
+    """Whether m increasing ids, with ``table`` holding the orientation of
+    every m-1 of them, are labelled as the signs of their affine dependence;
+    None when every sign is 0.  By Cramer's rule the t-th point's coefficient
+    is (-1)^t times the orientation of the other m-1 (``radon_signs``); a
+    nonzero one makes the dependence unique up to scale, and the label
+    classes' hulls meet exactly when one label holds the positive
+    coefficients and the other the negative, a zero one taking either label.
+    Stops at the first label that disagrees with the first nonzero
+    coefficient's; a single label always disagrees, as the coefficients sum
+    to 0."""
+    sign, first = table[combo[1:]], 0
+    while not sign:
+        first += 1
+        if first == len(combo):
+            return None
+        sign = table[combo[:first] + combo[first + 1:]]
+    label = labels[combo[first]]
+    for t in range(first + 1, len(combo)):
+        sign = -sign  # the orientation that gives the t-th point the first one's sign
+        other = table[combo[:t] + combo[t + 1:]]
+        if other and (labels[combo[t]] == label) != (other == sign):
             return False
     return True
 

@@ -16,9 +16,11 @@ dim-subset S gets the integer cofactor normal and offset of its hyperplane
 determinants otherwise), and the sign of S with one later point p added is
 (-1)^(dim-1) times the side of S's hyperplane that p lies on, one dot product
 per sign (``_chirotope``).  General position is "no zero in the table"
-(``general_position``), and on general-position input the table also decides
-every labelled dim+2-point subset without an LP: its labels must be its
-unique Radon partition, whose sides are the signs of ``radon_signs``.
+(``general_position``).  Points that do not span R^dim are carried onto the
+pivot columns of their differences (``_carried``), one-to-one on their span,
+where they get a table of their own.  The signs decide every labelled subset
+of at most dim+2 points without an LP: its labels must follow the signs of
+its affine dependence (``radon_signs`` in general position).
 """
 
 from __future__ import annotations
@@ -366,6 +368,16 @@ def _pivot_columns(rows: list[list[int]]) -> list[int]:
     return pivots
 
 
+def _carried(points: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Integer points carried onto the pivot columns of their differences
+    from the first (``_pivot_columns``): a map that is one-to-one on their
+    affine span, so the carried points keep every affine dependence and
+    span R^r, r their length (0 for a single point)."""
+    base = points[0]
+    pivots = _pivot_columns([[x - b for x, b in zip(p, base)] for p in points[1:]])
+    return [tuple(p[j] for j in pivots) for p in points]
+
+
 def orient(points: Sequence[Point], dim: int) -> int:
     """Orientation sign of dim+1 points, 0 iff they lie on a common hyperplane,
     read as the orientation table reads it: (-1)^(dim-1) times the side of
@@ -390,13 +402,11 @@ def _on_one_denominator(points: Sequence[Point]) -> tuple[tuple[int, ...], ...]:
 def general_position(config: PointConfig) -> bool:
     """True iff no dim+1 points lie on a common hyperplane, that is, no sign
     of the orientation table is 0; with fewer than dim+1 points, iff the
-    points are affinely independent: their n-1 difference rows from the
-    first have n-1 pivots."""
+    points are affinely independent: carried onto their span (``_carried``),
+    n points span R^(n-1)."""
     if len(config) > config.dim:
         return 0 not in config.orientations.values()
-    points = config.integer_points
-    rows = [[x - b for x, b in zip(p, points[0])] for p in points[1:]]
-    return len(_pivot_columns(rows)) == len(rows)
+    return len(_carried(config.integer_points)[0]) == len(config) - 1
 
 
 def radon_signs(config: PointConfig, ids: Sequence[int]) -> tuple[int, ...]:

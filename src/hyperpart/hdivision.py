@@ -58,8 +58,8 @@ from .geometry import (
     Hyperplane,
     Point,
     PointConfig,
+    _carried,
     _chirotope,
-    _pivot_columns,
     general_position,
     one_side_hyperplane,
     realize,
@@ -236,10 +236,10 @@ def _flat_sides(
     ``read`` holds the members of every flat read so far in this read of a
     configuration, by the flat's point mask.
 
-    Points with no nonzero sign do not affinely span R^dim: they are carried
-    onto the coordinates where their differences have pivots, which is
-    one-to-one on their span, and read there off a table of their own; a
-    hyperplane of R^dim meets the span in a hyperplane of it or misses it.
+    Points with no nonzero sign do not affinely span R^dim: ``_carried``
+    takes them onto the coordinates where their differences have pivots,
+    one-to-one on their span, and they are read there off a table of their
+    own; a hyperplane of R^dim meets the span in a hyperplane of it or misses it.
     Points that span R^dim make every cell of the dual arrangement a pointed
     cone, so each cell has a vertex: a hyperplane H spanned by a dim-subset
     S.  A sign s holds dim+1 points in id order; the point in slot t lies on
@@ -258,13 +258,12 @@ def _flat_sides(
     bits = [bit for bit, _ in points]
     everything = sum(bits)
     if not any(signs):
-        base = points[0][1]
-        pivots = _pivot_columns([[x - b for x, b in zip(coords, base)] for _, coords in points[1:]])
-        if not pivots:
+        carried = _carried([coords for _, coords in points])
+        dim = len(carried[0])
+        if not dim:
             return {everything}
-        points = [(bit, tuple(coords[j] for j in pivots)) for bit, coords in points]
-        dim = len(pivots)
-        signs = _chirotope([coords for _, coords in points], dim)
+        points = list(zip(bits, carried))
+        signs = _chirotope(carried, dim)
     plus = dict.fromkeys(map(sum, combinations(bits, dim)), 0)
     on = {span: span for span in plus}
     for combo, sign in zip(combinations(bits, dim + 1), signs):

@@ -164,6 +164,17 @@ def test_degenerate_reads_solve_no_lp(tmp_path, capsys, solver_calls, monkeypatc
     assert solver_calls == {}
 
 
+def test_degenerate_witness_solves_no_lp(tmp_path, capsys, solver_calls):
+    """The witness's cores come from the Kirchberger scan, which decides every
+    candidate from orientation signs: on the degenerate main instance at
+    d=3, n=16, k=8 it made 34,358 feasibility decisions when it decided each
+    candidate of a degenerate configuration by one, and makes none now."""
+    _, path = _instance(tmp_path, "main", 3, colors=8, degenerate=True)
+    doc = _run(capsys, ["witness", "--input", path])
+    assert (doc["size"], doc["size_bound"]) == (14, 176)
+    assert solver_calls == {}
+
+
 def test_perturb_of_degenerate_input_solves_no_lp(tmp_path, capsys, solver_calls):
     _, path = _instance(tmp_path, "phi", 2, degenerate=True)
     doc = _run(capsys, ["perturb", "--input", path, "--seed", "0"])

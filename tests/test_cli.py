@@ -437,6 +437,10 @@ _PHI_CAP = generate_instance(CampaignSpec(suite="phi", dim=3, n=16, seed=0), 0)
 _DEGENERATE_CAP = generate_instance(
     CampaignSpec(suite="phi", dim=3, n=16, seed=0, degenerate=True), 0
 )
+# Degenerate main at the caps: its witness cores come from the degenerate scan.
+_DEGENERATE_MAIN_CAP = generate_instance(
+    CampaignSpec(suite="main", dim=3, n=16, colors=8, seed=0, degenerate=True), 0
+)
 # Two-color instances for both Kirchberger routes: inseparable in general
 # position (a five-point witness), separable, and inseparable and separable
 # on a planted collinear triple.
@@ -607,6 +611,17 @@ _SEPARABLE_DEGENERATE = generate_instance(
             ["sep", "--a", "0", "--b", "1"],
             "05a3d0a740c899ce2d5facc0a4de5a0632e1d11cb10043f5e30d891c9ed9ba71",
         ),
+        (
+            _DEGENERATE_MAIN_CAP,
+            ["witness"],
+            "c47cb62d67863aa7c3b15eb6493d4b38fb2d9fb658e3472b2b117b38852db223",
+        ),
+        (
+            None,
+            ["verify", "--suite", "kirchberger", "--dim", "3", "--n", "16", "--trials", "10",
+             "--degenerate"],
+            "ed20b8f1325a3b7a679becaa5b23a35b7fe5b11825c39ef87ba4dd12e33e9b2c",
+        ),
     ],
     ids=[
         "partitionable",
@@ -639,6 +654,8 @@ _SEPARABLE_DEGENERATE = generate_instance(
         "transversals-degenerate-cap",
         "sep-cap",
         "sep-degenerate-cap",
+        "witness-degenerate-cap",
+        "verify-kirchberger-degenerate-cap",
     ],
 )
 def test_golden_report_bytes(tmp_path, capsys, config, argv, digest):

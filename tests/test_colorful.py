@@ -166,11 +166,44 @@ _COLLINEAR_IN_PLANE = make_config(2, [(0, 0), (1, 1), (2, 2), (3, 0)], colors=[0
 _COPLANAR_IN_SPACE = make_config(
     3, [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 1)], colors=[0, 0, 1, 1, 0]
 )
+# One inseparable shape per branch of the degenerate scan.  Four coplanar
+# points labelled as their planar Radon split, and one point off the plane:
+# m = r+2 points, fewer than dim+2.
+_PLANAR_SPLIT_IN_SPACE = make_config(
+    3, [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 5)], colors=[0, 1, 1, 0, 0]
+)
+# Four collinear points labelled so that they are separable, and two off
+# their line: m >= r+3, reached before the first inseparable candidate.
+_FOUR_ON_A_LINE = make_config(
+    3,
+    [(0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3), (3, 1, 1), (2, 0, 0)],
+    colors=[0, 0, 1, 1, 0, 1],
+)
+# Five coplanar points labelled so that they are separable, and a segment
+# through the triangle of three of them: dim+2 points whose orientation
+# signs are all 0, reached before the first inseparable candidate.
+_FIVE_IN_A_PLANE = make_config(
+    3,
+    [(0, 0, 0), (4, 0, 0), (0, 4, 0), (6, 5, 0), (5, 6, 0), (1, 1, 1), (1, 1, -1)],
+    colors=[0, 0, 0, 1, 1, 1, 1],
+)
+# A collinear triple and an anchor off its line, first in id order, whose
+# coefficient in the dependence of the four is 0.
+_TRIPLE_AND_ANCHOR = make_config(2, [(0, 5), (0, 0), (1, 0), (2, 0)], colors=[1, 0, 1, 0])
+# n <= dim+1 points, three of them collinear.
+_FEW_IN_SPACE = make_config(
+    3, [(0, 0, 0), (1, 1, 1), (2, 2, 2), (0, 1, 0)], colors=[0, 1, 0, 1]
+)
 
 
 @settings(max_examples=40)
 @example(_COLLINEAR_IN_PLANE)
 @example(_COPLANAR_IN_SPACE)
+@example(_PLANAR_SPLIT_IN_SPACE)
+@example(_FOUR_ON_A_LINE)
+@example(_FIVE_IN_A_PLANE)
+@example(_TRIPLE_AND_ANCHOR)
+@example(_FEW_IN_SPACE)
 @given(degenerate_colored(colors=2))
 def test_kirchberger_witness_matches_brute_scan(cfg):
     for anchor in cfg.ids:
@@ -180,12 +213,18 @@ def test_kirchberger_witness_matches_brute_scan(cfg):
 @settings(max_examples=40)
 @example(_COLLINEAR_IN_PLANE)
 @example(_COPLANAR_IN_SPACE)
+@example(_PLANAR_SPLIT_IN_SPACE)
+@example(_FOUR_ON_A_LINE)
+@example(_FIVE_IN_A_PLANE)
+@example(_TRIPLE_AND_ANCHOR)
+@example(_FEW_IN_SPACE)
 @given(degenerate_colored(colors=2))
 def test_kirchberger_routes_match_brute_scan_on_degenerate_input(cfg):
-    """Off general position the anchored scan decides by one feasibility test
-    per candidate, from three points up; it must give the brute scan's
-    witness, which starts at two, through every anchor, and the direct LP's
-    hyperplane when separable."""
+    """Off general position the anchored scan decides each candidate from
+    orientation signs, from three points up, with no feasibility test; it
+    must give the brute scan's witness, which starts at two and solves an
+    LP per candidate, through every anchor, and the direct LP's hyperplane
+    when separable."""
     for anchor in cfg.ids:
         expected = oracles.brute_kirchberger_witness(cfg, anchor)
         routes = colorful.kirchberger_routes(cfg, anchor)
@@ -196,6 +235,11 @@ def test_kirchberger_routes_match_brute_scan_on_degenerate_input(cfg):
 @settings(max_examples=40)
 @example(_COLLINEAR_IN_PLANE)
 @example(_COPLANAR_IN_SPACE)
+@example(_PLANAR_SPLIT_IN_SPACE)
+@example(_FOUR_ON_A_LINE)
+@example(_FIVE_IN_A_PLANE)
+@example(_TRIPLE_AND_ANCHOR)
+@example(_FEW_IN_SPACE)
 @given(degenerate_colored(colors=3))
 def test_witness_cores_match_brute_scan(cfg):
     assume(cfg.k >= 2 and is_partitionable(cfg) is None)
@@ -207,7 +251,7 @@ def test_witness_cores_match_brute_scan(cfg):
 
 
 def _decision_sizes(monkeypatch):
-    """Count the scan's decisions by candidate size: the halfspace dual
+    """Count the feasibility decisions by candidate size: the halfspace dual
     through a candidate's first point has one row per other point."""
     sizes = Counter()
     decide = colorful.is_feasible
@@ -221,13 +265,15 @@ def _decision_sizes(monkeypatch):
 
 
 @pytest.mark.parametrize("dim, trial, expected", [
-    (2, 0, {3: 84, 4: 17}),
-    (3, 2, {3: 84, 4: 420, 5: 80}),
+    (2, 0, {}),
+    (3, 2, {}),
 ])
 def test_degenerate_scan_decides_no_pair(monkeypatch, dim, trial, expected):
-    """Two distinct points are always strictly separable, so the degenerate
-    scan starts at three points.  Starting at two took 8 pair decisions per
-    call on these n=16 trials, and the witness is still the brute scan's."""
+    """The degenerate scan decides every candidate from orientation signs, so
+    both routes together make no feasibility decision on these n=16 trials
+    (by candidate size, {3: 84, 4: 17} and {3: 84, 4: 420, 5: 80} when the
+    scan decided each candidate by one), and the witness is still the brute
+    scan's."""
     spec = CampaignSpec(suite="kirchberger", dim=dim, n=16, colors=2, seed=0, degenerate=True)
     cfg = generate_instance(spec, trial)
     assert not general_position(cfg)
