@@ -26,8 +26,6 @@ from .partitions import minimal_separating_sets, separating_sets
 
 SUITES = ("phi", "kirchberger", "main", "duality", "eta-bound")
 
-_BOUND_SEARCH_MAX_N = 12
-
 
 def _trial_phi(spec: CampaignSpec, trial: int) -> dict:
     config = generate_instance(spec, trial)
@@ -196,10 +194,6 @@ def bound_search(spec: CampaignSpec) -> dict:
     and compare it with the guaranteed witness-size bound."""
     if spec.colors < 2:
         raise DomainError("bound search needs at least 2 colors")
-    if spec.n > _BOUND_SEARCH_MAX_N:
-        raise DomainError(
-            f"bound search is exhaustive; n is capped at {_BOUND_SEARCH_MAX_N}"
-        )
     results = _run_trials(spec, _trial_bound_search)
     thresholds = [r["threshold"] for r in results if r.get("threshold") is not None]
     return _report(

@@ -44,9 +44,8 @@ feasibility test of its halfspace dual (``_separable``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import combinations
-from operator import and_, or_, xor
 from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
 
 from .counting import witness_size_bound
@@ -66,7 +65,7 @@ from .hdivision import check_witness, member_masks, restricted_masks, traces
 # in this module
 from .hdivision import hyperplane_division  # noqa: F401
 from .linsolve import IntRow, feasible_point, is_feasible
-from .partitions import Partition, minimalize_masks, pair_masks
+from .partitions import Partition, at_bits, minimalize_masks, separating_sets
 
 
 def _require_colors(config: PointConfig, most: Optional[int] = None) -> None:
@@ -468,17 +467,16 @@ def is_partitionable_by_enumeration(config: PointConfig) -> bool:
     grouping, so the 2^(k-1)-1 nontrivial groupings with color 0 on side A
     are each decided by one witness-free feasibility test of the halfspace
     dual through the first point, which has color 0 (``_separable``); the
-    member set, which the grouping table reads, is not used."""
+    member set, which the grouping table reads, is not used.  The
+    configuration is partitionable when every pair of colors has a
+    realizable grouping separating it (``separating_sets`` over colors)."""
     _require_colors(config)
     realizable = [  # side A's colors: the odd bitmasks, less all colors (trivial)
         plus
         for plus in range(1, (1 << config.k) - 1, 2)
         if _separable(config.points, [plus >> c & 1 for c in config.colors], config.dim)
     ]
-    return all(
-        any((plus >> c1 ^ plus >> c2) & 1 for plus in realizable)
-        for c1, c2 in combinations(range(config.k), 2)
-    )
+    return all(found for _, found in separating_sets(realizable, range(config.k)))
 
 
 def smallest_blocked_subset_size(config: PointConfig) -> Optional[int]:
@@ -540,39 +538,32 @@ def _witness_report(config: PointConfig, groupings: _Groupings) -> WitnessReport
     Colors are numbered by first appearance in id order, so representative
     t is color t's least id, and the representatives' members (the table
     restricted to them) are color groupings, bit t for color t, scanned in
-    ``Division``'s canonical order.  Only the reported members become
+    ``Division``'s canonical order.  Each pair of colors gets the set of
+    members separating it (``separating_sets``); the blocking members are
+    tested and minimalized on those sets, and the reported pairs are those
+    whose set is the minimal transversal.  Only the reported members become
     ``Partition``s.  The witness's re-check reads the table restricted to it."""
     reps = tuple(ids[0] for _, ids in sorted(config.color_classes.items()))
-    k = len(reps)
-    colors = range(k)
+    colors = range(len(reps))
     members = sorted(
         groupings.restricted(reps).members, key=lambda m: [c for c in colors if m >> c & 1]
     )
-    incident = pair_masks(k)
-    separated = [reduce(xor, (incident[c] for c in colors if m >> c & 1)) for m in members]
+    separating = separating_sets(members, colors)
     # a member blocks when its extension, the grouping of its mask, is not
     # realizable (the trivial member's always is)
     blocking = sum(1 << i for i, m in enumerate(members) if not groupings.realizable(m))
-    pair_list = list(combinations(colors, 2))
-    minimal = minimalize_masks(separated, blocking, (1 << len(pair_list)) - 1)
+    minimal = minimalize_masks([found for _, found in separating], blocking)
     if minimal is None:
         raise VerificationError(
             "non-extendable members fail to hit every full subdivision"
         )
-    kept = [i for i in range(len(members)) if minimal >> i & 1]
-    # the pairs separated by every kept member and by no other member
-    inside = reduce(and_, (separated[i] for i in kept))
-    outside = reduce(or_, (s for i, s in enumerate(separated) if not minimal >> i & 1), 0)
-    pairs = tuple(
-        (reps[a], reps[b]) for t, (a, b) in enumerate(pair_list) if (inside & ~outside) >> t & 1
-    )
+    pairs = tuple((reps[a], reps[b]) for (a, b), found in separating if found == minimal)
     if not pairs:
         raise VerificationError("minimal transversal is not a separating set of a pair")
 
     rep_set = set(reps)
     cores: dict[Partition, tuple[int, ...]] = {}
-    for i in kept:
-        plus = members[i]
+    for plus in at_bits(members, minimal):
         blocks = ([], [])
         for c in colors:
             blocks[not plus >> c & 1].append(reps[c])

@@ -12,9 +12,8 @@ coordinate.
 
 One elimination, two entries.  ``feasible_point`` back-substitutes a witness
 from the elimination's stages; ``is_feasible`` only asks whether the
-elimination got through, for the callers that would throw a witness away
-(the partitionability cross-check and the inseparable-subset scan on
-degenerate input).
+elimination got through, for the one caller that would throw a witness
+away (the partitionability cross-check).
 
 At variable j every row's first j coefficients are zero.  A row whose
 coefficient at j is zero too is carried over as it is: it is reduced

@@ -6,20 +6,20 @@ canonical order (blocks sorted by least id, members sorted by block tuples) so
 that structural equality is set equality and every scan is deterministic.
 
 Separation and transversals run on bitmasks: a set of members is an int, bit
-i for the i-th in canonical order, so inclusion is ``a & b == a``.  A
-division's members hold the pairs they separate (``Division._separated``);
-bipartitions given as first-block masks over points hold them as columns
-(``separating_sets``).  One routine, ``minimal_separating_sets``, picks the
-minimal transversals out of either.
+i for the i-th in canonical order, so inclusion is ``a & b == a``.  Which
+members separate which pair is held one way only, per pair: the set of
+members separating it.  A division holds them in ``Division._separating``;
+bipartitions given as first-block masks over points get them from
+``separating_sets``.  ``minimal_separating_sets`` picks the minimal
+transversals out of either, and ``minimalize_masks`` tests and minimalizes
+a transversal on them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import combinations, compress
-from math import comb
-from operator import or_, xor
 from typing import Iterable, Optional, Sequence, TypeVar
 
 from .errors import DomainError, InvalidConfig
@@ -92,16 +92,6 @@ def restrict(partition: Partition, ids: Iterable[int]) -> Partition:
     return Partition(tuple(b for b in blocks if b))
 
 
-def pair_masks(count: int) -> list[int]:
-    """Per position of ``count`` items, the bitmask of the pairs it is in,
-    bit t for the t-th of ``combinations(range(count), 2)``."""
-    masks = [0] * count
-    for t, (a, b) in enumerate(combinations(range(count), 2)):
-        masks[a] |= 1 << t
-        masks[b] |= 1 << t
-    return masks
-
-
 @dataclass(frozen=True)
 class Division:
     """A support set together with a deduplicated family of partitions of it."""
@@ -133,35 +123,45 @@ class Division:
         return {m: i for i, m in enumerate(self.members)}
 
     @cached_property
-    def _separated(self) -> tuple[int, ...]:
-        """Per member, in order, the bitmask of the pairs it separates (bit t
-        for the t-th of ``combinations`` of the sorted support): the pairs
-        with one id in a block, the XOR of its ids' pair masks over each
-        block."""
-        pairs = dict(zip(sorted(self.support), pair_masks(len(self.support))))
-        return tuple(
-            reduce(or_, (reduce(xor, map(pairs.get, block)) for block in m.blocks))
-            for m in self.members
-        )
-
-    @property
-    def _all_pairs(self) -> int:
-        return (1 << comb(len(self.support), 2)) - 1
+    def _separating(self) -> dict[tuple[int, int], int]:
+        """Per pair of support ids a < b, in the order of ``combinations``,
+        the bitmask of the members separating it (bit i for the i-th).  With
+        ``slots[x][t]`` the members whose t-th block holds x, a pair's set is
+        every member but those holding a and b in one slot; a member holds a
+        in one slot only, so the slots' shares are disjoint and add up."""
+        width = max((len(m.blocks) for m in self.members), default=0)
+        slots = {x: [0] * width for x in self.support}
+        for i, member in enumerate(self.members):
+            bit = 1 << i
+            for t, block in enumerate(member.blocks):
+                for x in block:
+                    slots[x][t] |= bit
+        every = (1 << len(self.members)) - 1
+        return {
+            (a, b): every - sum(map(int.__and__, slots[a], slots[b]))
+            for a, b in combinations(sorted(self.support), 2)
+        }
 
 
 def is_full(division: Division) -> bool:
     """Every pair of distinct support ids is separated by some member."""
-    return reduce(or_, division._separated, 0) == division._all_pairs
+    return all(division._separating.values())
+
+
+def _separating_set(division: Division, a: int, b: int) -> int:
+    """The members separating ids a and b; DomainError unless they are two
+    distinct support ids."""
+    pair_positions(sorted(division.support), a, b)
+    return division._separating[min(a, b), max(a, b)]
 
 
 def separating_members(division: Division, a: int, b: int) -> tuple[Partition, ...]:
-    bit = _pair_bit(division, a, b)
-    return tuple(m for m, pairs in zip(division.members, division._separated) if pairs & bit)
+    return tuple(at_bits(division.members, _separating_set(division, a, b)))
 
 
 def nonseparating_members(division: Division, a: int, b: int) -> tuple[Partition, ...]:
-    bit = _pair_bit(division, a, b)
-    return tuple(m for m, pairs in zip(division.members, division._separated) if not pairs & bit)
+    found = _separating_set(division, a, b)
+    return tuple(m for i, m in enumerate(division.members) if not found >> i & 1)
 
 
 def pair_positions(ids: Sequence[int], a: int, b: int) -> tuple[int, int]:
@@ -175,37 +175,31 @@ def pair_positions(ids: Sequence[int], a: int, b: int) -> tuple[int, int]:
     return ids.index(a), ids.index(b)
 
 
-def _pair_bit(division: Division, a: int, b: int) -> int:
-    """The bit of pair (a, b) in ``Division._separated``."""
-    n = len(division.support)
-    p, q = sorted(pair_positions(sorted(division.support), a, b))
-    return 1 << (p * (2 * n - p - 1) // 2 + q - p - 1)
-
-
 def at_bits(items: Sequence[_T], mask: int) -> list[_T]:
     """The items at the set bits of ``mask``, in order."""
     return list(compress(items, map("1".__eq__, bin(mask)[:1:-1])))
 
 
-def minimalize_masks(separated: Sequence[int], chosen: int, pairs: int) -> Optional[int]:
+def minimalize_masks(separating: Iterable[int], chosen: int) -> Optional[int]:
     """``is_transversal`` and ``minimalize_transversal`` on bitmasks: per
-    member in canonical order the pairs it separates, all pairs, and the
-    chosen members (bit i for the i-th).  None when the chosen members are
-    no transversal, else the ones the greedy descent keeps; the members
-    outside only grow, so their pairs are one running mask."""
-    whole = outside = 0
-    for i, sep in enumerate(separated):
-        whole |= sep
-        if not chosen >> i & 1:
-            outside |= sep
-    if whole != pairs:
+    pair the members separating it, and the chosen members (bit i for the
+    i-th in canonical order).  The chosen members are a transversal when
+    some pair's set lies inside them; None when none does, else the ones
+    the greedy descent keeps.  The descent scans the members in order and
+    keeps the "live" pairs, whose sets lie inside the kept members; it drops
+    member i when some live pair's set lacks i, and then only those pairs
+    stay live."""
+    separating = list(separating)
+    if not all(separating):
         raise DomainError("transversals are defined for full divisions only")
-    if outside == pairs:
+    live = [found for found in separating if found & chosen == found]
+    if not live:
         return None
-    for i, sep in enumerate(separated):
-        if chosen >> i & 1 and outside | sep != pairs:
+    for i in at_bits(range(chosen.bit_length()), chosen):
+        lacking = [found for found in live if not found >> i & 1]
+        if lacking:
             chosen ^= 1 << i
-            outside |= sep
+            live = lacking
     return chosen
 
 
@@ -216,7 +210,7 @@ def _descend(division: Division, subset: Iterable[Partition]) -> Optional[int]:
         if member not in division._index:
             raise DomainError("subset contains partitions outside the division")
         chosen |= 1 << division._index[member]
-    return minimalize_masks(division._separated, chosen, division._all_pairs)
+    return minimalize_masks(division._separating.values(), chosen)
 
 
 def is_transversal(division: Division, subset: Iterable[Partition]) -> bool:
@@ -259,17 +253,10 @@ class MinimalTransversal:
 
 def minimal_transversals(division: Division) -> tuple[MinimalTransversal, ...]:
     """All inclusion-minimal transversals, each tagged with a realizing pair:
-    ``minimal_separating_sets`` on the members separating each pair, read
-    off ``Division._separated``."""
-    members = division.members
-    pairs = list(combinations(sorted(division.support), 2))
-    separating = [0] * len(pairs)
-    for i, separated in enumerate(division._separated):
-        for t in at_bits(range(len(pairs)), separated):
-            separating[t] |= 1 << i
+    ``minimal_separating_sets`` on ``Division._separating``."""
     return tuple(
-        MinimalTransversal(pair, tuple(at_bits(members, found)))
-        for pair, found in minimal_separating_sets(zip(pairs, separating))
+        MinimalTransversal(pair, tuple(at_bits(division.members, found)))
+        for pair, found in minimal_separating_sets(division._separating.items())
     )
 
 
@@ -282,10 +269,10 @@ def separating_sets(
     positions of ``ids``.  With ``col[p]`` the bipartitions whose first block
     holds position p, pair (p, q)'s set is ``col[p] ^ col[q]``; the trivial
     member's first block holds every position, so it separates no pair."""
-    cols = [0] * len(ids)
-    for i, first in enumerate(firsts):
-        for p in at_bits(range(len(ids)), first):
-            cols[p] |= 1 << i
+    firsts = list(firsts)
+    cols = [
+        sum(1 << i for i, first in enumerate(firsts) if first >> p & 1) for p in range(len(ids))
+    ]
     return [
         ((ids[p], ids[q]), cols[p] ^ cols[q]) for p, q in combinations(range(len(ids)), 2)
     ]

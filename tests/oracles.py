@@ -54,8 +54,6 @@ from hyperpart import (
     color_separating_hyperplane,
     extend_partition,
     hyperplane_division,
-    is_transversal,
-    minimalize_transversal,
     restrict,
     separating_members,
     strict_separate,
@@ -212,13 +210,25 @@ def brute_partitionable_by_enumeration(config: PointConfig) -> bool:
 def partition_witness_report(config: PointConfig, groupings) -> WitnessReport:
     """``colorful._witness_report`` as it stood before it worked on color
     bitmasks: the representatives' division built as ``Partition``s, the
-    blocking set, transversal test and greedy descent on that ``Division``,
-    the separating pairs by ``separating_members`` and each core's labels by
-    ``extend_partition``.  The grouping table is ``colorful._Groupings`` of
-    the configuration, which must be non-partitionable."""
+    blocking set, and each core's labels by ``extend_partition``.
+    Transversality and the separating pairs are read off
+    ``Partition.separates`` alone: a subset is a transversal when some pair
+    is separated by no member outside it, the greedy descent drops each
+    member in canonical order while the rest stays one, and the reported
+    pairs are those separated by exactly the kept members.  The grouping
+    table is ``colorful._Groupings`` of the configuration, which must be
+    non-partitionable."""
     classes = config.color_classes
     reps = tuple(min(ids) for _, ids in sorted(classes.items()))
     rep_div = division_of_masks(reps, groupings.restricted(reps).members)
+    separating = {
+        (a, b): {m for m in rep_div.members if m.separates(a, b)}
+        for a, b in combinations(sorted(reps), 2)
+    }
+
+    def transversal(chosen) -> bool:
+        return any(members <= set(chosen) for members in separating.values())
+
     blocking = []
     for member in rep_div.members:
         if member.is_trivial:
@@ -226,16 +236,17 @@ def partition_witness_report(config: PointConfig, groupings) -> WitnessReport:
         # the extension puts the colors of one block on one side: a grouping
         if not groupings.realizable(sum(1 << config.color_of(i) for i in member.blocks[0])):
             blocking.append(member)
-    if not is_transversal(rep_div, blocking):
+    if not transversal(blocking):
         raise VerificationError(
             "non-extendable members fail to hit every full subdivision"
         )
-    minimal = minimalize_transversal(rep_div, blocking)
-    pairs = tuple(
-        (a, b)
-        for a, b in combinations(sorted(reps), 2)
-        if set(separating_members(rep_div, a, b)) == set(minimal)
-    )
+    minimal = list(blocking)
+    for member in blocking:
+        rest = [m for m in minimal if m != member]
+        if transversal(rest):
+            minimal = rest
+    minimal = tuple(minimal)
+    pairs = tuple(pair for pair, members in separating.items() if members == set(minimal))
     if not pairs:
         raise VerificationError("minimal transversal is not a separating set of a pair")
 

@@ -146,6 +146,16 @@ def test_bound_search(capsys):
         assert r["partitionable"] or r["threshold"] <= 9
 
 
+def test_bound_search_runs_to_the_cli_point_cap(capsys):
+    """The library sets no cap of its own: n=13 runs, and n=17 is refused by
+    the CLI's desk-scale cap unless --unsafe-large is given."""
+    doc = _run_json(capsys, ["bound-search", "--dim", "2", "--n", "13", "--colors", "3", "--trials", "1"])
+    assert doc["ok"] is True
+    code, out, err = _run(capsys, ["bound-search", "--dim", "2", "--n", "17", "--colors", "3", "--trials", "1"])
+    assert code == 1 and out == ""
+    assert "--unsafe-large" in err
+
+
 def test_bound_search_records_a_failed_trial(monkeypatch, capsys):
     """A trial that raises VerificationError is listed with its message and
     its instance document, the other trials read as they do without it, and

@@ -1,4 +1,5 @@
-"""Every imported name is read by the module that imports it.
+"""Every imported name is read by the module that imports it, and every
+name the benchmark's tracer wraps exists.
 
 No linter ships with the project, so this reads each module of the package
 and of the tests with ``ast``: a name bound by an import and never loaded,
@@ -9,6 +10,8 @@ another module looks up) says so with ``# noqa: F401`` on its statement.
 from __future__ import annotations
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,3 +61,31 @@ def test_the_scan_finds_what_it_should():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: f"{path.parent.name}/{path.name}")
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _load_tracer():
+    """``perfbench/tracer.py``, loaded by path: the benchmark's per-layer
+    spans wrap package functions by name."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_benchmark_tracer_wraps_names_that_exist_and_restores_them():
+    """Every function the benchmark's tracer wraps is still there, and
+    installing then uninstalling the tracer leaves every attribute of every
+    ``hyperpart`` module, and of the classes it wraps methods on, as it was."""
+    tracer = _load_tracer()
+    for owner, attr, _, _ in tracer._TARGETS:
+        assert hasattr(owner, attr), (owner, attr)
+    holders = [m for key, m in sys.modules.items() if key == "hyperpart" or key.startswith("hyperpart.")]
+    holders += [owner for owner, *_ in tracer._TARGETS if isinstance(owner, type)]
+    before = [(holder, dict(vars(holder))) for holder in holders]
+    t = tracer.Tracer()
+    t.install()
+    t.uninstall()
+    for holder, attrs in before:
+        after = dict(vars(holder))
+        assert after.keys() == attrs.keys(), holder
+        assert all(after[key] is value for key, value in attrs.items()), holder

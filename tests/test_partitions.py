@@ -169,12 +169,13 @@ def test_pair_separating_sets_are_transversals(dim, n, seed):
 
 @st.composite
 def _divisions(draw):
-    """Divisions of 2 to 6 ids whose members have one to four blocks, with
-    at most 8 members so that every subfamily can be listed."""
-    ids = range(draw(st.integers(2, 6)))
+    """Divisions of 1 to 6 ids whose members have one to four blocks, with
+    at most 8 members so that every subfamily can be listed; one id leaves
+    no pair, and no members leave no block slot."""
+    ids = range(draw(st.integers(1, 6)))
     labels = st.lists(st.integers(0, 3), min_size=len(ids), max_size=len(ids))
     members = []
-    for blocks in draw(st.lists(labels, min_size=1, max_size=8)):
+    for blocks in draw(st.lists(labels, max_size=8)):
         groups: dict = {}
         for x, label in zip(ids, blocks):
             groups.setdefault(label, []).append(x)
@@ -182,15 +183,34 @@ def _divisions(draw):
     return Division(frozenset(ids), tuple(members))
 
 
+def _drawn_members(data, division):
+    """A drawn set of the division's members (``sampled_from`` needs at least
+    one to draw from)."""
+    if not division.members:
+        return set()
+    return data.draw(st.sets(st.sampled_from(division.members)))
+
+
+def _greedy_descent(division, chosen, masks):
+    """The members of ``chosen`` that the greedy descent keeps, in canonical
+    order, by the literal reading of transversality: each member is dropped
+    when the rest still meets every full subfamily."""
+    expected = set(chosen)
+    for member in division.members:
+        if member in expected and oracles.brute_is_transversal(division, expected - {member}, masks):
+            expected.remove(member)
+    return tuple(m for m in division.members if m in expected)
+
+
 @settings(max_examples=150)
 @given(_divisions(), st.data())
 def test_fullness_and_transversals_match_their_definitions(division, data):
     """Fullness against its pairwise definition, and each pair's
     (non)separating members against ``Partition.separates``; on full
-    divisions, ``minimal_transversals`` against the Partition scan,
-    ``is_transversal`` against the literal reading and
-    ``minimalize_transversal`` against its greedy descent by that reading,
-    for a drawn subset and for the whole division."""
+    divisions, ``minimal_transversals`` against the Partition scan (both
+    refuse a support of one id), ``is_transversal`` against the literal
+    reading and ``minimalize_transversal`` against its greedy descent by
+    that reading, for a drawn subset and for the whole division."""
     pairs = list(combinations(sorted(division.support), 2))
     assert is_full(division) == all(any(m.separates(a, b) for m in division.members) for a, b in pairs)
     for a, b in pairs:
@@ -202,47 +222,46 @@ def test_fullness_and_transversals_match_their_definitions(division, data):
         with pytest.raises(DomainError, match="full divisions only"):
             minimal_transversals(division)
         return
-    assert minimal_transversals(division) == oracles.scan_minimal_transversals(division)
+    if pairs:
+        assert minimal_transversals(division) == oracles.scan_minimal_transversals(division)
+    else:
+        for scan in (minimal_transversals, oracles.scan_minimal_transversals):
+            with pytest.raises(DomainError, match="at least two support ids"):
+                scan(division)
     masks = oracles.full_subfamily_masks(division)
-    drawn = data.draw(st.sets(st.sampled_from(division.members)))
+    drawn = _drawn_members(data, division)
     assert is_transversal(division, drawn) == oracles.brute_is_transversal(division, drawn, masks)
     for chosen in (drawn, set(division.members)):
-        if not oracles.brute_is_transversal(division, chosen, masks):
-            continue
-        expected = set(chosen)
-        for member in division.members:
-            if member in expected and oracles.brute_is_transversal(division, expected - {member}, masks):
-                expected.remove(member)
-        assert minimalize_transversal(division, chosen) == tuple(
-            m for m in division.members if m in expected
-        )
+        if oracles.brute_is_transversal(division, chosen, masks):
+            assert minimalize_transversal(division, chosen) == _greedy_descent(division, chosen, masks)
 
 
 @settings(max_examples=150)
 @given(_divisions(), st.data())
 def test_mask_routine_is_the_transversal_test_and_descent(division, data):
-    """``minimalize_masks`` on separated-pair masks read here off
-    ``Partition.separates``, for a drawn subset: None exactly when
-    ``is_transversal`` says no, else the members ``minimalize_transversal``
-    keeps; DomainError on a division that is not full, as both raise."""
+    """``minimalize_masks`` on per-pair separating sets read here off
+    ``Partition.separates``, for a drawn subset and for the whole division:
+    None exactly when the literal reading finds no transversal, else the
+    members its greedy descent keeps; DomainError when some pair has no
+    separating member."""
     members = division.members
-    pairs = list(combinations(sorted(division.support), 2))
-    separated = [sum(1 << t for t, (a, b) in enumerate(pairs) if m.separates(a, b)) for m in members]
-    drawn = data.draw(st.sets(st.sampled_from(members)))
-    chosen = sum(1 << i for i, m in enumerate(members) if m in drawn)
-    everything = (1 << len(pairs)) - 1
-    if not is_full(division):
-        with pytest.raises(DomainError):
-            minimalize_masks(separated, chosen, everything)
-        with pytest.raises(DomainError):
-            is_transversal(division, drawn)
+    separating = [
+        sum(1 << i for i, m in enumerate(members) if m.separates(a, b))
+        for a, b in combinations(sorted(division.support), 2)
+    ]
+    drawn = _drawn_members(data, division)
+    if not all(separating):
+        with pytest.raises(DomainError, match="full divisions only"):
+            minimalize_masks(separating, sum(1 << i for i, m in enumerate(members) if m in drawn))
         return
-    kept = minimalize_masks(separated, chosen, everything)
-    assert (kept is not None) == is_transversal(division, drawn)
-    if kept is not None:
-        assert tuple(m for i, m in enumerate(members) if kept >> i & 1) == minimalize_transversal(
-            division, drawn
-        )
+    masks = oracles.full_subfamily_masks(division)
+    for chosen in (drawn, set(members)):
+        kept = minimalize_masks(separating, sum(1 << i for i, m in enumerate(members) if m in chosen))
+        if oracles.brute_is_transversal(division, chosen, masks):
+            assert kept is not None
+            assert tuple(at_bits(members, kept)) == _greedy_descent(division, chosen, masks)
+        else:
+            assert kept is None
 
 
 @settings(max_examples=80, deadline=None)
