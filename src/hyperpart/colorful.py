@@ -167,7 +167,7 @@ def kirchberger_witness(config: PointConfig, base_id: int) -> Optional[tuple[int
     not, so the anchored scan alone decides on every input."""
     _require_colors(config, most=2)
     config.point(base_id)
-    return _first_inseparable(config, dict(zip(config.ids, config.colors)), {base_id})
+    return _first_inseparable(config, dict(zip(config.ids, config.colors)), {base_id}, {})
 
 
 @dataclass(frozen=True)
@@ -211,7 +211,8 @@ def _found(subset: Optional[tuple[int, ...]], config: PointConfig,
 
 
 def _first_inseparable(
-    config: PointConfig, labels: Mapping[int, int], required: AbstractSet[int]
+    config: PointConfig, labels: Mapping[int, int], required: AbstractSet[int],
+    spans: dict[tuple[int, ...], Optional[dict]],
 ) -> Optional[tuple[int, ...]]:
     """The first subset, by size then lexicographic order, of at most dim+2
     ids that meets ``required`` and whose two label classes (labels 0 and 1)
@@ -228,6 +229,12 @@ def _first_inseparable(
     candidate is independent, so the scan starts at dim+2 points; otherwise
     at three, as two distinct points are always separable.  By Kirchberger's
     theorem the search succeeds whenever such a subset of any size exists.
+
+    A carried candidate's rank and chirotope depend on its points alone, not
+    on the labels, so ``spans`` keeps them by candidate: its chirotope, or
+    None when its size is not its rank+2.  The caller makes one per call on
+    one configuration and passes it to each scan, so every candidate is
+    carried at most once however many labellings are scanned.
     """
     table, top, general = config.orientations, config.dim + 2, general_position(config)
     coords = {} if general else dict(zip(config.ids, config.integer_points))
@@ -239,13 +246,16 @@ def _first_inseparable(
                 signs = table
             elif size == top - 1 and table[combo]:
                 continue
+            elif combo in spans:
+                signs = spans[combo]
             else:
                 carried = _carried([coords[i] for i in combo])
                 rank = len(carried[0])
-                if size != rank + 2:
-                    continue
-                signs = dict(zip(combinations(combo, rank + 1), _chirotope(carried, rank)))
-            if _splits_as_radon(signs, combo, labels):
+                signs = spans[combo] = (
+                    dict(zip(combinations(combo, rank + 1), _chirotope(carried, rank)))
+                    if size == rank + 2 else None
+                )
+            if signs is not None and _splits_as_radon(signs, combo, labels):
                 return combo
     return None
 
@@ -542,7 +552,8 @@ def _witness_report(config: PointConfig, groupings: _Groupings) -> WitnessReport
     members separating it (``separating_sets``); the blocking members are
     tested and minimalized on those sets, and the reported pairs are those
     whose set is the minimal transversal.  Only the reported members become
-    ``Partition``s.  The witness's re-check reads the table restricted to it."""
+    ``Partition``s.  Their cores' scans share one memo of carried candidates.
+    The witness's re-check reads the table restricted to it."""
     reps = tuple(ids[0] for _, ids in sorted(config.color_classes.items()))
     colors = range(len(reps))
     members = sorted(
@@ -563,6 +574,7 @@ def _witness_report(config: PointConfig, groupings: _Groupings) -> WitnessReport
 
     rep_set = set(reps)
     cores: dict[Partition, tuple[int, ...]] = {}
+    spans: dict = {}
     for plus in at_bits(members, minimal):
         blocks = ([], [])
         for c in colors:
@@ -570,7 +582,9 @@ def _witness_report(config: PointConfig, groupings: _Groupings) -> WitnessReport
         # label 0 on the points of the colors on the side of color 0
         side_labels = {j: int(not plus >> c & 1) for j, c in zip(config.ids, config.colors)}
         member = Partition((tuple(blocks[0]), tuple(blocks[1])))
-        cores[member] = _found(_first_inseparable(config, side_labels, rep_set), config, rep_set)
+        cores[member] = _found(
+            _first_inseparable(config, side_labels, rep_set, spans), config, rep_set
+        )
 
     witness = tuple(sorted(rep_set.union(*cores.values())))
     bound = witness_size_bound(config.dim, config.k)

@@ -8,7 +8,9 @@ points carry a color or none do; labels become dense numeric color ids in
 first-appearance order.
 
 Reports go out through ``dumps_doc``, one join-based encoder whose bytes are
-``json.dumps`` with an indent of 2, newline-terminated.
+``json.dumps`` with an indent of 2, newline-terminated, and which encodes a
+list that a report lists many times (a member in many transversals) once
+per call.
 """
 
 from __future__ import annotations
@@ -146,48 +148,50 @@ def dumps_doc(doc: Any) -> str:
     and a newline.  Each value is written by its exact type, and each list
     or dict by one join of its pieces, with the indent of each depth made
     once per call: strings go through the C routine ``json`` quotes them
-    with, and a list of ints is one join.  Any other list seen a second
-    time at one depth (its text depends on the indent) is read from then on
-    from that depth's memo, keyed by identity, and a list looks each of its
-    items up there before it encodes one.  So a report that lists one
-    member's partition doc in many transversals encodes it twice and then
-    takes one dict lookup per listing.  A report holds dicts with str keys,
-    lists, tuples, strs, ints, bools and None; no report holds a float, a
-    ``Fraction``, a set or a subclass of a type it holds, and those, like a
-    key that is not a str, are a TypeError.
+    with, and a list of ints is one join.  A list that is an item of a list
+    goes, at its first sighting, into its depth's memo (its text depends on
+    the indent), keyed by identity, and a list looks each of its items up
+    there before it encodes one.  So a report that lists one member's
+    partition doc in many transversals encodes it once and then takes one
+    dict lookup per listing; no other list's text is kept.  A report holds
+    dicts with str keys, lists, tuples, strs, ints, bools and None; no
+    report holds a float, a ``Fraction``, a set or a subclass of a type it
+    holds, and those, like a key that is not a str, are a TypeError.
     """
     return _encode(doc, 0, _Levels()) + "\n"
 
 
 class _Levels(dict):
     """Per depth, made at its first use: the indent (a newline and two spaces
-    per level) and the memo of list texts by identity."""
+    per level) and the memo of the texts of list items by identity."""
 
-    def __missing__(self, depth: int) -> tuple[str, dict[int, Optional[str]]]:
+    def __missing__(self, depth: int) -> tuple[str, dict[int, str]]:
         self[depth] = level = ("\n" + "  " * depth, {})
         return level
 
 
-def _encode(value: Any, depth: int, levels: _Levels) -> str:
+def _encode(
+    value: Any, depth: int, levels: _Levels, memo: Optional[dict[int, str]] = None
+) -> str:
+    """The text of ``value`` at ``depth``; ``memo``, given for an item of a
+    list, is the depth's memo, which keeps the text of a list."""
     kind = type(value)
     if kind is list or kind is tuple:
         if not value:
             return "[]"
         inner, below = levels[depth + 1]
-        outer, seen = levels[depth]
+        outer = levels[depth][0]
         if _INTS.issuperset(map(type, value)):
-            return f"[{inner}{(',' + inner).join(map(int.__repr__, value))}{outer}]"
-        text = seen.get(id(value))
-        if text is None:
+            text = f"[{inner}{(',' + inner).join(map(int.__repr__, value))}{outer}]"
+        else:
             look = below.get
             pieces = ["," + inner] * (2 * len(value) + 1)
             pieces[0], pieces[-1] = "[" + inner, outer + "]"
             depth += 1
-            pieces[1::2] = [look(id(item)) or _encode(item, depth, levels) for item in value]
+            pieces[1::2] = [look(id(item)) or _encode(item, depth, levels, below) for item in value]
             text = "".join(pieces)
-            # kept from the second sighting on: keeping the text at the first
-            # would hold every unshared list's text to the end of the call
-            seen[id(value)] = text if id(value) in seen else None
+        if memo is not None:
+            memo[id(value)] = text
         return text
     if kind is str:
         return _QUOTE(value)

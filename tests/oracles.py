@@ -215,7 +215,8 @@ def partition_witness_report(config: PointConfig, groupings) -> WitnessReport:
     ``Partition.separates`` alone: a subset is a transversal when some pair
     is separated by no member outside it, the greedy descent drops each
     member in canonical order while the rest stays one, and the reported
-    pairs are those separated by exactly the kept members.  The grouping
+    pairs are those separated by exactly the kept members.  Each core's
+    scan starts from an empty memo of carried candidates.  The grouping
     table is ``colorful._Groupings`` of the configuration, which must be
     non-partitionable."""
     classes = config.color_classes
@@ -256,7 +257,7 @@ def partition_witness_report(config: PointConfig, groupings) -> WitnessReport:
         first = frozenset(extend_partition(member, config).blocks[0])
         side_labels = {i: int(i not in first) for i in config.ids}
         cores[member] = _found(
-            _first_inseparable(config, side_labels, rep_set), config, rep_set
+            _first_inseparable(config, side_labels, rep_set, {}), config, rep_set
         )
 
     witness = tuple(sorted(rep_set.union(*cores.values())))

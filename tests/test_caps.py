@@ -175,6 +175,27 @@ def test_degenerate_witness_solves_no_lp(tmp_path, capsys, solver_calls):
     assert solver_calls == {}
 
 
+def test_degenerate_witness_carries_each_candidate_once(tmp_path, capsys, monkeypatch):
+    """The witness's 18 scans, one per member of the kept transversal on
+    the degenerate main instance at d=3, n=16, k=8, share one memo: a
+    candidate's rank and carried chirotope depend on its points, not on
+    its labels.  So no candidate is carried twice, 517 in all, where each
+    scan carrying its own made 9,306 calls."""
+    carried = Counter()
+    carry = colorful._carried
+
+    def counted(points):
+        carried[tuple(map(tuple, points))] += 1
+        return carry(points)
+
+    monkeypatch.setattr(colorful, "_carried", counted)
+    _, path = _instance(tmp_path, "main", 3, colors=8, degenerate=True)
+    doc = _run(capsys, ["witness", "--input", path])
+    assert doc["size"] == 14
+    assert set(carried.values()) == {1}
+    assert len(carried) == 517
+
+
 def test_perturb_of_degenerate_input_solves_no_lp(tmp_path, capsys, solver_calls):
     _, path = _instance(tmp_path, "phi", 2, degenerate=True)
     doc = _run(capsys, ["perturb", "--input", path, "--seed", "0"])

@@ -135,6 +135,54 @@ def test_member_set_read_off_the_orientation_table_equals_enumeration(cfg):
     assert realizable_division(cfg) == hyperplane_division(cfg).division
 
 
+def _moment_curve_masks(ts: list[int], dim: int) -> set[int]:
+    """The members of the points (t, t^2, ..., t^dim) at distinct ``ts``, in
+    id order, as ``member_masks`` writes them.  A hyperplane's equation on
+    the curve is a polynomial of degree at most dim, so the points' sides
+    change at most dim times in the order of t, and a root between each
+    pair of neighbours at the chosen changes realizes any such sequence.
+    Bit i is set when the i-th point lies on the first point's side."""
+    along = sorted(range(len(ts)), key=ts.__getitem__)
+    everything = (1 << len(ts)) - 1
+    masks = set()
+    for size in range(min(dim, len(ts) - 1) + 1):
+        for changes in combinations(range(1, len(ts)), size):
+            side, mask = 1, 0
+            for place, i in enumerate(along):
+                side ^= place in changes
+                mask |= side << i
+            masks.add(mask if mask & 1 else everything ^ mask)
+    return masks
+
+
+def _moment_curve(ts: list[int], dim: int):
+    return make_config(dim, [tuple(t**e for e in range(1, dim + 1)) for t in ts])
+
+
+def test_member_masks_at_the_caps_are_the_sign_sequences_of_the_moment_curve():
+    """Known answer at d=3, n=16: the sign sequences with at most three
+    changes, sum over i <= 3 of C(15, i) = 576 members."""
+    ts = list(range(1, 17))
+    expected = _moment_curve_masks(ts, 3)
+    assert len(expected) == 576 == partition_count(3, 16)
+    assert hdivision.member_masks(_moment_curve(ts, 3)) == expected
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda dim: st.tuples(
+            st.just(dim), st.lists(st.integers(-12, 12), min_size=1, max_size=12, unique=True)
+        )
+    )
+)
+def test_member_masks_on_the_moment_curve_are_its_sign_sequences(drawn):
+    """Points in any id order, so that the orientation table, whose signs
+    all agree when the ids follow t, holds both signs."""
+    dim, ts = drawn
+    assert hdivision.member_masks(_moment_curve(ts, dim)) == _moment_curve_masks(ts, dim)
+
+
 def test_degenerate_member_set_is_the_enumeration(monkeypatch):
     # the read was the enumeration, 2^6 - 1 = 63 LPs; now no LP is solved
     cfg = _random_config(2, 7, 42, degenerate=True)

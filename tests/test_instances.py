@@ -8,13 +8,19 @@ import json
 import re
 import sys
 import tempfile
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from typing import Any
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hyperpart.cli as cli
+import hyperpart.instances as instances
 from hyperpart import (
     CampaignSpec,
     InvalidConfig,
@@ -202,6 +208,89 @@ def test_dumps_doc_writes_the_bytes_of_json_dumps(doc):
     and a newline, with shared lists too: a memo keyed by identity alone
     would write the list at its first depth's indent at the others."""
     assert dumps_doc(doc) == json.dumps(doc, indent=2, ensure_ascii=True) + "\n"
+
+
+def _report(config: PointConfig, argv: list[str]) -> dict:
+    """The document a subcommand reports on ``config``, before it is encoded."""
+    reports = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "instance.json"
+        path.write_text(emit_instance(config))
+        with mock.patch.object(cli, "_emit", lambda args, doc: reports.append(doc)):
+            assert main(argv + ["--input", str(path)]) == 0
+    return reports[0]
+
+
+def _listed_only(doc: Any) -> set[tuple[int, int]]:
+    """(identity, depth) of each nonempty list or tuple that ``doc`` holds
+    as an item of a list at that depth, and not also as a dict value or
+    the whole document there."""
+    listed: set[tuple[int, int]] = set()
+    placed: set[tuple[int, int]] = set()
+
+    def walk(value: Any, depth: int, into: set) -> None:
+        if type(value) in (list, tuple):
+            if value:
+                into.add((id(value), depth))
+            for item in value:
+                walk(item, depth + 1, listed)
+        elif type(value) is dict:
+            for item in value.values():
+                walk(item, depth + 1, placed)
+
+    walk(doc, 0, placed)
+    return listed - placed
+
+
+def _assert_lists_encoded_once(doc: Any) -> None:
+    """One ``dumps_doc`` call encodes each list that ``doc`` holds only as
+    list items once per depth, counted at every entry to ``_encode``."""
+    encodes: Counter = Counter()
+    encode = instances._encode
+
+    def counted(value, depth, *rest):
+        encodes[id(value), depth] += 1
+        return encode(value, depth, *rest)
+
+    with mock.patch.object(instances, "_encode", counted):
+        dumps_doc(doc)
+    listed = _listed_only(doc)
+    assert listed and {encodes[key] for key in listed} == {1}
+
+
+@settings(max_examples=200)
+@given(_shared_docs())
+def test_dumps_doc_encodes_each_listed_list_once(doc):
+    """A list shared as an item of lists is encoded at its first sighting
+    at a depth and read from the memo at every later one."""
+    _assert_lists_encoded_once(doc)
+
+
+def test_dumps_doc_encodes_each_member_of_a_transversals_report_once():
+    """The degenerate n=8 transversals report lists each member's partition
+    doc in many transversals; each is encoded once."""
+    config = generate_instance(CampaignSpec(suite="phi", dim=3, n=8, seed=0, degenerate=True), 0)
+    doc = _report(config, ["transversals"])
+    listings = [id(m) for t in doc["minimal_transversals"] for m in t["members"]]
+    assert len(listings) > len(set(listings))
+    _assert_lists_encoded_once(doc)
+
+
+def test_dumps_doc_holds_no_unshared_list_to_the_end():
+    """Memory guard: the largest report at the caps (phi d=3 n=16
+    transversals, 9.38 MiB) encodes with a traced peak of at most 2.5 times
+    its length.  Keeping every list's text to the end of the call instead
+    of only the texts of list items reads about 3 times."""
+    config = generate_instance(CampaignSpec(suite="phi", dim=3, n=16, seed=0), 0)
+    doc = _report(config, ["transversals"])
+    tracemalloc.start()
+    try:
+        text = dumps_doc(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 9 * 2**20
+    assert peak <= 2.5 * len(text)
 
 
 @pytest.mark.parametrize("value", [Fraction(1, 2), {1, 2}, 0.5, float("nan"), {1: "one"}])
