@@ -126,16 +126,6 @@ def _emit(args: argparse.Namespace, doc: dict) -> None:
         sys.stdout.write(text)
 
 
-def _member_docs(hd) -> list[dict]:
-    return [
-        {
-            "blocks": partition_doc(member),
-            "witness": hyperplane_doc(hd.witness(member)),
-        }
-        for member in hd.members
-    ]
-
-
 # --- subcommand bodies -----------------------------------------------------
 
 
@@ -151,7 +141,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> dict:
         "count": len(hd),
         "formula_count": expected,
         "matches_formula": len(hd) == expected,
-        "members": _member_docs(hd),
+        "members": [
+            {"blocks": partition_doc(member), "witness": hyperplane_doc(hd.witness(member))}
+            for member in hd.members
+        ],
     }
 
 
@@ -198,11 +191,9 @@ def _cmd_flip(args: argparse.Namespace) -> dict:
         "separating_before": result.separating_before,
         "separating_after": result.separating_after,
         "total": result.total,
-        "map": [
+        "map": [  # in the division's canonical order
             {"from": partition_doc(src), "to": partition_doc(dst)}
-            for src, dst in sorted(
-                result.partition_map.items(), key=lambda kv: kv[0].blocks
-            )
+            for src, dst in result.partition_map.items()
         ],
         "config": config_doc(result.config),
     }

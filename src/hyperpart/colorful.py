@@ -38,7 +38,7 @@ builds ``Partition``s only for the members it reports.
 Only the groupings that end up in a certificate are solved for their
 hyperplanes.  The cross-check ``is_partitionable_by_enumeration`` stays
 independent of the member read: it decides each grouping by one
-feasibility test of its halfspace dual (``_separable``).
+feasibility test of its halfspace dual (``_dual_rows``, ``is_feasible``).
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from .geometry import (
     one_side_hyperplane,
     strict_separate,
 )
-from .hdivision import check_witness, member_masks, restricted_masks, traces
+from .hdivision import check_witness, member_masks, restricted_masks, split_witness, traces
 # bound here, unused: perfbench's tracer tests check that tracing rebinds it
 # in this module
 from .hdivision import hyperplane_division  # noqa: F401
@@ -82,10 +82,7 @@ def color_separating_hyperplane(config: PointConfig) -> Optional[Hyperplane]:
     _require_colors(config, most=2)
     if config.k == 1:
         return one_side_hyperplane(config.points, config.dim)
-    classes = config.color_classes
-    side_a = [config.point(i) for i in classes[0]]
-    side_b = [config.point(i) for i in classes[1]]
-    return strict_separate(side_a, side_b, config.dim)
+    return split_witness(config, config.color_classes[0])  # class 0 holds the lowest id
 
 
 @dataclass(frozen=True)
@@ -145,12 +142,6 @@ def _dual_rows(points: Sequence[Point], sides: Sequence, anchor: Point) -> tuple
         else:
             rows.append((tuple(-x for x in shifted), -scale))  # normal . a > 1
     return tuple(rows)
-
-
-def _separable(points: Sequence[Point], sides: Sequence, dim: int) -> bool:
-    """Whether the points of each side label can be strictly separated from
-    the rest, decided on the halfspace dual through the first point."""
-    return is_feasible(_dual_rows(points, sides, points[0]), dim, strict=True)
 
 
 def helly_dual(config: PointConfig, base_id: int) -> HalfspaceSystem:
@@ -463,8 +454,9 @@ def is_partitionable(config: PointConfig) -> Optional[Certificate]:
 
     The search only decides: every grouping is one lookup in the grouping
     table, which reads the member set once and solves no LP.  Hyperplanes
-    are solved afterwards, once per kept grouping and with its points in
-    color order.
+    are solved afterwards, once per kept grouping; each depends on which
+    points lie on either side, not on the order they are listed in (see
+    ``linsolve``).
     """
     _require_colors(config)
     return _certificate(config, _Groupings.of(config))
@@ -475,16 +467,19 @@ def is_partitionable_by_enumeration(config: PointConfig) -> bool:
     partitions that keep every color class whole, and ask whether they
     separate every color pair.  Such a partition is a two-sided color
     grouping, so the 2^(k-1)-1 nontrivial groupings with color 0 on side A
-    are each decided by one witness-free feasibility test of the halfspace
-    dual through the first point, which has color 0 (``_separable``); the
-    member set, which the grouping table reads, is not used.  The
-    configuration is partitionable when every pair of colors has a
-    realizable grouping separating it (``separating_sets`` over colors)."""
+    are each decided by one witness-free feasibility test (``is_feasible``)
+    of the halfspace dual through the first point, which has color 0
+    (``_dual_rows``); the member set, which the grouping table reads, is not
+    used.  The configuration is partitionable when every pair of colors has
+    a realizable grouping separating it (``separating_sets`` over colors)."""
     _require_colors(config)
+    points, anchor = config.points, config.points[0]
     realizable = [  # side A's colors: the odd bitmasks, less all colors (trivial)
         plus
         for plus in range(1, (1 << config.k) - 1, 2)
-        if _separable(config.points, [plus >> c & 1 for c in config.colors], config.dim)
+        if is_feasible(
+            _dual_rows(points, [plus >> c & 1 for c in config.colors], anchor), config.dim, strict=True
+        )
     ]
     return all(found for _, found in separating_sets(realizable, range(config.k)))
 
@@ -575,13 +570,11 @@ def _witness_report(config: PointConfig, groupings: _Groupings) -> WitnessReport
     rep_set = set(reps)
     cores: dict[Partition, tuple[int, ...]] = {}
     spans: dict = {}
+    full = (1 << len(reps)) - 1
     for plus in at_bits(members, minimal):
-        blocks = ([], [])
-        for c in colors:
-            blocks[not plus >> c & 1].append(reps[c])
         # label 0 on the points of the colors on the side of color 0
         side_labels = {j: int(not plus >> c & 1) for j, c in zip(config.ids, config.colors)}
-        member = Partition((tuple(blocks[0]), tuple(blocks[1])))
+        member = Partition((tuple(at_bits(reps, plus)), tuple(at_bits(reps, full ^ plus))))
         cores[member] = _found(
             _first_inseparable(config, side_labels, rep_set, spans), config, rep_set
         )

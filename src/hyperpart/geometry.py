@@ -379,18 +379,14 @@ def _carried(points: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
 
 
 def orient(points: Sequence[Point], dim: int) -> int:
-    """Orientation sign of dim+1 points, 0 iff they lie on a common hyperplane,
-    read as the orientation table reads it: (-1)^(dim-1) times the side of
-    the last point from the ``_spanned_normal`` of the others."""
+    """Orientation sign of dim+1 points, 0 iff they lie on a common hyperplane:
+    the one entry of their ``_chirotope``, as the orientation table reads it."""
     if len(points) != dim + 1:
         raise DomainError(f"orientation in dimension {dim} needs {dim + 1} points, got {len(points)}")
     for p in points:
         if p.dim != dim:
             raise DomainError(f"point {p.id} has dimension {p.dim}, expected {dim}")
-    *span, last = _on_one_denominator(points)
-    normal, offset = _spanned_normal(span)
-    value = (-1) ** (dim - 1) * (sum(map(mul, normal, last)) - offset)
-    return (value > 0) - (value < 0)
+    return _chirotope(_on_one_denominator(points), dim)[0]
 
 
 def _on_one_denominator(points: Sequence[Point]) -> tuple[tuple[int, ...], ...]:

@@ -26,9 +26,10 @@ A subset's members are the traces of the configuration's members, so
 ``restricted_masks`` reads them off its masks with no geometry, under the same
 count check.  ``ordered_members`` lists the masks in the division's canonical
 order with their blocks, for the reports that build no ``Partition``.
-``member_witness`` solves one member's witness on its own: the
-system ``hyperplane_division`` builds for that member, hence the same
-hyperplane.
+Every witness of a nontrivial member is ``split_witness`` of its two blocks,
+whose plane depends on the blocks as sets, not on any order of their points
+(see ``linsolve``).  So ``member_witness``, which solves one member's witness
+on its own, returns the hyperplane ``hyperplane_division`` stores for it.
 
 On top sit three coordinate constructions, each of which recomputes the member
 set of its output and checks the combinatorial identity it exists to produce —
@@ -110,28 +111,35 @@ def hyperplane_division(config: PointConfig) -> HyperplaneDivision:
     Every witness is checked to realize its member, with no point on it.
     """
     ids = config.ids
-    n = len(ids)
+    everything = (1 << len(ids)) - 1
     trivial = Partition((ids,))
     members = [trivial]
     witnesses: dict[Partition, Hyperplane] = {
         trivial: one_side_hyperplane(config.points, config.dim)
     }
-    head, rest = config.points[0], config.points[1:]
-    for mask in range((1 << (n - 1)) - 1):
-        side_a = [head]
-        side_b = []
-        for i, p in enumerate(rest):
-            (side_a if mask >> i & 1 else side_b).append(p)
-        found = strict_separate(side_a, side_b, config.dim)
+    for mask in range(1, everything, 2):  # every side holding the first point, less all points
+        first = at_bits(ids, mask)
+        found = split_witness(config, first)
         if found is not None:
-            member = Partition(
-                (tuple(p.id for p in side_a), tuple(p.id for p in side_b))
-            )
+            member = Partition((tuple(first), tuple(at_bits(ids, everything ^ mask))))
             members.append(member)
             witnesses[member] = found
     for member, plane in witnesses.items():
         check_witness(plane, member, config)
     return HyperplaneDivision(config, Division(frozenset(ids), tuple(members)), witnesses)
+
+
+def split_witness(config: PointConfig, first: Iterable[int]) -> Optional[Hyperplane]:
+    """``strict_separate`` of the configuration's points with the ids of
+    ``first``, the side holding the lowest id, from the rest: a hyperplane
+    with ``first`` on its positive side, or None when the two hulls meet.
+    The plane depends on the two sides as sets, not on any order within
+    them (see ``linsolve``)."""
+    first = frozenset(first)
+    sides: tuple[list[Point], list[Point]] = ([], [])
+    for p in config.points:
+        sides[p.id not in first].append(p)
+    return strict_separate(*sides, config.dim)
 
 
 def check_witness(plane: Hyperplane, member: Partition, config: PointConfig) -> None:
@@ -308,9 +316,9 @@ def _submasks(mask: int):
 def member_witness(config: PointConfig, member: Partition) -> Hyperplane:
     """The witness ``hyperplane_division`` stores for ``member``, solved alone.
 
-    The system is the one the enumeration builds for that member: the block
-    holding the lowest id on the positive side, each side in increasing id
-    order; the trivial member gets ``one_side_hyperplane``.  The plane is
+    Both take ``split_witness`` of the member's blocks, the one holding the
+    lowest id on the positive side, and its plane depends on the blocks as
+    sets; the trivial member gets ``one_side_hyperplane``.  The plane is
     checked with ``check_witness``.  A member that is not realizable is a
     VerificationError.
     """
@@ -319,12 +327,7 @@ def member_witness(config: PointConfig, member: Partition) -> Hyperplane:
     if member.is_trivial:
         plane = one_side_hyperplane(config.points, config.dim)
     else:
-        first = frozenset(member.blocks[0])  # blocks are ordered by least id
-        plane = strict_separate(
-            [p for p in config.points if p.id in first],
-            [p for p in config.points if p.id not in first],
-            config.dim,
-        )
+        plane = split_witness(config, member.blocks[0])  # blocks are ordered by least id
         if plane is None:
             raise VerificationError(f"{member!r} is not realizable")
     check_witness(plane, member, config)
@@ -393,6 +396,9 @@ def shrink_to_min(config: PointConfig, a: int, b: int) -> ShrinkResult:
 
 @dataclass(frozen=True)
 class FlipResult:
+    """``partition_map`` takes each member of the input to its image, keyed
+    in the canonical order of ``realizable_division``'s members."""
+
     config: PointConfig
     pair: tuple[int, int]
     base: Partition

@@ -3,12 +3,14 @@
 A row is a pair ``(coeffs, rhs)`` of integers, read as ``coeffs . x <= rhs``.
 Strictness belongs to the whole system, not to a row: in a strict system
 every row reads ``coeffs . x < rhs``.  Variables are eliminated in index
-order; derived rows keep the order in which they are produced, so witnesses
-are deterministic functions of the input row order.  Arithmetic is over
-integers throughout: rows are reduced by their gcd, and back-substitution
-compares bounds by cross-multiplication over one common denominator of the
-values already fixed.  A rational is formed only for a chosen witness
-coordinate.
+order.  The witness depends on the set of input rows, not on their order:
+rows live in a dict keyed by their coefficients, which keeps the tightest
+right-hand side of parallel rows, and the bounds on a variable are a min/max
+scan over a stage, so each stage is a set and each chosen value a function
+of it.  Arithmetic is over integers throughout: rows are reduced by their
+gcd, and back-substitution compares bounds by cross-multiplication over one
+common denominator of the values already fixed.  A rational is formed only
+for a chosen witness coordinate.
 
 One elimination, two entries.  ``feasible_point`` back-substitutes a witness
 from the elimination's stages; ``is_feasible`` only asks whether the

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import hyperpart.colorful as colorful
 import hyperpart.geometry as geometry
 import oracles
-from strategies import degenerate_colored
+from strategies import degenerate_colored, general_configs
 from hyperpart import (
     CampaignSpec,
     DomainError,
@@ -30,6 +30,7 @@ from hyperpart import (
     is_partitionable_by_enumeration,
     kirchberger_witness,
     make_config,
+    member_witness,
     smallest_blocked_subset_size,
     strict_separate,
     validate_certificate,
@@ -131,6 +132,27 @@ def test_direct_and_dual_planes_match_the_parent_kernel(cfg):
     assert color_separating_hyperplane(cfg) == expected
     for anchor in cfg.ids:
         assert helly_dual(cfg, anchor).separating_hyperplane() == oracles.int_helly_plane(cfg, anchor)
+
+
+@st.composite
+def _general_two_colored(draw):
+    cfg = draw(general_configs())
+    return cfg.with_colors(draw(st.lists(st.integers(0, 1), min_size=len(cfg), max_size=len(cfg))))
+
+
+@settings(max_examples=150)
+@given(_general_two_colored() | degenerate_colored(colors=2))
+def test_the_color_plane_is_the_member_witness_of_the_classes(cfg):
+    """The two-color plane is the witness of the member whose blocks are the
+    classes, as ``member_witness`` solves it, and an inseparable coloring is
+    no member."""
+    plane = color_separating_hyperplane(cfg)
+    classes = Partition(tuple(cfg.color_classes.values()))
+    if plane is None:
+        with pytest.raises(VerificationError, match="not realizable"):
+            member_witness(cfg, classes)
+    else:
+        assert member_witness(cfg, classes) == plane
 
 
 def test_kirchberger_witness_alternating_line():

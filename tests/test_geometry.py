@@ -276,6 +276,21 @@ def test_strict_separate_matches_hull_oracle(case):
         assert mine == oracles.hulls_disjoint_1d(side_a, side_b)
 
 
+@settings(max_examples=150)
+@given(general_configs() | degenerate_configs(), st.data())
+def test_strict_separate_depends_on_the_sides_as_sets(cfg, data):
+    """Any order of either side gives the same plane, or None for both:
+    ``hdivision.split_witness`` lists its sides in id order, whatever order
+    its caller holds them in."""
+    labels = data.draw(st.lists(st.booleans(), min_size=len(cfg), max_size=len(cfg)))
+    side_a = [p for p, positive in zip(cfg.points, labels) if positive]
+    side_b = [p for p, positive in zip(cfg.points, labels) if not positive]
+    assume(side_a and side_b)
+    plane = strict_separate(side_a, side_b, cfg.dim)
+    shuffled = data.draw(st.permutations(side_a)), data.draw(st.permutations(side_b))
+    assert strict_separate(*shuffled, cfg.dim) == plane
+
+
 _rational = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 

@@ -391,6 +391,17 @@ def test_flip_random_instances(dim, n, seed):
     assert result.separating_before + result.separating_after == partition_count(dim, n)
 
 
+@settings(max_examples=40)
+@given(general_configs().filter(lambda cfg: len(cfg) >= 2), st.data())
+def test_flip_map_runs_in_the_division_order(cfg, data):
+    """The ``flip`` report lists the map as it iterates, unsorted: the
+    input's members in ``realizable_division``'s canonical order."""
+    a, b = data.draw(st.permutations(cfg.ids))[:2]
+    division = realizable_division(cfg)
+    index = data.draw(st.integers(0, len(separating_members(division, a, b)) - 1))
+    assert list(projective_flip(cfg, a, b, index).partition_map) == list(division.members)
+
+
 def _count_work(monkeypatch):
     """Calls of the two division entries, by configuration size, and LPs.
 

@@ -1,10 +1,15 @@
-"""Every imported name is read by the module that imports it, and every
-name the benchmark's tracer wraps exists.
+"""Every imported name is read by the module that imports it, every private
+helper of the package is referenced by the package, and every name the
+benchmark's tracer wraps exists.
 
 No linter ships with the project, so this reads each module of the package
 and of the tests with ``ast``: a name bound by an import and never loaded,
 nor listed in ``__all__``, is reported.  An import kept on purpose (a binding
-another module looks up) says so with ``# noqa: F401`` on its statement.
+another module looks up) says so with ``# noqa: F401`` on its statement.  A
+private module-level function or class of ``src/hyperpart`` that no module
+there references outside its own body is reported too, as it is dead code
+or kept only for the tests; the ``cli._cmd_*`` subcommand bodies, which
+``main`` looks up by name, are exempt.
 """
 
 from __future__ import annotations
@@ -44,6 +49,37 @@ def unused_imports(source: str) -> list[str]:
     return [f"{line}: {name}" for name, line in sorted(bound.items(), key=lambda b: b[1]) if name not in read]
 
 
+def unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
+    """The private module-level functions and classes of ``sources`` (module
+    name -> source) that no module references outside the definition's own
+    body, by a name, an attribute or an import, each as
+    ``"module.name"``; ``cli._cmd_*`` is exempt."""
+    defined: list[tuple[str, str]] = []
+    referenced: set[str] = set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = stmt.name
+                if own.startswith("_") and not own.startswith("__"):
+                    defined.append((module, own))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if name != own:
+                    referenced.add(name)
+    return [
+        f"{module}.{name}" for module, name in defined
+        if name not in referenced and not (module == "cli" and name.startswith("_cmd_"))
+    ]
+
+
 def test_the_scan_finds_what_it_should():
     source = (
         "from __future__ import annotations\n"
@@ -61,6 +97,30 @@ def test_the_scan_finds_what_it_should():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: f"{path.parent.name}/{path.name}")
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_the_private_helper_scan_finds_what_it_should():
+    sources = {
+        "a": (
+            "def _used_here(): pass\n"
+            "def _recursive_only(n): return _recursive_only(n - 1)\n"
+            "class _Unused: pass\n"
+            "def __dunder__(): pass\n"
+            "def public(): return _used_here()\n"
+            "def _imported(): pass\n"
+            "def _as_attribute(): pass\n"
+        ),
+        "b": "from .a import _imported\nimport a\nx = a._as_attribute\n",
+        "cli": "def _cmd_run(args): pass\ndef _unused_in_cli(): pass\n",
+    }
+    assert unreferenced_private_defs(sources) == [
+        "a._recursive_only", "a._Unused", "cli._unused_in_cli",
+    ]
+
+
+def test_every_private_helper_is_referenced():
+    sources = {path.stem: path.read_text() for path in (ROOT / "src" / "hyperpart").glob("*.py")}
+    assert unreferenced_private_defs(sources) == []
 
 
 def _load_tracer():

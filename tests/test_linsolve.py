@@ -354,15 +354,21 @@ def _loop_systems(draw):
     return nvars, strict, draw(st.permutations(rows))
 
 
-@settings(max_examples=400)
-@given(
-    _loop_systems()
-    | degenerate_colored(colors=2).map(
-        lambda cfg: (
-            cfg.dim + 1, False, [p.separation_rows[c] for p, c in zip(cfg.points, cfg.colors)]
-        )
+# the strict separation system of a degenerate two-color draw, color 0 positive
+_separation_systems = degenerate_colored(colors=2).map(
+    lambda cfg: (cfg.dim + 1, False, [p.separation_rows[c] for p, c in zip(cfg.points, cfg.colors)])
+)
+
+# the halfspace dual of a degenerate two-color draw, through each of its points
+_dual_systems = degenerate_colored(colors=2).flatmap(
+    lambda cfg: st.sampled_from(cfg.points).map(
+        lambda anchor: (cfg.dim, True, list(_dual_rows(cfg.points, cfg.colors, anchor)))
     )
 )
+
+
+@settings(max_examples=400)
+@given(_loop_systems() | _separation_systems)
 def test_elimination_loops_match_the_reference_loops(case):
     """The same rows in the same order at every stage, the same bounds, the
     same point and the same decision as the loops that inserted one row per
@@ -379,3 +385,16 @@ def test_elimination_loops_match_the_reference_loops(case):
         assert found[1] == tuple(None if b is None else b[:2] for b in expected[1])
     assert feasible_point(rows, nvars, strict=strict) == oracles.int_feasible_point(flagged, nvars)
     assert is_feasible(rows, nvars, strict=strict) == (expected is not None)
+
+
+@settings(max_examples=300)
+@given(_loop_systems() | _separation_systems | _dual_systems, st.data())
+def test_the_point_depends_on_the_rows_as_a_set(case, data):
+    """Any order of the same rows gives the same point and the same
+    decision: a stage is a dict keyed by coefficients that keeps the
+    tightest right-hand side, and the bounds are a min/max scan over it.
+    ``hdivision.split_witness`` relies on this to list its sides in any order."""
+    nvars, strict, rows = case
+    shuffled = data.draw(st.permutations(rows))
+    assert feasible_point(shuffled, nvars, strict=strict) == feasible_point(rows, nvars, strict=strict)
+    assert is_feasible(shuffled, nvars, strict=strict) == is_feasible(rows, nvars, strict=strict)
